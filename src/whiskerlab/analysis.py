@@ -26,13 +26,10 @@ class DurationConfig:
     """valid_threshold: per-frame total taxel sum a frame must exceed."""
 
     valid_threshold: float = 0.0475
-    basis: str = "taxel_sum"
 
     def validate(self) -> None:
         if not self.valid_threshold > 0:
             raise ConfigError(f"valid_threshold must be positive, got {self.valid_threshold}")
-        if self.basis != "taxel_sum":
-            raise ConfigError(f"unsupported duration basis {self.basis!r}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ Commands: simulate, dataset, train, eval, report, fit-speed, direction,
 plot, init-config.  Common behavior:
 
 * configuration comes from defaults, then an optional --config JSON file,
-  then flags (flags win); --out falls back to $WHISKERLAB_OUT and worker
-  counts to $WHISKERLAB_WORKERS;
+  then flags (flags win); --out falls back to $WHISKERLAB_OUT;
 * every command records a stage in <out>/manifest.json with input/output
   digests; file inputs are re-verified against recorded digests;
 * exit codes: 0 success, 2 usage/configuration error, 3 data error.
@@ -59,18 +58,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = os.environ.get("WHISKERLAB_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"WHISKERLAB_WORKERS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _slide_name(pattern: str, depth, speed, direction: int, k: int) -> str:
@@ -138,7 +125,6 @@ def cmd_dataset(args) -> int:
         detector_cfg=cfg.detector,
         feature_cfg=cfg.features,
         seed=cfg.seed,
-        workers=_workers(args),
     )
     data_path = out / "dataset.jsonl"
     dataset_mod.save_dataset(data_path, labeled.samples)
@@ -433,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="build the labeled capture dataset over all specimens")
     common(p)
     p.add_argument("--slides-per-specimen", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (or $WHISKERLAB_WORKERS; default: CPU count)")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("train", help="train one model family on one task")

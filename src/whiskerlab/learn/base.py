@@ -1,0 +1,62 @@
+"""Plumbing shared by the three classifier families.
+
+A family supplies ``kind``, its params dataclass, ``fit``, a per-class
+``decision_function`` and its fitted state as JSON; this base encodes the
+labels, predicts the argmax class and round-trips the whole model.
+"""
+
+from dataclasses import asdict
+from typing import Optional
+
+import numpy as np
+
+from ..errors import DegenerateModelError
+
+
+class Classifier:
+    kind: str
+    params_cls: type
+
+    def __init__(self, params: Optional[object] = None, seed: int = 0):
+        self.params = params if params is not None else self.params_cls()
+        self.seed = seed
+        self.classes_: list = []
+
+    def _encode_labels(self, y: np.ndarray) -> np.ndarray:
+        """Set ``classes_`` from the training labels; return their class indices."""
+        self.classes_ = sorted(set(y.tolist()))
+        if len(self.classes_) < 2:
+            raise DegenerateModelError("training set contains a single class")
+        class_index = {c: i for i, c in enumerate(self.classes_)}
+        return np.array([class_index[v] for v in y.tolist()], dtype=np.int64)
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """Per-class scores, shape (rows, classes); the highest one wins."""
+        raise NotImplementedError
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        idx = np.argmax(self.decision_function(X), axis=1)
+        return np.array(self.classes_, dtype=object)[idx]
+
+    def _state_dict(self) -> dict:
+        """The fitted state, as JSON-ready values."""
+        raise NotImplementedError
+
+    def _load_state(self, obj: dict) -> None:
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "params": asdict(self.params),
+            "seed": self.seed,
+            "classes": self.classes_,
+            **self._state_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "Classifier":
+        model = cls(cls.params_cls(**obj["params"]), obj["seed"])
+        model.classes_ = obj["classes"]
+        model._load_state(obj)
+        return model

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateModelError
-from .trees import Tree, bin_features, grow_regression_tree, offset_bins, quantile_bin_edges
+from .base import Classifier
+from .trees import Tree, grow_tree, offset_bins, quantile_bin_edges
 
 
 @dataclass(frozen=True)
@@ -23,39 +23,28 @@ class BoostParams:
     max_bins: int = 128
 
 
-class BoostedTreesClassifier:
+class BoostedTreesClassifier(Classifier):
     kind = "boosted_trees"
-
-    def __init__(self, params: BoostParams = BoostParams(), seed: int = 0):
-        self.params = params
-        self.seed = seed  # unused: the objective is sampling-free
-        self.classes_: list = []
-        self.trees_: list[list[Tree]] = []  # trees_[round][class]
+    params_cls = BoostParams
+    trees_: list[list[Tree]]  # trees_[round][class]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreesClassifier":
-        self.classes_ = sorted(set(y.tolist()))
-        if len(self.classes_) < 2:
-            raise DegenerateModelError("training set contains a single class")
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        yi = np.array([class_index[v] for v in y.tolist()], dtype=np.int64)
+        yi = self._encode_labels(y)
         onehot = np.zeros((X.shape[0], len(self.classes_)))
         onehot[np.arange(X.shape[0]), yi] = 1.0
 
         edges = quantile_bin_edges(X, self.params.max_bins)
-        binned_offset, max_bins = offset_bins(bin_features(X, edges), edges)
+        offset, max_bins = offset_bins(X, edges)
 
         scores = np.zeros_like(onehot)
-        train_pred = np.empty(X.shape[0])
         self.trees_ = []
         for _ in range(self.params.rounds):
             round_trees = []
             for c in range(len(self.classes_)):
                 residual = onehot[:, c] - scores[:, c]
-                tree = grow_regression_tree(
-                    binned_offset, residual, edges, max_bins,
-                    self.params.max_depth, train_pred,
-                )
-                scores[:, c] += self.params.learning_rate * train_pred
+                tree, fitted = grow_tree(offset, residual, None, edges, max_bins,
+                                         max_depth=self.params.max_depth)
+                scores[:, c] += self.params.learning_rate * fitted[:, 0]
                 round_trees.append(tree)
             self.trees_.append(round_trees)
         return self
@@ -67,27 +56,8 @@ class BoostedTreesClassifier:
                 scores[:, c] += self.params.learning_rate * tree.predict(X, 1)[:, 0]
         return scores
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.argmax(self.decision_function(X), axis=1)
-        return np.array(self.classes_, dtype=object)[idx]
+    def _state_dict(self) -> dict:
+        return {"trees": [[t.to_dict() for t in row] for row in self.trees_]}
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": {
-                "rounds": self.params.rounds,
-                "max_depth": self.params.max_depth,
-                "learning_rate": self.params.learning_rate,
-                "max_bins": self.params.max_bins,
-            },
-            "seed": self.seed,
-            "classes": self.classes_,
-            "trees": [[t.to_dict() for t in row] for row in self.trees_],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "BoostedTreesClassifier":
-        model = cls(BoostParams(**obj["params"]), obj["seed"])
-        model.classes_ = obj["classes"]
-        model.trees_ = [[Tree.from_dict(t) for t in row] for row in obj["trees"]]
-        return model
+    def _load_state(self, obj: dict) -> None:
+        self.trees_ = [[Tree.from_dict(t) for t in row] for row in obj["trees"]]

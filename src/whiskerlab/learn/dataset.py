@@ -11,7 +11,6 @@ drawn from configured ranges so repeated slides are not carbon copies.
 import hashlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
 from typing import Optional, Sequence
 
@@ -24,7 +23,6 @@ from ..events import (
     TactileSample,
     capture_samples,
     load_samples_jsonl,
-    sample_to_dict,
     save_samples_jsonl,
 )
 from ..features import FeatureConfig, features_stream
@@ -204,38 +202,25 @@ def build_dataset(
     detector_cfg: DetectorConfig = DetectorConfig(),
     feature_cfg: FeatureConfig = FeatureConfig(),
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> tuple[LabeledDataset, BuildDiagnostics]:
     """Run the full collection protocol over all ten specimens.
 
     Every (specimen, slide) task derives its own randomness from the root
-    seed, so results are identical no matter how the work is scheduled.
+    seed, so each slide's result does not depend on the others.
     """
     plan.validate()
     digest = plan_digest(plan, detector_cfg, feature_cfg, base_slide, array)
-    tasks = [
-        (texture, sid, slide_i)
-        for sid, texture in enumerate(SPECIMENS, start=1)
-        for slide_i in range(plan.slides_per_specimen)
-    ]
-
-    def run(task):
-        texture, sid, slide_i = task
-        return _collect_one(texture, sid, slide_i, plan, base_slide, array,
-                            detector_cfg, feature_cfg, digest, seed)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
     diagnostics = BuildDiagnostics()
     samples = []
-    for (texture, sid, slide_i), (sample, attempts, retries) in zip(tasks, results):
-        samples.append(sample)
-        diagnostics.attempts[sid] = diagnostics.attempts.get(sid, 0) + attempts
-        diagnostics.retried_slides.extend(retries)
+    for sid, texture in enumerate(SPECIMENS, start=1):
+        for slide_i in range(plan.slides_per_specimen):
+            sample, attempts, retries = _collect_one(
+                texture, sid, slide_i, plan, base_slide, array,
+                detector_cfg, feature_cfg, digest, seed,
+            )
+            samples.append(sample)
+            diagnostics.attempts[sid] = diagnostics.attempts.get(sid, 0) + attempts
+            diagnostics.retried_slides.extend(retries)
 
     for sid in diagnostics.attempts:
         rate = diagnostics.capture_rate(sid, plan.slides_per_specimen)
@@ -305,11 +290,6 @@ def split(
     test = dataset.subset(np.nonzero(test_mask)[0])
     train.split_seed = test.split_seed = seed
     return train, test
-
-
-def samples_jsonl_text(samples: Sequence[TactileSample]) -> str:
-    """Canonical JSONL text for digesting without touching disk."""
-    return "".join(json.dumps(sample_to_dict(s), sort_keys=True) + "\n" for s in samples)
 
 
 def dataset_digest(path) -> str:

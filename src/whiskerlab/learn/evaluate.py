@@ -9,21 +9,19 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, DataFileError
-from .boosting import BoostedTreesClassifier, BoostParams
+from .boosting import BoostedTreesClassifier
 from .dataset import LabeledDataset
-from .forest import BaggedTreesClassifier, ForestParams
-from .linear import LinearMarginClassifier, LinearParams
-
-TASKS = ("specimens10", "patterns4", "depths4")
-MODEL_KINDS = ("linear_margin", "bagged_trees", "boosted_trees")
-MODEL_FORMAT = "whiskerlab-model"
-MODEL_FORMAT_VERSION = 1
+from .forest import BaggedTreesClassifier
+from .linear import LinearMarginClassifier
 
 _MODEL_CLASSES = {
-    "linear_margin": (LinearMarginClassifier, LinearParams),
-    "bagged_trees": (BaggedTreesClassifier, ForestParams),
-    "boosted_trees": (BoostedTreesClassifier, BoostParams),
+    cls.kind: cls
+    for cls in (LinearMarginClassifier, BaggedTreesClassifier, BoostedTreesClassifier)
 }
+TASKS = ("specimens10", "patterns4", "depths4")
+MODEL_KINDS = tuple(_MODEL_CLASSES)
+MODEL_FORMAT = "whiskerlab-model"
+MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -37,11 +35,10 @@ class ModelSpec:
     def build(self):
         if self.kind not in _MODEL_CLASSES:
             raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        model_cls, params_cls = _MODEL_CLASSES[self.kind]
-        params = self.params if self.params is not None else params_cls()
-        if not isinstance(params, params_cls):
-            raise ConfigError(f"{self.kind} expects {params_cls.__name__} parameters")
-        return model_cls(params, seed=self.train_seed)
+        model_cls = _MODEL_CLASSES[self.kind]
+        if self.params is not None and not isinstance(self.params, model_cls.params_cls):
+            raise ConfigError(f"{self.kind} expects {model_cls.params_cls.__name__} parameters")
+        return model_cls(self.params, seed=self.train_seed)
 
 
 def task_labels(dataset: LabeledDataset, task: str) -> np.ndarray:
@@ -146,15 +143,18 @@ def load_model(path):
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFileError(f"{path}: cannot read model file ({exc})") from exc
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataFileError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataFileError(f"{path}: unsupported model format version")
-    obj = doc["model"]
-    kind = obj.get("kind")
-    if kind not in _MODEL_CLASSES:
-        raise DataFileError(f"{path}: unknown model kind {kind!r}")
-    model = _MODEL_CLASSES[kind][0].from_dict(obj)
+    try:
+        obj = doc["model"]
+        kind = obj.get("kind")
+        if kind not in _MODEL_CLASSES:
+            raise DataFileError(f"{path}: unknown model kind {kind!r}")
+        model = _MODEL_CLASSES[kind].from_dict(obj)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFileError(f"{path}: malformed model document ({exc!r})") from exc
     model.task = doc.get("task")
     return model
 

@@ -2,11 +2,12 @@
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..errors import DegenerateModelError
-from .trees import Tree, bin_features, grow_classification_tree, quantile_bin_edges
+from .base import Classifier
+from .trees import Tree, grow_tree, offset_bins, quantile_bin_edges
 
 
 @dataclass(frozen=True)
@@ -15,8 +16,8 @@ class ForestParams:
     max_bins: int = 256
 
 
-class BaggedTreesClassifier:
-    """Ensemble of bootstrap-trained trees; prediction averages leaf probabilities.
+class BaggedTreesClassifier(Classifier):
+    """Ensemble of bootstrap-trained trees; the score averages leaf probabilities.
 
     Each tree sees a bootstrap resample of the training set and draws a fresh
     sqrt(d)-sized feature subset at every split.  Training is deterministic
@@ -24,24 +25,15 @@ class BaggedTreesClassifier:
     """
 
     kind = "bagged_trees"
-
-    def __init__(self, params: ForestParams = ForestParams(), seed: int = 0):
-        self.params = params
-        self.seed = seed
-        self.classes_: list = []
-        self.trees_: list[Tree] = []
+    params_cls = ForestParams
+    trees_: list[Tree]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedTreesClassifier":
-        self.classes_ = sorted(set(y.tolist()))
-        if len(self.classes_) < 2:
-            raise DegenerateModelError("training set contains a single class")
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        yi = np.array([class_index[v] for v in y.tolist()], dtype=np.int64)
-
+        yi = self._encode_labels(y)
         edges = quantile_bin_edges(X, self.params.max_bins)
-        binned = bin_features(X, edges)
+        offset, max_bins = offset_bins(X, edges)
         n, d = X.shape
-        features_per_split = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
+        k = math.isqrt(d - 1) + 1  # ceil(sqrt(d)) candidate features per split
 
         root = np.random.default_rng(self.seed)
         tree_seeds = root.integers(0, 2**63 - 1, size=self.params.n_trees)
@@ -49,34 +41,21 @@ class BaggedTreesClassifier:
         for ts in tree_seeds:
             rng = np.random.default_rng(int(ts))
             boot = rng.integers(0, n, size=n)
-            tree = grow_classification_tree(
-                binned[boot], yi[boot], len(self.classes_), edges, rng, features_per_split
+            tree, _ = grow_tree(
+                offset[boot], yi[boot], len(self.classes_), edges, max_bins,
+                sample_features=partial(rng.choice, d, size=k, replace=False),
             )
             self.trees_.append(tree)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
         probs = np.zeros((X.shape[0], len(self.classes_)))
         for tree in self.trees_:
             probs += tree.predict(X, len(self.classes_))
         return probs / len(self.trees_)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.argmax(self.predict_proba(X), axis=1)
-        return np.array(self.classes_, dtype=object)[idx]
+    def _state_dict(self) -> dict:
+        return {"trees": [t.to_dict() for t in self.trees_]}
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": {"n_trees": self.params.n_trees, "max_bins": self.params.max_bins},
-            "seed": self.seed,
-            "classes": self.classes_,
-            "trees": [t.to_dict() for t in self.trees_],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "BaggedTreesClassifier":
-        model = cls(ForestParams(**obj["params"]), obj["seed"])
-        model.classes_ = obj["classes"]
-        model.trees_ = [Tree.from_dict(t) for t in obj["trees"]]
-        return model
+    def _load_state(self, obj: dict) -> None:
+        self.trees_ = [Tree.from_dict(t) for t in obj["trees"]]

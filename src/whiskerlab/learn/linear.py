@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateModelError
+from .base import Classifier
 
 
 @dataclass(frozen=True)
@@ -20,24 +20,16 @@ class LinearParams:
     learning_rate: float = 0.05
 
 
-class LinearMarginClassifier:
+class LinearMarginClassifier(Classifier):
     kind = "linear_margin"
-
-    def __init__(self, params: LinearParams = LinearParams(), seed: int = 0):
-        self.params = params
-        self.seed = seed  # unused: full-batch updates from a zero start
-        self.classes_: list = []
-        self.weights_: np.ndarray | None = None
-        self.bias_: np.ndarray | None = None
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
+    params_cls = LinearParams
+    weights_: np.ndarray
+    bias_: np.ndarray
+    mean_: np.ndarray
+    scale_: np.ndarray
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearMarginClassifier":
-        self.classes_ = sorted(set(y.tolist()))
-        if len(self.classes_) < 2:
-            raise DegenerateModelError("training set contains a single class")
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        yi = np.array([class_index[v] for v in y.tolist()])
+        yi = self._encode_labels(y)
 
         self.mean_ = X.mean(axis=0)
         std = X.std(axis=0)
@@ -66,32 +58,16 @@ class LinearMarginClassifier:
         Xs = (X - self.mean_) / self.scale_
         return Xs @ self.weights_ + self.bias_
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.argmax(self.decision_function(X), axis=1)
-        return np.array(self.classes_, dtype=object)[idx]
-
-    def to_dict(self) -> dict:
+    def _state_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "params": {
-                "reg": self.params.reg,
-                "epochs": self.params.epochs,
-                "learning_rate": self.params.learning_rate,
-            },
-            "seed": self.seed,
-            "classes": self.classes_,
             "weights": self.weights_.tolist(),
             "bias": self.bias_.tolist(),
             "mean": self.mean_.tolist(),
             "scale": self.scale_.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LinearMarginClassifier":
-        model = cls(LinearParams(**obj["params"]), obj["seed"])
-        model.classes_ = obj["classes"]
-        model.weights_ = np.array(obj["weights"])
-        model.bias_ = np.array(obj["bias"])
-        model.mean_ = np.array(obj["mean"])
-        model.scale_ = np.array(obj["scale"])
-        return model
+    def _load_state(self, obj: dict) -> None:
+        self.weights_ = np.array(obj["weights"])
+        self.bias_ = np.array(obj["bias"])
+        self.mean_ = np.array(obj["mean"])
+        self.scale_ = np.array(obj["scale"])

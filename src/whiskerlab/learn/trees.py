@@ -1,13 +1,18 @@
 """Shared decision-tree machinery for the ensemble models.
 
 Split candidates come from per-feature quantile bins computed once on the
-training matrix; split search then reduces to histogram scans, which keeps
-full-depth forests and many boosting rounds fast enough in pure numpy.
-Trees serialize to plain dicts (feature/threshold/child arrays) so models
-round-trip through JSON.
+training matrix, then offset per feature so one flat histogram covers every
+feature.  Both ensembles grow their trees with one grower and one split
+search: a histogram scan parametrised by a per-sample statistic, class
+indicators for the gini forest and the target for the squared-error
+booster.  A node's best split maximises the summed squared statistic over
+child size, and a leaf holds the node's statistic totals over its size
+(class probabilities, or the mean target).  Trees serialize to plain dicts
+(feature/threshold/child arrays) so models round-trip through JSON.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,18 +29,16 @@ def quantile_bin_edges(X: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
     return edges
 
 
-def bin_features(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
-    """Bin index per value: bin b means edges[b-1] <= x < edges[b]."""
-    binned = np.empty(X.shape, dtype=np.int32)
-    for f, e in enumerate(edges):
-        binned[:, f] = np.searchsorted(e, X[:, f], side="right")
-    return binned
+def offset_bins(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Bin codes offset per feature, so one flat histogram covers all features.
 
-
-def offset_bins(binned: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Add per-feature offsets so one flat histogram covers all features."""
+    Value x of feature f falls in bin b when edges[f][b-1] <= x < edges[f][b],
+    and gets code f * max_bins + b.
+    """
     max_bins = max(len(e) for e in edges) + 1
-    offset = binned + np.arange(binned.shape[1], dtype=np.int32) * max_bins
+    offset = np.empty(X.shape, dtype=np.int32)
+    for f, e in enumerate(edges):
+        offset[:, f] = np.searchsorted(e, X[:, f], side="right") + f * max_bins
     return offset, max_bins
 
 
@@ -99,138 +102,107 @@ class Tree:
         )
 
 
-def grow_classification_tree(
-    binned: np.ndarray,
+def grow_tree(
+    offset: np.ndarray,
     y: np.ndarray,
-    n_classes: int,
-    edges: list[np.ndarray],
-    rng: np.random.Generator,
-    features_per_split: int,
-) -> Tree:
-    """Full-depth gini tree; a random feature subset is drawn at every split.
-
-    Leaves store class probability vectors.  Growth stops when a node is
-    pure or no candidate split reduces impurity.
-    """
-    tree = Tree()
-    max_bins = max(len(e) for e in edges) + 1
-    stack = [(np.arange(binned.shape[0]), None, None)]  # (indices, parent, side)
-    while stack:
-        idx, parent, side = stack.pop()
-        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        n = idx.size
-        node = None
-        if n >= 2 and np.count_nonzero(counts) > 1:
-            best = _best_classification_split(
-                binned, y, idx, counts, n_classes, max_bins, rng, features_per_split
-            )
-            if best is not None:
-                f, b = best
-                node = tree.add_split(f, edges[f][b])
-                go_left = binned[idx, f] <= b
-                # Push right first so left is processed first (cosmetic only).
-                stack.append((idx[~go_left], node, "right"))
-                stack.append((idx[go_left], node, "left"))
-        if node is None:
-            node = tree.add_leaf((counts / n).tolist())
-        if parent is not None:
-            if side == "left":
-                tree.left[parent] = node
-            else:
-                tree.right[parent] = node
-    return tree
-
-
-def _best_classification_split(binned, y, idx, counts, n_classes, max_bins, rng,
-                               features_per_split):
-    n = idx.size
-    parent_score = float((counts**2).sum()) / n
-    feats = rng.choice(binned.shape[1], size=min(features_per_split, binned.shape[1]),
-                       replace=False)
-    codes = binned[idx][:, feats] * n_classes + y[idx, None]
-    best_gain, best = _MIN_GAIN, None
-    for col, f in enumerate(feats):
-        hist = np.bincount(codes[:, col], minlength=max_bins * n_classes)
-        hist = hist.reshape(max_bins, n_classes).astype(np.float64)
-        left = np.cumsum(hist, axis=0)[:-1]  # split after bin b keeps bins <= b left
-        n_left = left.sum(axis=1)
-        n_right = n - n_left
-        valid = (n_left > 0) & (n_right > 0)
-        if not valid.any():
-            continue
-        right = counts[None, :] - left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = (left**2).sum(axis=1) / n_left + (right**2).sum(axis=1) / n_right
-        score[~valid] = -np.inf
-        b = int(np.argmax(score))
-        gain = score[b] - parent_score
-        if gain > best_gain:
-            best_gain, best = gain, (int(f), b)
-    return best
-
-
-def grow_regression_tree(
-    binned_offset: np.ndarray,
-    target: np.ndarray,
+    n_classes: Optional[int],
     edges: list[np.ndarray],
     max_bins: int,
-    max_depth: int,
-    train_pred: np.ndarray,
-) -> Tree:
-    """Depth-limited squared-error tree over all features.
+    max_depth: Optional[int] = None,
+    sample_features: Optional[Callable[[], np.ndarray]] = None,
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree over an offset bin matrix (see :func:`offset_bins`).
 
-    ``binned_offset`` is the binned matrix with per-feature offsets already
-    added (see :func:`offset_bins`), so one flat histogram pass covers every
-    feature.  Training predictions are written into ``train_pred`` from the
-    leaf partitions, avoiding a separate traversal.
+    ``y`` holds integer labels below ``n_classes`` (gini: the statistics are
+    class indicators, leaves store class probability lists) or, with
+    ``n_classes=None``, a real target (squared error: leaves store the mean).
+    Growth stops at ``max_depth``, at nodes of one sample or one class, and
+    where no split gains.  ``sample_features`` draws the candidate features
+    of each split; without it every feature is a candidate.
+
+    Returns the tree and each row's leaf value, shape (rows, statistics).
     """
-    d = binned_offset.shape[1]
     tree = Tree()
-    stack = [(np.arange(binned_offset.shape[0]), 0, None, None)]
+    leaf_values = np.empty((offset.shape[0], n_classes or 1))
+    stack = [(np.arange(offset.shape[0]), 0, None, None)]  # (indices, depth, parent, side)
     while stack:
         idx, depth, parent, side = stack.pop()
-        total = float(target[idx].sum())
-        m = idx.size
+        n = idx.size
+        if n_classes:
+            totals = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+            splittable = np.count_nonzero(totals) > 1
+        else:
+            totals = np.array([float(y[idx].sum())])
+            splittable = True
         node = None
-        if depth < max_depth and m >= 2:
-            best = _best_regression_split(binned_offset, target, idx, total, d, max_bins)
+        if n >= 2 and splittable and (max_depth is None or depth < max_depth):
+            feats = sample_features() if sample_features is not None else None
+            cnt, sums = _histograms(offset, y, idx, feats, n_classes, max_bins)
+            best = _best_split(cnt, sums, n, totals)
             if best is not None:
-                f, b = best
+                j, b = best
+                f = j if feats is None else int(feats[j])
                 node = tree.add_split(f, edges[f][b])
-                go_left = binned_offset[idx, f] - f * max_bins <= b
+                go_left = offset[idx, f] <= f * max_bins + b
+                # Push right first so left is processed first (cosmetic only).
                 stack.append((idx[~go_left], depth + 1, node, "right"))
                 stack.append((idx[go_left], depth + 1, node, "left"))
         if node is None:
-            mean = total / m
-            node = tree.add_leaf(mean)
-            train_pred[idx] = mean
+            value = totals / n
+            node = tree.add_leaf(value.tolist() if n_classes else float(value[0]))
+            leaf_values[idx] = value
         if parent is not None:
             if side == "left":
                 tree.left[parent] = node
             else:
                 tree.right[parent] = node
-    return tree
+    return tree, leaf_values
 
 
-def _best_regression_split(binned_offset, target, idx, total, d, max_bins):
-    m = idx.size
-    flat = binned_offset[idx].ravel()
-    cnt = np.bincount(flat, minlength=d * max_bins).reshape(d, max_bins)
-    sums = np.bincount(flat, weights=np.repeat(target[idx], d), minlength=d * max_bins)
-    sums = sums.reshape(d, max_bins)
+def _histograms(offset, y, idx, feats, n_classes, max_bins):
+    """A node's per-(candidate, bin) counts and per-(statistic, candidate, bin) sums.
 
+    Candidates are all features when ``feats`` is None, else the sampled
+    ``feats``, whose columns are re-offset by their position among them.
+    """
+    if feats is None:
+        k, codes = offset.shape[1], offset[idx]
+    else:
+        k = feats.size
+        codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
+    if n_classes:
+        sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
+                           minlength=n_classes * k * max_bins)
+        sums = sums.reshape(n_classes, k, max_bins)
+        return sums.sum(axis=0), sums
+    flat = codes.ravel()
+    cnt = np.bincount(flat, minlength=k * max_bins).reshape(k, max_bins)
+    sums = np.bincount(flat, weights=np.repeat(y[idx], k), minlength=k * max_bins)
+    return cnt, sums.reshape(1, k, max_bins)
+
+
+def _best_split(cnt, sums, n, totals):
+    """Best (candidate, bin) split of a node, or None when none gains.
+
+    ``cnt`` is (candidates, bins) and ``sums`` is (statistics, candidates,
+    bins); splitting after bin b sends bins <= b left.  The score
+    sum(S_left**2) / n_left + sum(S_right**2) / n_right is maximised, with
+    ties going to the first candidate, then the first bin; the winner must
+    beat the unsplit node's sum(totals**2) / n by more than _MIN_GAIN.
+    """
     n_left = np.cumsum(cnt, axis=1)[:, :-1]
-    s_left = np.cumsum(sums, axis=1)[:, :-1]
-    n_right = m - n_left
-    s_right = total - s_left
+    s_left = np.cumsum(sums, axis=2)[:, :, :-1]
+    n_right = n - n_left
+    s_right = totals[:, None, None] - s_left
     valid = (n_left > 0) & (n_right > 0)
     if not valid.any():
         return None
+    sq_left = np.einsum("skb,skb->kb", s_left, s_left)  # sum over statistics of S**2
+    sq_right = np.einsum("skb,skb->kb", s_right, s_right)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = s_left**2 / n_left + s_right**2 / n_right
+        score = sq_left / n_left + sq_right / n_right
     score[~valid] = -np.inf
-    flat_best = int(np.argmax(score))
-    f, b = divmod(flat_best, max_bins - 1)
-    if score[f, b] - total * total / m <= _MIN_GAIN:
+    j, b = divmod(int(np.argmax(score)), score.shape[1])
+    if score[j, b] - float((totals**2).sum()) / n <= _MIN_GAIN:
         return None
-    return f, b
+    return j, b

@@ -109,3 +109,43 @@ def duration_oracle(totals, threshold: float):
     if first is None:
         return None
     return last - first
+
+
+def split_oracle(cnt, sums, n, totals, min_gain: float = 1e-12):
+    """Loop over every (candidate, bin) split of a node's histograms.
+
+    cnt[j][b] counts the node's rows in bin b of candidate j, sums[s][j][b]
+    sums statistic s over them, and totals[s] over the whole node; splitting
+    after bin b sends bins <= b left.  Returns the first (candidate, bin), in
+    that order, with the highest sum(S_left^2)/n_left + sum(S_right^2)/n_right,
+    or None when no split has both sides nonempty or the best score does not
+    beat the unsplit sum(T^2)/n by more than min_gain.
+    """
+    best, best_score = None, None
+    for j in range(len(cnt)):
+        n_left = 0
+        s_left = [0] * len(totals)
+        for b in range(len(cnt[j]) - 1):
+            n_left += int(cnt[j][b])
+            for s in range(len(totals)):
+                s_left[s] += sums[s][j][b]
+            n_right = n - n_left
+            if n_left == 0 or n_right == 0:
+                continue
+            score_left = 0
+            score_right = 0
+            for s in range(len(totals)):
+                s_right = float(totals[s]) - s_left[s]
+                score_left += s_left[s] * s_left[s]
+                score_right += s_right * s_right
+            score = score_left / n_left + score_right / n_right
+            if best_score is None or score > best_score:
+                best, best_score = (j, b), score
+    if best is None:
+        return None
+    parent = 0.0
+    for t in totals:
+        parent += float(t) * float(t)
+    if best_score - parent / n <= min_gain:
+        return None
+    return best

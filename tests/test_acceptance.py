@@ -37,7 +37,7 @@ def classification_setup():
     """1000-slide dataset, 9:1 split, and all nine trained/evaluated models."""
     started = time.perf_counter()
     labeled, _ = build_dataset(
-        plan=CollectionPlan(slides_per_specimen=100), seed=0, workers=8
+        plan=CollectionPlan(slides_per_specimen=100), seed=0
     )
     train_set, test_set = split(labeled, 0.1, seed=derive_seed(0, "split"))
     reports = {}
@@ -210,7 +210,7 @@ def test_criterion_7_full_pipeline_determinism(tmp_path):
         cfg_path = tmp_path / f"config_{run}.json"
         save_config(cfg_path, cfg)
         base = ["--config", str(cfg_path), "--out", str(out)]
-        assert cli_main(["dataset", *base, "--workers", "4"]) == 0
+        assert cli_main(["dataset", *base]) == 0
         data = str(out / "dataset.jsonl")
         for kind in ("linear_margin", "bagged_trees"):
             assert cli_main(["train", *base, "--dataset", data, "--model", kind,

@@ -147,7 +147,7 @@ def test_dataset_train_eval_report_roundtrip(tmp_path):
     out = tmp_path / "run"
     base = ["--config", str(cfg_path), "--out", str(out)]
 
-    assert main(["dataset", *base, "--workers", "2"]) == 0
+    assert main(["dataset", *base]) == 0
     assert (out / "dataset.jsonl").exists()
     meta = json.loads((out / "dataset_meta.json").read_text())
     assert meta["n_samples"] == 120
@@ -172,7 +172,7 @@ def test_eval_detects_tampered_dataset(tmp_path, capsys):
     write_small_config(cfg_path, seed=10, slides_per_specimen=2)
     out = tmp_path / "run"
     base = ["--config", str(cfg_path), "--out", str(out)]
-    assert main(["dataset", *base, "--workers", "1"]) == 0
+    assert main(["dataset", *base]) == 0
     data = out / "dataset.jsonl"
     assert main(["train", *base, "--dataset", str(data), "--model", "linear_margin",
                  "--task", "depths4"]) == 0
@@ -189,7 +189,7 @@ def test_eval_with_empty_test_split_is_usage_error(tmp_path, capsys):
     write_small_config(cfg_path, seed=11, slides_per_specimen=2)
     out = tmp_path / "run"
     base = ["--config", str(cfg_path), "--out", str(out)]
-    assert main(["dataset", *base, "--workers", "1"]) == 0
+    assert main(["dataset", *base]) == 0
     lines = (out / "dataset.jsonl").read_text().splitlines()
     small = out / "small.jsonl"
     small.write_text("\n".join(lines[:4]) + "\n")
@@ -208,6 +208,18 @@ def test_missing_model_file_is_data_error(tmp_path, capsys):
     rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
                "--model", str(out / "missing_model.json")])
     assert rc == 3
+    capsys.readouterr()
+
+    # A valid header over a model part that cannot be rebuilt (no "trees").
+    model_path = out / "model.json"
+    model = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256},
+             "seed": 0, "classes": ["flat", "sinc"]}
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+                                      "task": "patterns4", "model": model}))
+    rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
+               "--model", str(model_path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

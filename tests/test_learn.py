@@ -15,7 +15,6 @@ from whiskerlab.learn.dataset import (
     LabeledDataset,
     build_dataset,
     load_dataset,
-    samples_jsonl_text,
     save_dataset,
     split,
 )
@@ -40,7 +39,7 @@ FAST_BOOST = BoostParams(rounds=10)
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    labeled, diagnostics = build_dataset(plan=SMALL_PLAN, seed=11, workers=2)
+    labeled, diagnostics = build_dataset(plan=SMALL_PLAN, seed=11)
     return labeled, diagnostics
 
 
@@ -65,7 +64,7 @@ def blob_dataset(n_per_class, n_classes, separation, seed, n_features=700):
 
 
 def test_one_slide_per_specimen_gives_one_sample_per_label():
-    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=3, workers=1)
+    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=3)
     assert labeled.n == 10
     assert sorted(labeled.specimen_ids.tolist()) == list(range(1, 11))
     labeled.check_label_consistency()
@@ -82,18 +81,21 @@ def test_dataset_is_balanced_and_consistent(small_dataset):
     assert sum(diagnostics.attempts.values()) >= 30
 
 
-def test_same_seed_reproduces_identical_dataset(small_dataset):
+def test_same_seed_reproduces_identical_dataset(tmp_path, small_dataset):
     labeled, _ = small_dataset
-    again, _ = build_dataset(plan=SMALL_PLAN, seed=11, workers=1)
-    assert samples_jsonl_text(labeled.samples) == samples_jsonl_text(again.samples)
-    different, _ = build_dataset(plan=SMALL_PLAN, seed=12, workers=1)
-    assert samples_jsonl_text(labeled.samples) != samples_jsonl_text(different.samples)
+    again, _ = build_dataset(plan=SMALL_PLAN, seed=11)
+    different, _ = build_dataset(plan=SMALL_PLAN, seed=12)
+    for name, data in (("first", labeled), ("again", again), ("different", different)):
+        save_dataset(tmp_path / f"{name}.jsonl", data.samples)
+    first = (tmp_path / "first.jsonl").read_bytes()
+    assert (tmp_path / "again.jsonl").read_bytes() == first
+    assert (tmp_path / "different.jsonl").read_bytes() != first
 
 
 def test_specimen_mapping_determines_pattern_and_depth():
     pairs = {(t.pattern, t.depth_mm) for t in SPECIMENS}
     assert len(pairs) == 10  # a perfect 10-class model induces both 4-class tasks
-    corrupted, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=4, workers=1)
+    corrupted, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=4)
     corrupted.patterns[0] = "triangle" if corrupted.patterns[0] != "triangle" else "sinc"
     with pytest.raises(ConfigError):
         corrupted.check_label_consistency()
@@ -108,12 +110,11 @@ def test_impossible_capture_rate_fails_build():
             plan=CollectionPlan(slides_per_specimen=1, max_attempts=2),
             base_slide=SlideConfig(speed_mm_s=150.0, path_mm=10.0),
             seed=5,
-            workers=1,
         )
 
 
 def test_split_is_stratified_and_disjoint():
-    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=10), seed=6, workers=2)
+    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=10), seed=6)
     train_set, test_set = split(labeled, 0.1, seed=9)
     assert train_set.n == 90 and test_set.n == 10
     assert sorted(test_set.specimen_ids.tolist()) == list(range(1, 11))
@@ -127,7 +128,7 @@ def test_split_is_stratified_and_disjoint():
 
 
 def test_split_degenerate_one_sample_per_class_warns():
-    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=7, workers=1)
+    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=7)
     with pytest.warns(UserWarning):
         train_set, test_set = split(labeled, 0.1, seed=1)
     assert train_set.n == 9 and test_set.n == 1
@@ -241,13 +242,18 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, small_dataset):
 
 
 def test_load_model_rejects_garbage(tmp_path):
+    # Valid headers whose model part cannot be rebuilt: no trees, an unknown param.
+    header = {"format": "whiskerlab-model", "format_version": 1, "task": "patterns4"}
+    no_trees = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256},
+                "seed": 0, "classes": ["flat", "sinc"]}
+    unknown_param = {"kind": "boosted_trees", "params": {"depth": 3}, "seed": 0,
+                     "classes": ["flat", "sinc"], "trees": []}
+    malformed = [json.dumps({**header, "model": m}) for m in (no_trees, unknown_param)]
     path = tmp_path / "model.json"
-    path.write_text("{}")
-    with pytest.raises(DataFileError):
-        load_model(path)
-    path.write_text("not json")
-    with pytest.raises(DataFileError):
-        load_model(path)
+    for text in ["{}", "not json", *malformed]:
+        path.write_text(text)
+        with pytest.raises(DataFileError):
+            load_model(path)
 
 
 class ConstantModel:
