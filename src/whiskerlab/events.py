@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationUnderrunError, ConfigError, DataFileError
-from .features import NUM_CHANNELS, FeatureVector, stream_to_array
+from .features import NUM_CHANNELS, FeatureStream, stream_to_array
 
 MODES = ("literal", "shifted")
 
@@ -142,7 +142,7 @@ class Detector:
         self.cfg = cfg
         self.discarded_partial = 0  # triggers too close to stream end to capture
 
-    def calibrate(self, stream: Sequence[FeatureVector]) -> Baseline:
+    def calibrate(self, stream: FeatureStream) -> Baseline:
         """Average window-sum per channel over the calibration prefix.
 
         Consumes exactly ``baseline_windows * window_frames`` leading frames,
@@ -159,7 +159,7 @@ class Detector:
         return Baseline(levels, calibration_end=need)
 
     def detect(
-        self, stream: Sequence[FeatureVector], baseline: Baseline
+        self, stream: FeatureStream, baseline: Baseline
     ) -> list[TactileSample]:
         """Scan the stream (including its calibration prefix) for events.
 
@@ -202,20 +202,25 @@ class Detector:
         return samples
 
 
-def calibrate(stream: Sequence[FeatureVector], cfg: DetectorConfig = DetectorConfig()) -> Baseline:
+def calibrate(stream: FeatureStream, cfg: DetectorConfig = DetectorConfig()) -> Baseline:
     return Detector(cfg).calibrate(stream)
 
 
 def detect(
-    stream: Sequence[FeatureVector], baseline: Baseline, cfg: DetectorConfig = DetectorConfig()
+    stream: FeatureStream, baseline: Baseline, cfg: DetectorConfig = DetectorConfig()
 ) -> list[TactileSample]:
     return Detector(cfg).detect(stream, baseline)
 
 
 def capture_samples(
-    stream: Sequence[FeatureVector], cfg: DetectorConfig = DetectorConfig()
+    stream: FeatureStream, cfg: DetectorConfig = DetectorConfig()
 ) -> list[TactileSample]:
-    """Calibrate on the stream's prefix, then detect over the whole stream."""
+    """Calibrate on the stream's prefix, then detect over the whole stream.
+
+    The stream may be a list of FeatureVector or a (frames, channels) array
+    such as :func:`~whiskerlab.features.features_array` returns; both give
+    the same samples.
+    """
     detector = Detector(cfg)
     baseline = detector.calibrate(stream)
     return detector.detect(stream, baseline)

@@ -59,23 +59,48 @@ class ExperimentConfig:
         self.duration.validate()
         self.direction.validate()
         self.collection.validate()
+        if self.features.epsilon != self.detector.epsilon:
+            raise ConfigError(
+                f"features.epsilon {self.features.epsilon} and detector.epsilon "
+                f"{self.detector.epsilon} must agree: shifted-mode triggering "
+                f"subtracts the floor the features were taken with"
+            )
+
+
+# What a JSON value must be to fill a field of each scalar type.
+_ACCEPTS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
 
 
 def _from_dict(cls, obj):
-    """Rebuild nested (frozen) dataclasses from plain dicts/lists."""
-    if not is_dataclass(cls):
-        return obj
+    """Rebuild nested (frozen) dataclasses from plain dicts/lists.
+
+    Each value must have its field's type: an int field takes an int (not a
+    bool), a float field an int or a float, a str field a str and
+    ``speed_range`` a list of two numbers; anything else is a ConfigError.
+    Keys the dataclass does not have are ignored.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
     kwargs = {}
     for f in fields(cls):
         if f.name not in obj:
             continue
         value = obj[f.name]
-        if isinstance(f.type, type) and is_dataclass(f.type):
+        if is_dataclass(f.type):
             kwargs[f.name] = _from_dict(f.type, value)
-        elif isinstance(value, list) and f.name == "speed_range":
+        elif f.name == "speed_range":
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_ACCEPTS[float], value))):
+                raise ConfigError(f"speed_range must be a list of two numbers, got {value!r}")
             kwargs[f.name] = tuple(value)
-        else:
+        elif _ACCEPTS[f.type](value):
             kwargs[f.name] = value
+        else:
+            raise ConfigError(f"{cls.__name__}.{f.name} must be {f.type.__name__}, got {value!r}")
     return cls(**kwargs)
 
 

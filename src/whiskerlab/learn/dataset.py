@@ -25,9 +25,9 @@ from ..events import (
     load_samples_jsonl,
     save_samples_jsonl,
 )
-from ..features import FeatureConfig, features_stream
+from ..features import FeatureConfig, features_array
 from ..seeding import derive_rng, derive_seed
-from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_slide
+from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels
 
 FLAT_FEATURES = 10 * 70  # channels x capture frames
 
@@ -175,7 +175,7 @@ def _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
             lead_in_frames=base_slide.lead_in_frames,
             lead_out_frames=base_slide.lead_out_frames,
         )
-        stream = features_stream(simulate_slide(texture, slide, array), feature_cfg)
+        stream = features_array(simulate_taxels(texture, slide, array), feature_cfg)
         captures = capture_samples(stream, detector_cfg)
         if len(captures) == 1:
             sample = captures[0]

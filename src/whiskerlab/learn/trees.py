@@ -1,8 +1,9 @@
 """Shared decision-tree machinery for the ensemble models.
 
 Split candidates come from per-feature quantile bins computed once on the
-training matrix, then offset per feature so one flat histogram covers every
-feature.  Both ensembles grow their trees with one grower and one split
+training matrix (one sort per column, then numpy's linear quantile rule on a
+block of columns at once), then offset per feature so one flat histogram
+covers every feature.  Both ensembles grow their trees with one grower and one split
 search: a histogram scan parametrised by a per-sample statistic, class
 indicators for the gini forest and the target for the squared-error
 booster.  A node's best split maximises the summed squared statistic over
@@ -17,15 +18,43 @@ from typing import Callable, Optional
 import numpy as np
 
 _MIN_GAIN = 1e-12
+# Columns per block in quantile_bin_edges: keeps each (max_bins, block)
+# interpolation temporary small, so the edges need little more memory than
+# the per-column copies np.quantile makes.
+_EDGE_BLOCK = 32
 
 
 def quantile_bin_edges(X: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
-    """Per-feature ascending bin edges at (at most) max_bins quantiles."""
+    """Per-feature ascending bin edges at (at most) max_bins quantiles.
+
+    The edges are the distinct values of ``np.quantile(X[:, f], q)`` at
+    q = 1/max_bins, ..., (max_bins-1)/max_bins, bit for bit, but computed
+    from one sort of each column instead of one partition per feature: the
+    same virtual indices, neighbour indices and interpolation that numpy's
+    default ``linear`` method uses, applied to a block of columns at once.
+    A column holding NaN gets NaN at every quantile, as in numpy.  The one
+    difference: where a column holds both 0.0 and -0.0, which of the two
+    (equal) zeros an edge carries may differ from numpy's partition order.
+    """
+    n = X.shape[0]
     qs = np.arange(1, max_bins) / max_bins
+    virtual = (n - 1) * qs
+    lo = np.floor(virtual)
+    hi = lo + 1
+    top = virtual >= n - 1  # only when n == 1: numpy takes the last value twice
+    lo[top] = hi[top] = -1
+    gamma = (virtual - lo)[:, None]
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
     edges = []
-    for f in range(X.shape[1]):
-        e = np.unique(np.quantile(X[:, f], qs))
-        edges.append(e.astype(np.float64))
+    for j in range(0, X.shape[1], _EDGE_BLOCK):
+        sorted_x = np.sort(X[:, j:j + _EDGE_BLOCK], axis=0)
+        below, above = sorted_x[lo], sorted_x[hi]
+        diff = above - below
+        q = below + diff * gamma
+        np.subtract(above, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+        has_nan = np.isnan(sorted_x[-1])  # NaN sorts last
+        q[:, has_nan] = sorted_x[-1, has_nan]
+        edges += [np.unique(column).astype(np.float64) for column in q.T]
     return edges
 
 
@@ -93,13 +122,30 @@ class Tree:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Tree":
-        return cls(
+        """Rebuild a tree, raising ValueError unless :meth:`predict` can route it.
+
+        The five arrays must be equally long and nonempty; a split (feature
+        >= 0) must point to two later nodes, so routing ends, and a leaf
+        (feature -1) must hold a value.
+        """
+        tree = cls(
             feature=list(obj["feature"]),
             threshold=[float(t) for t in obj["threshold"]],
             left=list(obj["left"]),
             right=list(obj["right"]),
-            value=obj["value"],
+            value=list(obj["value"]),
         )
+        n = len(tree.feature)
+        if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left, tree.right, tree.value)):
+            raise ValueError("tree arrays must be nonempty and of one length")
+        for i, (f, lo, hi, v) in enumerate(zip(tree.feature, tree.left, tree.right, tree.value)):
+            if type(f) is not int or f < -1:
+                raise ValueError(f"node {i}: feature must be -1 (leaf) or a column index, got {f!r}")
+            if f == -1 and v is None:
+                raise ValueError(f"node {i}: leaf has no value")
+            if f >= 0 and not all(type(c) is int and i < c < n for c in (lo, hi)):
+                raise ValueError(f"node {i}: children {lo!r}, {hi!r} are not later nodes below {n}")
+        return tree
 
 
 def grow_tree(

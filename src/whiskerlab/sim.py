@@ -16,8 +16,10 @@ not finite-element:
 * Additive per-taxel uniform noise keeps pre-contact sums strictly positive,
   which exercises the detector's shifted-mode semantics.
 
-Identical seeds give bitwise-identical streams; distinct slides are
-embarrassingly parallel since each owns its generator.
+The core, :func:`simulate_taxels`, returns one (frames, rows, cols) array;
+:func:`simulate_slide` wraps it as per-frame ``TaxelMatrix`` objects for
+callers that want them.  Identical seeds give bitwise-identical streams;
+distinct slides are embarrassingly parallel since each owns its generator.
 """
 
 import json
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .features import read_frame_csv
 from .taxel_grid import (
     TactileFrame,
     TaxelGridConfig,
@@ -256,12 +259,19 @@ def _strain_grid(texture, slide, array, positions: np.ndarray) -> np.ndarray:
     return np.where(in_contact, strain, 0.0)
 
 
-def simulate_slide(
+def simulate_taxels(
     texture: TextureSpec,
     slide: SlideConfig,
     array: WhiskerArraySpec = WhiskerArraySpec(),
-) -> list[TaxelMatrix]:
-    """Simulate one slide; returns the full taxel stream including dark leads."""
+) -> np.ndarray:
+    """Simulate one slide as a (frames, rows, cols) taxel array, dark leads included.
+
+    The glow and fatigue recurrence steps through the active frames; the
+    dark lead-in and the decaying lead-out are filled in whole.  The noise
+    is one uniform draw for the whole stream (bitwise the same numbers as
+    one draw per frame), and gain, noise and clip apply to all frames at
+    once.
+    """
     texture.validate()
     slide.validate()
     array.validate()
@@ -284,20 +294,30 @@ def simulate_slide(
     emission = positive_rate.reshape(n_active, sub, *offsets.shape).sum(axis=1)
 
     decay = math.exp(-1.0 / array.decay_tau_frames)
-    rng = np.random.default_rng(slide.seed)
-    frames = []
+    glow_stream = np.zeros((n_total,) + offsets.shape)  # lead-in frames stay dark
     glow = np.zeros(offsets.shape)
     worn = np.zeros(offsets.shape)  # accumulated emission, drives fatigue
-    for t in range(n_total):
-        glow = glow * decay
-        a = t - slide.lead_in_frames
-        if 0 <= a < n_active:
-            glow = glow + emission[a] * np.exp(-array.fatigue * worn)
-            worn = worn + emission[a]
-        noise = rng.uniform(0.0, slide.noise_amp, size=offsets.shape) if slide.noise_amp else 0.0
-        values = np.clip(array.gain * glow + noise, 0.0, 1.0)
-        frames.append(TaxelMatrix(values, frame_index=t))
-    return frames
+    for a in range(n_active):
+        glow = glow * decay + emission[a] * np.exp(-array.fatigue * worn)
+        worn = worn + emission[a]
+        glow_stream[slide.lead_in_frames + a] = glow
+    # Lead-out: each frame is the previous one times decay, in sequence.
+    afterglow = glow_stream[slide.lead_in_frames + n_active - 1:]
+    afterglow[1:] = decay
+    np.multiply.accumulate(afterglow, axis=0, out=afterglow)
+    rng = np.random.default_rng(slide.seed)
+    noise = rng.uniform(0.0, slide.noise_amp, size=glow_stream.shape) if slide.noise_amp else 0.0
+    return np.clip(array.gain * glow_stream + noise, 0.0, 1.0)
+
+
+def simulate_slide(
+    texture: TextureSpec,
+    slide: SlideConfig,
+    array: WhiskerArraySpec = WhiskerArraySpec(),
+) -> list[TaxelMatrix]:
+    """:func:`simulate_taxels` as one TaxelMatrix per frame, indexed from 0."""
+    return [TaxelMatrix(values, frame_index=t)
+            for t, values in enumerate(simulate_taxels(texture, slide, array))]
 
 
 def simulate_frames(
@@ -322,18 +342,10 @@ def save_taxel_csv(path, stream) -> None:
 
 
 def load_taxel_csv(path) -> list[TaxelMatrix]:
-    stream = []
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_taxels = len(header) - 1
-        side = int(round(math.sqrt(n_taxels)))
-        if header[:1] != ["frame_index"] or side * side != n_taxels:
-            raise ConfigError(f"{path}: unexpected taxel CSV header")
-        for row in reader:
-            values = np.array([float(v) for v in row[1:]]).reshape(side, side)
-            stream.append(TaxelMatrix(values, int(row[0])))
-    return stream
+    """Read a square-grid taxel stream written by :func:`save_taxel_csv`."""
+    rows = read_frame_csv(path, lambda n: n > 0 and math.isqrt(n) ** 2 == n, "taxel")
+    return [TaxelMatrix(values.reshape(math.isqrt(values.size), -1), frame_index)
+            for frame_index, values in rows]
 
 
 def save_frame_dir(dir_path, frames: list[TactileFrame]) -> list[Path]:

@@ -9,6 +9,16 @@ import math
 
 import numpy as np
 
+from whiskerlab.sim import (
+    SlideConfig,
+    TextureSpec,
+    WhiskerArraySpec,
+    _axis_offsets,
+    _strain_grid,
+    active_frame_count,
+)
+from whiskerlab.taxel_grid import TaxelMatrix
+
 
 def roi_mean_oracle(pixels: np.ndarray, rows: int, cols: int, roi_side: int,
                     channel: int) -> np.ndarray:
@@ -149,3 +159,60 @@ def split_oracle(cnt, sums, n, totals, min_gain: float = 1e-12):
     if best_score - parent / n <= min_gain:
         return None
     return best
+
+
+def quantile_edges_oracle(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """One np.quantile call per feature at q = 1/max_bins .. (max_bins-1)/max_bins,
+    then its distinct values: the tree bin edges as numpy defines them."""
+    qs = np.arange(1, max_bins) / max_bins
+    edges = []
+    for f in range(X.shape[1]):
+        e = np.unique(np.quantile(X[:, f], qs))
+        edges.append(e.astype(np.float64))
+    return edges
+
+
+def simulate_slide_oracle(
+    texture: TextureSpec,
+    slide: SlideConfig,
+    array: WhiskerArraySpec = WhiskerArraySpec(),
+) -> list[TaxelMatrix]:
+    """The simulator's frame loop one frame at a time: decay, inject the
+    frame's emission scaled by fatigue, draw that frame's noise, clip.
+
+    Strain and emission come from the package's own helpers; this pins the
+    per-frame recurrence and the order of the noise draws.
+    """
+    texture.validate()
+    slide.validate()
+    array.validate()
+
+    n_active = active_frame_count(slide)
+    n_total = slide.lead_in_frames + n_active + slide.lead_out_frames
+    offsets = _axis_offsets(slide.direction_deg, array)
+
+    step_mm = slide.speed_mm_s / slide.fps
+    sub = array.substeps
+    t_sub = (np.arange(n_active * sub, dtype=np.float64) + 1.0) / sub
+    positions = t_sub[:, None, None] * step_mm + offsets[None, :, :]
+
+    strain = _strain_grid(texture, slide, array, positions)
+    prev = np.concatenate([np.zeros((1,) + offsets.shape), strain[:-1]], axis=0)
+    positive_rate = np.maximum(strain - prev, 0.0)
+    emission = positive_rate.reshape(n_active, sub, *offsets.shape).sum(axis=1)
+
+    decay = math.exp(-1.0 / array.decay_tau_frames)
+    rng = np.random.default_rng(slide.seed)
+    frames = []
+    glow = np.zeros(offsets.shape)
+    worn = np.zeros(offsets.shape)
+    for t in range(n_total):
+        glow = glow * decay
+        a = t - slide.lead_in_frames
+        if 0 <= a < n_active:
+            glow = glow + emission[a] * np.exp(-array.fatigue * worn)
+            worn = worn + emission[a]
+        noise = rng.uniform(0.0, slide.noise_amp, size=offsets.shape) if slide.noise_amp else 0.0
+        values = np.clip(array.gain * glow + noise, 0.0, 1.0)
+        frames.append(TaxelMatrix(values, frame_index=t))
+    return frames

@@ -221,6 +221,18 @@ def test_missing_model_file_is_data_error(tmp_path, capsys):
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
 
+    # A tree whose split points past the end of its arrays.
+    model["trees"] = [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                       "left": [5, -1, -1], "right": [2, -1, -1],
+                       "value": [None, [1.0, 0.0], [0.0, 1.0]]}]
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+                                      "task": "patterns4", "model": model}))
+    rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
+               "--model", str(model_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFileError" and "children" in err["message"]
+
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("WHISKERLAB_OUT", str(tmp_path / "envout"))
@@ -233,3 +245,21 @@ def test_no_out_dir_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("WHISKERLAB_OUT", raising=False)
     rc = main(["simulate", "--pattern", "flat", "--depth", "0", "--speed", "150"])
     assert rc == 2
+
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for doc in ({"seed": "abc"}, {"detector": {"window_frames": "5"}}):
+        config.write_text(json.dumps(doc))
+        rc = main(["dataset", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+def test_malformed_taxel_csv_is_data_error(tmp_path, capsys):
+    for text in ("frame_index,a,b\n0,1,2\n", "frame_index,o11\n0,abc\n", "frame_index,o11\n0\n"):
+        stream_csv = tmp_path / "slide.csv"
+        stream_csv.write_text(text)
+        rc = main(["direction", "--input", str(stream_csv), "--out", str(tmp_path)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from whiskerlab.errors import ConfigError
+from whiskerlab.errors import ConfigError, DataFileError
 from whiskerlab.features import (
     FeatureConfig,
+    features_array,
     features_from_taxels,
     features_stream,
     load_feature_csv,
@@ -144,3 +145,41 @@ def test_csv_round_trip(tmp_path):
     again = load_feature_csv(path)
     assert np.array_equal(stream_to_array(again), stream_to_array(stream))
     assert [fv.frame_index for fv in again] == [fv.frame_index for fv in stream]
+
+
+def test_features_array_matches_per_frame_features_bit_for_bit():
+    rng = np.random.default_rng(4)
+    taxels = rng.uniform(0.0, 0.3, size=(120, 5, 5))
+    taxels[:10] = 0.0  # dark frames hit the floor
+    taxels[10:20] *= 1e-8
+    for cfg in (CFG, FeatureConfig(epsilon=1e-3)):
+        got = features_array(taxels, cfg)
+        want = np.stack([features_from_taxels(TaxelMatrix(v, t), cfg).values
+                         for t, v in enumerate(taxels)])
+        assert got.shape == (120, 10) and got.tobytes() == want.tobytes()
+        stream = features_stream([TaxelMatrix(v, t + 3) for t, v in enumerate(taxels)], cfg)
+        assert stream_to_array(stream).tobytes() == got.tobytes()
+        assert [fv.frame_index for fv in stream] == list(range(3, 123))
+
+
+def test_features_array_validates_config():
+    with pytest.raises(ConfigError):
+        features_array(np.zeros((3, 5, 5)), FeatureConfig(epsilon=0.0))
+
+
+def test_stream_to_array_passes_a_feature_array_through():
+    arr = np.zeros((7, 10))
+    assert stream_to_array(arr) is arr
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "frame_index,f1,f2\n0,1,2\n",  # wrong channel count
+    "frame_index," + ",".join(f"f{k}" for k in range(1, 11)) + "\n0,1,2\n",  # short row
+    "frame_index," + ",".join(f"f{k}" for k in range(1, 11)) + "\n0" + ",x" * 10 + "\n",
+])
+def test_feature_csv_contents_are_data_errors(tmp_path, text):
+    path = tmp_path / "features.csv"
+    path.write_text(text)
+    with pytest.raises(DataFileError):
+        load_feature_csv(path)

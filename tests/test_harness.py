@@ -11,6 +11,8 @@ from whiskerlab.harness.config import (
 )
 from whiskerlab.harness.manifest import RunManifest, file_digest
 from whiskerlab.harness.svg import xy_chart_svg
+from whiskerlab.events import DetectorConfig
+from whiskerlab.features import FeatureConfig
 from whiskerlab.learn.dataset import CollectionPlan
 from whiskerlab.sim import SlideConfig
 
@@ -48,6 +50,42 @@ def test_load_config_rejects_bad_files(tmp_path):
     path.write_text('{"detector": {"window_frames": "not-a-number-field-name": 1}}')
     with pytest.raises(DataFileError):
         load_config(path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed": "abc"},
+    {"seed": True},
+    {"seed": 1.5},
+    {"detector": {"window_frames": "5"}},
+    {"detector": {"trigger_multiplier": "1.2"}},
+    {"detector": {"mode": 1}},
+    {"collection": {"speed_range": [120.0]}},
+    {"collection": {"speed_range": ["a", 180.0]}},
+    {"collection": {"speed_range": 150.0}},
+    {"features": 1e-6},
+    [],
+])
+def test_config_values_must_have_their_field_types(doc):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_valid_configs_keep_their_digest(tmp_path):
+    assert config_digest(ExperimentConfig()) == (
+        "c922f87c6d7fc777e2d1b5ac02b265687bb2548931a6ed5716e6308bb56a74b7")
+    doc = ExperimentConfig().to_dict()
+    doc["detector"]["trigger_multiplier"] = 2  # an int is a valid float
+    doc["collection"]["speed_range"] = [100, 200.5]
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+    assert cfg.collection.speed_range == (100, 200.5)
+    assert config_digest(cfg) == config_digest(ExperimentConfig.from_dict(cfg.to_dict()))
+
+
+def test_feature_and_detector_epsilon_must_agree():
+    ExperimentConfig(features=FeatureConfig(epsilon=1e-3),
+                     detector=DetectorConfig(epsilon=1e-3)).validate()
+    with pytest.raises(ConfigError, match="epsilon"):
+        ExperimentConfig(features=FeatureConfig(epsilon=1e-3)).validate()
 
 
 def test_config_validation_propagates():

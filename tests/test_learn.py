@@ -248,7 +248,11 @@ def test_load_model_rejects_garbage(tmp_path):
                 "seed": 0, "classes": ["flat", "sinc"]}
     unknown_param = {"kind": "boosted_trees", "params": {"depth": 3}, "seed": 0,
                      "classes": ["flat", "sinc"], "trees": []}
-    malformed = [json.dumps({**header, "model": m}) for m in (no_trees, unknown_param)]
+    dangling_child = {**no_trees, "trees": [{
+        "feature": [0, -1], "threshold": [0.5, 0.0], "left": [5], "right": [1, -1],
+        "value": [None, [1.0, 0.0]]}]}
+    malformed = [json.dumps({**header, "model": m})
+                 for m in (no_trees, unknown_param, dangling_child)]
     path = tmp_path / "model.json"
     for text in ["{}", "not json", *malformed]:
         path.write_text(text)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from whiskerlab.errors import ConfigError
+from oracles import simulate_slide_oracle
+from whiskerlab.errors import ConfigError, DataFileError
 from whiskerlab.sim import (
     SPECIMENS,
     SlideConfig,
@@ -15,6 +16,7 @@ from whiskerlab.sim import (
     save_taxel_csv,
     simulate_frames,
     simulate_slide,
+    simulate_taxels,
     specimen_by_id,
     specimen_id,
 )
@@ -194,3 +196,37 @@ def test_slide_manifest_round_trip(tmp_path):
     save_slide_manifest(path, tex, slide, array)
     t2, s2, a2 = load_slide_manifest(path)
     assert (t2, s2, a2) == (tex, slide, array)
+
+
+@pytest.mark.parametrize("noise_amp", [0.0, 0.0015])
+def test_array_core_matches_per_frame_oracle_bit_for_bit(noise_amp):
+    rng = np.random.default_rng(17)
+    for texture in SPECIMENS:
+        for direction in (0, 90, 180, 270):
+            for lead_in in (0, 25):
+                slide = SlideConfig(speed_mm_s=float(rng.uniform(60.0, 250.0)),
+                                    direction_deg=direction, seed=int(rng.integers(2**62)),
+                                    noise_amp=noise_amp, start_offset_mm=float(rng.uniform(0, 8)),
+                                    lead_in_frames=lead_in, lead_out_frames=int(rng.integers(0, 61)))
+                want = simulate_slide_oracle(texture, slide)
+                taxels = simulate_taxels(texture, slide)
+                assert taxels.tobytes() == np.stack([m.values for m in want]).tobytes()
+                frames = simulate_slide(texture, slide)
+                assert [m.frame_index for m in frames] == list(range(len(want)))
+                assert all(m.values.tobytes() == w.values.tobytes() for m, w in zip(frames, want))
+
+
+@pytest.mark.parametrize("text", [
+    "",  # no header
+    "frame_index,o11,o12\n0,0.1,0.2\n",  # 2 taxels: not a square grid
+    "index,o11\n0,0.1\n",
+    "frame_index,o11\n0\n",  # short row
+    "frame_index,o11\n0,0.1,0.2\n",  # long row
+    "frame_index,o11\n0,abc\n",  # non-numeric cell
+    "frame_index,o11\nzero,0.1\n",
+])
+def test_taxel_csv_contents_are_data_errors(tmp_path, text):
+    path = tmp_path / "slide.csv"
+    path.write_text(text)
+    with pytest.raises(DataFileError):
+        load_taxel_csv(path)

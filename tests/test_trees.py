@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import split_oracle
-from whiskerlab.learn.trees import _best_split
+from oracles import quantile_edges_oracle, split_oracle
+from whiskerlab.learn.trees import Tree, _best_split, quantile_bin_edges
 
 
 def node_histograms(bins, stats, n_bins):
@@ -75,3 +75,60 @@ def test_best_split_rejects_nodes_without_gain():
     cnt, sums = node_histograms(np.arange(12).reshape(6, 2) % 4, np.ones((6, 1)), 4)
     assert _best_split(cnt, sums, 6, np.array([6.0])) is None
     assert split_oracle(cnt.tolist(), sums.tolist(), 6, [6.0]) is None
+
+
+def edge_matrices(rng):
+    """Random feature matrices: heavy ties, a constant column, one row, inf and NaN."""
+    for trial in range(60):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 80))
+        d = int(rng.integers(1, 6))
+        if trial % 3 == 0:
+            X = rng.integers(-3, 4, size=(n, d)).astype(np.float64)  # ties, no signed zeros
+        else:
+            X = rng.normal(size=(n, d))
+        if trial % 4 == 0:
+            X[:, -1] = 1.5
+        if trial % 5 == 1:
+            X[rng.integers(0, n), rng.integers(0, d)] = np.inf
+        if trial % 5 == 2:
+            X[rng.integers(0, n), rng.integers(0, d)] = -np.inf
+        if trial % 7 == 3:
+            X[rng.integers(0, n), rng.integers(0, d)] = np.nan
+        yield X
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as inside np.quantile
+@pytest.mark.parametrize("max_bins", [2, 3, 128, 256])
+def test_quantile_bin_edges_match_numpy_quantile_bit_for_bit(max_bins):
+    rng = np.random.default_rng(max_bins)
+    for X in edge_matrices(rng):
+        got = quantile_bin_edges(X, max_bins)
+        want = quantile_edges_oracle(X, max_bins)
+        assert len(got) == len(want) == X.shape[1]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (X, g, w)
+
+
+GOOD_TREE = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+             "left": [1, -1, -1], "right": [2, -1, -1], "value": [None, [1.0, 0.0], [0.0, 1.0]]}
+
+
+def test_tree_from_dict_round_trips_a_valid_tree():
+    tree = Tree.from_dict(GOOD_TREE)
+    assert tree.to_dict() == GOOD_TREE
+    assert tree.predict(np.array([[0.0], [1.0]]), 2).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("change", [
+    {"left": [1, -1]},  # arrays of different lengths
+    {k: [] for k in GOOD_TREE},  # no nodes
+    {"left": [5, -1, -1]},  # child out of range
+    {"right": [0, -1, -1]},  # child not later than its parent: a cycle
+    {"left": [1.0, -1, -1]},  # child index not an int
+    {"feature": [-2, -1, -1]},  # negative split feature
+    {"feature": [0, -1, "x"]},
+    {"value": [None, None, [0.0, 1.0]]},  # leaf without a value
+])
+def test_tree_from_dict_rejects_broken_structure(change):
+    with pytest.raises(ValueError):
+        Tree.from_dict({**GOOD_TREE, **change})
