@@ -1,7 +1,7 @@
 """whiskerlab: whisker-array tactile sensing toolkit.
 
-Pipeline stages: camera frames -> taxel matrices -> 10-channel feature
-streams -> event-triggered fixed-length captures -> analysis (speed,
+Pipeline stages: camera frames -> taxel matrices -> (rows + cols)-channel
+feature streams -> event-triggered fixed-length captures -> analysis (speed,
 direction) and texture classification.  A deterministic slide simulator
 stands in for the physical rig so the whole pipeline is verifiable
 end to end.
@@ -36,7 +36,7 @@ from .events import (
     capture_samples,
     detect,
 )
-from .features import FeatureConfig, FeatureVector, features_from_taxels, features_stream
+from .features import FeatureConfig, features_array, features_stream
 from .sim import (
     SPECIMENS,
     SlideConfig,

@@ -6,7 +6,8 @@ an ordinary least-squares fit of duration against log10(speed); base 10 is
 deliberate - with the natural log the reference coefficients would predict
 negative durations at in-range speeds.  Direction falls out of activation
 order: channel activation times, rank-correlated against channel position
-separately for rows and columns, pick the axis and the sign.
+separately for the row channels (the first half) and the column channels
+(the second half), pick the axis and the sign.
 """
 
 import math
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, DirectionIndeterminateError
 from .events import TactileSample
-from .features import FeatureVector, stream_to_array
 from .taxel_grid import TaxelMatrix
 
 
@@ -146,31 +146,29 @@ def _rank_correlation(times: np.ndarray) -> float:
 
 
 def identify_direction(
-    source: Union[TactileSample, Sequence[FeatureVector], np.ndarray],
+    source: Union[TactileSample, np.ndarray],
     cfg: DirectionConfig = DirectionConfig(),
 ) -> int:
     """Classify the slide direction from channel activation order.
 
+    ``source`` is a capture or a transposed feature stream, (channels,
+    frames); its first half of channels are rows, the second half columns.
     Returns one of 0/90/180/270 degrees: columns activating in ascending
     order mean 0, descending 180; rows descending mean 90, ascending 270.
     The axis whose activation times correlate more strongly with channel
     position decides; if neither axis carries any ordering the result is
     indeterminate and raised as an error.
     """
-    if isinstance(source, TactileSample):
-        channels = source.values
-    elif isinstance(source, np.ndarray):
-        channels = source
-    else:
-        channels = stream_to_array(source).T
-    if channels.ndim != 2 or channels.shape[0] != 10:
-        raise ConfigError(f"expected a (10, frames) channel array, got {channels.shape}")
+    channels = source.values if isinstance(source, TactileSample) else np.asarray(source)
+    if channels.ndim != 2 or channels.shape[0] < 2 or channels.shape[0] % 2:
+        raise ConfigError(f"expected (channels, frames) with an even channel count, got {channels.shape}")
     if channels.shape[1] < 1:
         raise ConfigError("direction identification needs at least one frame")
 
     times = activation_times(channels, cfg)
-    row_corr = _rank_correlation(times[:5])
-    col_corr = _rank_correlation(times[5:])
+    half = channels.shape[0] // 2
+    row_corr = _rank_correlation(times[:half])
+    col_corr = _rank_correlation(times[half:])
     if row_corr == 0.0 and col_corr == 0.0:
         raise DirectionIndeterminateError("no activation ordering on either axis")
     if abs(col_corr) >= abs(row_corr):

@@ -1,11 +1,12 @@
 """Event-driven capture of fixed-length tactile samples.
 
-A detector first calibrates per-channel baselines from the pre-contact
-portion of a feature stream (the average windowed sum over the first five
-windows), then slides a window forward and fires when any channel's window
-sum exceeds its baseline times a trigger multiplier.  On a trigger it
-captures a fixed-length sample backtracked by a few frames, then suppresses
-re-triggering for the length of the sample.
+The input is a (frames, channels) feature stream and a capture is a
+(channels, sample_frames) slice of it.  A detector first calibrates
+per-channel baselines from the pre-contact portion of the stream (the
+average windowed sum over the first five windows), then slides a window
+forward and fires when any channel's window sum exceeds its baseline times
+a trigger multiplier.  On a trigger it captures the sample backtracked by a
+few frames, then suppresses re-triggering for the length of the sample.
 
 Because features are logs of small sums, baselines are usually negative and
 the verbatim trigger comparison turns the multiplier upside down (a multiple
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationUnderrunError, ConfigError, DataFileError
-from .features import NUM_CHANNELS, FeatureStream, stream_to_array
+from .features import stream_to_array
 
 MODES = ("literal", "shifted")
 
@@ -92,8 +93,8 @@ class Baseline:
 
     def __post_init__(self):
         self.levels = np.asarray(self.levels, dtype=np.float64)
-        if self.levels.shape != (NUM_CHANNELS,):
-            raise ConfigError(f"baseline must have {NUM_CHANNELS} levels")
+        if self.levels.ndim != 1:
+            raise ConfigError(f"baseline levels must be one per channel, got shape {self.levels.shape}")
         if not np.all(np.isfinite(self.levels)):
             raise ConfigError("baseline levels must be finite")
 
@@ -126,8 +127,8 @@ class TactileSample:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != NUM_CHANNELS:
-            raise ConfigError(f"sample must be ({NUM_CHANNELS}, frames), got {self.values.shape}")
+        if self.values.ndim != 2:
+            raise ConfigError(f"sample must be (channels, frames), got {self.values.shape}")
 
     def flattened(self) -> np.ndarray:
         """Channel-major flattening: channel 1's frames, then channel 2's, ..."""
@@ -142,7 +143,7 @@ class Detector:
         self.cfg = cfg
         self.discarded_partial = 0  # triggers too close to stream end to capture
 
-    def calibrate(self, stream: FeatureStream) -> Baseline:
+    def calibrate(self, stream: np.ndarray) -> Baseline:
         """Average window-sum per channel over the calibration prefix.
 
         Consumes exactly ``baseline_windows * window_frames`` leading frames,
@@ -150,16 +151,16 @@ class Detector:
         """
         cfg = self.cfg
         need = cfg.calibration_frames
-        if len(stream) < need:
+        arr = stream_to_array(stream)
+        if arr.shape[0] < need:
             raise CalibrationUnderrunError(
-                f"calibration needs {need} frames, stream has {len(stream)}"
+                f"calibration needs {need} frames, stream has {arr.shape[0]}"
             )
-        arr = stream_to_array(stream[:need])
-        levels = arr.sum(axis=0) / cfg.baseline_windows
+        levels = arr[:need].sum(axis=0) / cfg.baseline_windows
         return Baseline(levels, calibration_end=need)
 
     def detect(
-        self, stream: FeatureStream, baseline: Baseline
+        self, stream: np.ndarray, baseline: Baseline
     ) -> list[TactileSample]:
         """Scan the stream (including its calibration prefix) for events.
 
@@ -177,6 +178,8 @@ class Detector:
                 f"this configuration?"
             )
         arr = stream_to_array(stream)
+        if baseline.levels.shape[0] != arr.shape[1]:
+            raise ConfigError(f"{baseline.levels.shape[0]} baseline levels for {arr.shape[1]} channels")
         n = arr.shape[0]
         shift = cfg.window_frames * math.log(cfg.epsilon) if cfg.mode == "shifted" else 0.0
         thresholds = cfg.trigger_multiplier * (baseline.levels - shift)
@@ -202,32 +205,27 @@ class Detector:
         return samples
 
 
-def calibrate(stream: FeatureStream, cfg: DetectorConfig = DetectorConfig()) -> Baseline:
+def calibrate(stream: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Baseline:
     return Detector(cfg).calibrate(stream)
 
 
 def detect(
-    stream: FeatureStream, baseline: Baseline, cfg: DetectorConfig = DetectorConfig()
+    stream: np.ndarray, baseline: Baseline, cfg: DetectorConfig = DetectorConfig()
 ) -> list[TactileSample]:
     return Detector(cfg).detect(stream, baseline)
 
 
 def capture_samples(
-    stream: FeatureStream, cfg: DetectorConfig = DetectorConfig()
+    stream: np.ndarray, cfg: DetectorConfig = DetectorConfig()
 ) -> list[TactileSample]:
-    """Calibrate on the stream's prefix, then detect over the whole stream.
-
-    The stream may be a list of FeatureVector or a (frames, channels) array
-    such as :func:`~whiskerlab.features.features_array` returns; both give
-    the same samples.
-    """
+    """Calibrate on the stream's prefix, then detect over the whole stream."""
     detector = Detector(cfg)
     baseline = detector.calibrate(stream)
     return detector.detect(stream, baseline)
 
 
 def sample_to_dict(sample: TactileSample) -> dict:
-    """JSON-ready form: x holds one array of 10 numbers per captured frame."""
+    """JSON-ready form: x holds one array of channel values per captured frame."""
     return {
         "x": [col.tolist() for col in sample.values.T],
         "trigger_frame": sample.trigger_frame,
@@ -265,6 +263,6 @@ def load_samples_jsonl(path) -> list[TactileSample]:
             continue
         try:
             samples.append(sample_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
     return samples

@@ -145,10 +145,6 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-def _model_params(cfg: ExperimentConfig, kind: str):
-    return getattr(cfg.models, kind)
-
-
 def _load_split(cfg, args, manifest):
     data_path = Path(args.dataset)
     digest = manifest.verify_input(data_path)
@@ -166,7 +162,7 @@ def cmd_train(args) -> int:
 
     _, train_set, _, inputs = _load_split(cfg, args, manifest)
     spec = ModelSpec(kind=args.model, train_seed=derive_seed(cfg.seed, "train", args.model, args.task),
-                     params=_model_params(cfg, args.model))
+                     params=getattr(cfg.models, args.model))
     model = train_model(spec, train_set, args.task)
     model_path = out / f"model_{args.task}_{args.model}.json"
     save_model(model_path, model)
@@ -292,7 +288,7 @@ def cmd_direction(args) -> int:
         source = samples[args.index]
     elif path.suffix == ".csv":
         stream = sim.load_taxel_csv(path)
-        source = features_stream(stream, cfg.features)
+        source = features_stream(stream, cfg.features).T
     else:
         raise ConfigError(f"{path}: expected a .jsonl sample file or .csv taxel stream")
 

@@ -59,6 +59,13 @@ class ExperimentConfig:
         self.duration.validate()
         self.direction.validate()
         self.collection.validate()
+        for params in vars(self.models).values():
+            params.validate()
+        shape = (self.array.rows, self.array.cols)
+        if shape[0] != shape[1]:  # taxel CSV streams and the direction rule assume it
+            raise ConfigError(f"the whisker array must be square, got {shape}")
+        if (self.grid.rows, self.grid.cols) != shape:
+            raise ConfigError(f"grid {(self.grid.rows, self.grid.cols)} must match the array {shape}")
         if self.features.epsilon != self.detector.epsilon:
             raise ConfigError(
                 f"features.epsilon {self.features.epsilon} and detector.epsilon "

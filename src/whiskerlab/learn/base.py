@@ -2,7 +2,9 @@
 
 A family supplies ``kind``, its params dataclass, ``fit``, a per-class
 ``decision_function`` and its fitted state as JSON; this base encodes the
-labels, predicts the argmax class and round-trips the whole model.
+labels, predicts the argmax class and round-trips the whole model.  Both
+``fit`` and the state loader set ``n_features_``, the input width
+``predict`` then requires (DataFileError otherwise).
 """
 
 from dataclasses import asdict
@@ -10,12 +12,24 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import DegenerateModelError
+from ..errors import ConfigError, DataFileError, DegenerateModelError
+
+
+def check_params(params, at_least: dict, positive: tuple = ()) -> None:
+    """ConfigError unless each ``at_least`` field reaches its bound and each ``positive`` one exceeds 0."""
+    for name, low in at_least.items():
+        if not getattr(params, name) >= low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(params, name)}")
+    for name in positive:
+        if not getattr(params, name) > 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(params, name)}")
 
 
 class Classifier:
     kind: str
     params_cls: type
+    n_features_: int  # input columns the fitted model reads
+    exact_width = True  # False: wider input is fine (trees read only their split columns)
 
     def __init__(self, params: Optional[object] = None, seed: int = 0):
         self.params = params if params is not None else self.params_cls()
@@ -35,6 +49,11 @@ class Classifier:
         raise NotImplementedError
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        width = X.shape[1] if X.ndim == 2 else -1
+        if width < self.n_features_ or (self.exact_width and width != self.n_features_):
+            raise DataFileError(
+                f"{self.kind} model reads {self.n_features_} columns, input has shape {X.shape}"
+            )
         idx = np.argmax(self.decision_function(X), axis=1)
         return np.array(self.classes_, dtype=object)[idx]
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Classifier
-from .trees import Tree, grow_tree, offset_bins, quantile_bin_edges
+from .base import Classifier, check_params
+from .trees import Tree, columns_read, grow_tree, offset_bins, quantile_bin_edges
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,14 @@ class BoostParams:
     learning_rate: float = 0.1
     max_bins: int = 128
 
+    def validate(self) -> None:
+        check_params(self, {"rounds": 1, "max_depth": 1, "max_bins": 2}, positive=("learning_rate",))
+
 
 class BoostedTreesClassifier(Classifier):
     kind = "boosted_trees"
     params_cls = BoostParams
+    exact_width = False
     trees_: list[list[Tree]]  # trees_[round][class]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreesClassifier":
@@ -47,6 +51,7 @@ class BoostedTreesClassifier(Classifier):
                 scores[:, c] += self.params.learning_rate * fitted[:, 0]
                 round_trees.append(tree)
             self.trees_.append(round_trees)
+        self.n_features_ = columns_read(t for row in self.trees_ for t in row)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -61,3 +66,4 @@ class BoostedTreesClassifier(Classifier):
 
     def _load_state(self, obj: dict) -> None:
         self.trees_ = [[Tree.from_dict(t) for t in row] for row in obj["trees"]]
+        self.n_features_ = columns_read(t for row in self.trees_ for t in row)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, DatasetBuildError
+from ..errors import ConfigError, DataFileError, DatasetBuildError
 from ..events import (
     DetectorConfig,
     SampleLabel,
@@ -28,8 +28,6 @@ from ..events import (
 from ..features import FeatureConfig, features_array
 from ..seeding import derive_rng, derive_seed
 from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels
-
-FLAT_FEATURES = 10 * 70  # channels x capture frames
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class CollectionPlan:
 class LabeledDataset:
     """Flattened captures plus labels and per-sample provenance."""
 
-    features: np.ndarray  # (n, 700) channel-major flattened captures
+    features: np.ndarray  # (n, channels * frames) channel-major flattened captures
     specimen_ids: np.ndarray  # (n,) int, 1..10
     patterns: list[str]
     depths: np.ndarray  # (n,) float, mm
@@ -79,8 +77,8 @@ class LabeledDataset:
     samples: Optional[list] = None  # original TactileSamples, kept for serialization
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[1] != FLAT_FEATURES:
-            raise ConfigError(f"features must be (n, {FLAT_FEATURES}), got {self.features.shape}")
+        if self.features.ndim != 2:
+            raise ConfigError(f"features must be (samples, values), got {self.features.shape}")
 
     @property
     def n(self) -> int:
@@ -116,6 +114,9 @@ class LabeledDataset:
         for s in samples:
             if s.label is None:
                 raise ConfigError("all samples must carry labels")
+        shapes = sorted({s.values.shape for s in samples})
+        if len(shapes) > 1:
+            raise ConfigError(f"captures must share one (channels, frames) shape, got {shapes}")
         return cls(
             features=np.stack([s.flattened() for s in samples]),
             specimen_ids=np.array([s.label.specimen_id for s in samples], dtype=np.int64),
@@ -303,4 +304,8 @@ def save_dataset(path, samples: Sequence[TactileSample]) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
-    return LabeledDataset.from_samples(load_samples_jsonl(path))
+    """Read a dataset JSONL; an empty, unlabeled or mixed-shape file raises DataFileError."""
+    try:
+        return LabeledDataset.from_samples(load_samples_jsonl(path))
+    except ConfigError as exc:
+        raise DataFileError(f"{path}: {exc}") from exc

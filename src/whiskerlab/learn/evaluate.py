@@ -38,7 +38,9 @@ class ModelSpec:
         model_cls = _MODEL_CLASSES[self.kind]
         if self.params is not None and not isinstance(self.params, model_cls.params_cls):
             raise ConfigError(f"{self.kind} expects {model_cls.params_cls.__name__} parameters")
-        return model_cls(self.params, seed=self.train_seed)
+        model = model_cls(self.params, seed=self.train_seed)
+        model.params.validate()
+        return model
 
 
 def task_labels(dataset: LabeledDataset, task: str) -> np.ndarray:

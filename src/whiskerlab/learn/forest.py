@@ -6,14 +6,17 @@ from functools import partial
 
 import numpy as np
 
-from .base import Classifier
-from .trees import Tree, grow_tree, offset_bins, quantile_bin_edges
+from .base import Classifier, check_params
+from .trees import Tree, columns_read, grow_tree, offset_bins, quantile_bin_edges
 
 
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
     max_bins: int = 256
+
+    def validate(self) -> None:
+        check_params(self, {"n_trees": 1, "max_bins": 2})
 
 
 class BaggedTreesClassifier(Classifier):
@@ -26,6 +29,7 @@ class BaggedTreesClassifier(Classifier):
 
     kind = "bagged_trees"
     params_cls = ForestParams
+    exact_width = False
     trees_: list[Tree]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedTreesClassifier":
@@ -46,6 +50,7 @@ class BaggedTreesClassifier(Classifier):
                 sample_features=partial(rng.choice, d, size=k, replace=False),
             )
             self.trees_.append(tree)
+        self.n_features_ = columns_read(self.trees_)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -59,3 +64,4 @@ class BaggedTreesClassifier(Classifier):
 
     def _load_state(self, obj: dict) -> None:
         self.trees_ = [Tree.from_dict(t) for t in obj["trees"]]
+        self.n_features_ = columns_read(self.trees_)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, check_params
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,9 @@ class LinearParams:
     reg: float = 1.0  # L2 penalty weight
     epochs: int = 400
     learning_rate: float = 0.05
+
+    def validate(self) -> None:
+        check_params(self, {"reg": 0, "epochs": 1}, positive=("learning_rate",))
 
 
 class LinearMarginClassifier(Classifier):
@@ -52,6 +55,7 @@ class LinearMarginClassifier(Classifier):
             W -= lr * grad_W
             b -= lr * grad_b
         self.weights_, self.bias_ = W, b
+        self.n_features_ = d
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -71,3 +75,7 @@ class LinearMarginClassifier(Classifier):
         self.bias_ = np.array(obj["bias"])
         self.mean_ = np.array(obj["mean"])
         self.scale_ = np.array(obj["scale"])
+        self.n_features_ = d = len(self.mean_)
+        shapes = (self.weights_.shape, self.bias_.shape, self.mean_.shape, self.scale_.shape)
+        if shapes != ((d, len(self.classes_)), (len(self.classes_),), (d,), (d,)):
+            raise ValueError(f"weights, bias, mean and scale shapes {shapes} do not agree")

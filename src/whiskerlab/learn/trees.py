@@ -148,6 +148,11 @@ class Tree:
         return tree
 
 
+def columns_read(trees) -> int:
+    """Input width the trees need: one past the highest split feature."""
+    return 1 + max((f for tree in trees for f in tree.feature), default=-1)
+
+
 def grow_tree(
     offset: np.ndarray,
     y: np.ndarray,

@@ -30,8 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .features import read_frame_csv
+from .errors import ConfigError, DataFileError
 from .taxel_grid import (
     TactileFrame,
     TaxelGridConfig,
@@ -141,7 +140,7 @@ class SlideConfig:
 
 @dataclass(frozen=True)
 class WhiskerArraySpec:
-    """Geometry and luminescence response of the 5x5 whisker array.
+    """Geometry and luminescence response of the whisker array (5x5 in the paper).
 
     gain converts accumulated positive strain-rate into normalized intensity;
     decay_tau_frames is the afterglow time constant; contact_engage_mm is the
@@ -331,10 +330,10 @@ def simulate_frames(
 
 
 def save_taxel_csv(path, stream) -> None:
-    """Write a taxel stream as CSV: frame_index, o11..o55 (row-major)."""
+    """Write a nonempty taxel stream as CSV: frame_index, o11..o{rows}{cols} (row-major)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        rows, cols = stream[0].values.shape if stream else (5, 5)
+        rows, cols = stream[0].values.shape
         header = ["frame_index"] + [f"o{i + 1}{j + 1}" for i in range(rows) for j in range(cols)]
         writer.writerow(header)
         for m in stream:
@@ -342,10 +341,25 @@ def save_taxel_csv(path, stream) -> None:
 
 
 def load_taxel_csv(path) -> list[TaxelMatrix]:
-    """Read a square-grid taxel stream written by :func:`save_taxel_csv`."""
-    rows = read_frame_csv(path, lambda n: n > 0 and math.isqrt(n) ** 2 == n, "taxel")
-    return [TaxelMatrix(values.reshape(math.isqrt(values.size), -1), frame_index)
-            for frame_index, values in rows]
+    """Read a square-grid taxel stream written by :func:`save_taxel_csv`.
+
+    A missing or bad header, a row of the wrong length or a cell that is not
+    a number raises DataFileError.
+    """
+    with open(Path(path), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        side = math.isqrt(len(header) - 1) if header else 0
+        if not header or header[0] != "frame_index" or side < 1 or side**2 != len(header) - 1:
+            raise DataFileError(f"{path}: unexpected taxel CSV header {header!r}")
+        stream = []
+        for row in reader:
+            try:  # a row of the wrong length cannot take the (side, side) shape
+                values = np.array([float(v) for v in row[1:]]).reshape(side, side)
+                stream.append(TaxelMatrix(values, int(row[0])))
+            except ValueError as exc:
+                raise DataFileError(f"{path}:{reader.line_num}: bad taxel CSV row ({exc})") from exc
+    return stream
 
 
 def save_frame_dir(dir_path, frames: list[TactileFrame]) -> list[Path]:

@@ -14,7 +14,7 @@ import pytest
 
 from whiskerlab.analysis import event_duration, fit_log_regression, identify_direction
 from whiskerlab.events import Detector, DetectorConfig, capture_samples
-from whiskerlab.features import FeatureConfig, FeatureVector, features_from_taxels, features_stream
+from whiskerlab.features import FeatureConfig, features_array, features_stream
 from whiskerlab.harness.cli import main as cli_main
 from whiskerlab.harness.config import ExperimentConfig, save_config
 from whiskerlab.learn.dataset import CollectionPlan, build_dataset, split
@@ -57,10 +57,10 @@ def test_criterion_1_feature_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         values = rng.uniform(0.0, 1.0, size=(5, 5))
-        got = features_from_taxels(TaxelMatrix(values), cfg).values
+        got = features_array(values[None], cfg)[0]
         expected = np.array(feature_oracle(values, cfg.epsilon))
         worst = max(worst, float(np.max(np.abs(got - expected))))
-        swapped = features_from_taxels(TaxelMatrix(values.T), cfg).values
+        swapped = features_array(values.T[None], cfg)[0]
         assert np.array_equal(swapped, np.concatenate([got[5:], got[:5]]))
     elapsed = time.perf_counter() - started
     report(
@@ -79,8 +79,7 @@ def test_criterion_2_capture_trace_fidelity():
     cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
                          sample_frames=4, mode="literal")
     detector = Detector(cfg)
-    stream = [FeatureVector(row, i) for i, row in enumerate(values)]
-    samples = detector.detect(stream, detector.calibrate(stream))
+    samples = detector.detect(values, detector.calibrate(values))
     ok = (len(samples) == 1 and samples[0].trigger_frame == 10
           and samples[0].trigger_channel == 1
           and np.array_equal(samples[0].values[0], [1.0, 2.5, 2.5, 2.5]))
@@ -103,8 +102,7 @@ def test_criterion_2_capture_trace_fidelity():
         dcfg = DetectorConfig(window_frames=m, backtrack_frames=c, trigger_multiplier=b,
                               sample_frames=length, mode="literal")
         det = Detector(dcfg)
-        st = [FeatureVector(row, i) for i, row in enumerate(vals)]
-        got = det.detect(st, det.calibrate(st))
+        got = det.detect(vals, det.calibrate(vals))
         exp, exp_discards = capture_reference(vals, m, c, b, length)
         if len(got) != len(exp) or det.discarded_partial != exp_discards:
             mismatches += 1

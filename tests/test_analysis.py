@@ -212,4 +212,4 @@ def test_reversed_stream_flips_by_180():
 def test_direction_accepts_feature_stream_input():
     slide = SlideConfig(speed_mm_s=120.0, direction_deg=270, seed=8)
     stream = features_stream(simulate_slide(TextureSpec("sawtooth", 2), slide))
-    assert identify_direction(stream) == 270
+    assert identify_direction(stream.T) == 270

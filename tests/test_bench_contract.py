@@ -1,0 +1,34 @@
+"""The benchmark's stream and live workloads still run on the package API.
+
+``bench/workloads.py`` calls the package the way the benchmark measures it;
+one untraced pass of each workload must finish with no failed item, so an
+API change that breaks the benchmark fails here first.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+        import workloads
+
+        yield workloads, spans.NullTracer()
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+@pytest.mark.parametrize("name", ["Stream", "Live"])
+def test_one_pass_has_no_failed_item(bench, name):
+    workloads, tracer = bench
+    workload = getattr(workloads, name)()
+    state, _ = workload.setup(1, tracer)
+    res = workload.run_pass(state, tracer)
+    assert res.slides > 0 and res.failed == 0, res.errors

@@ -2,10 +2,16 @@ import json
 
 import numpy as np
 
+from whiskerlab.events import DetectorConfig
 from whiskerlab.harness.cli import main
-from whiskerlab.harness.config import ExperimentConfig, save_config
+from whiskerlab.harness.config import ExperimentConfig, ModelParamsConfig, save_config
 from whiskerlab.harness.manifest import file_digest
+from whiskerlab.learn.boosting import BoostParams
 from whiskerlab.learn.dataset import CollectionPlan
+from whiskerlab.learn.forest import ForestParams
+from whiskerlab.learn.linear import LinearParams
+from whiskerlab.sim import WhiskerArraySpec
+from whiskerlab.taxel_grid import TaxelGridConfig
 
 
 def write_small_config(path, seed=0, slides_per_specimen=2):
@@ -263,3 +269,82 @@ def test_malformed_taxel_csv_is_data_error(tmp_path, capsys):
         rc = main(["direction", "--input", str(stream_csv), "--out", str(tmp_path)])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
+
+
+def small_shape_config(rows=4, cols=4, grid=None):
+    """A 4x4 array with 60-frame captures, 3 slides per specimen and small models."""
+    return ExperimentConfig(
+        grid=grid or TaxelGridConfig(rows=rows, cols=cols),
+        array=WhiskerArraySpec(rows=rows, cols=cols),
+        detector=DetectorConfig(sample_frames=60),
+        collection=CollectionPlan(slides_per_specimen=3),
+        models=ModelParamsConfig(linear_margin=LinearParams(epochs=20),
+                                 bagged_trees=ForestParams(n_trees=3),
+                                 boosted_trees=BoostParams(rounds=3)),
+        seed=13,
+    )
+
+
+def test_non_default_shape_runs_end_to_end(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    save_config(cfg_path, small_shape_config())
+    out = tmp_path / "run"
+    base = ["--config", str(cfg_path), "--out", str(out)]
+
+    assert main(["dataset", *base]) == 0
+    data = out / "dataset.jsonl"
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    assert len(records) == 30
+    assert all(np.shape(r["x"]) == (60, 8) for r in records)
+    assert all(1 <= r["trigger_channel"] <= 8 for r in records)
+    for kind in ("linear_margin", "bagged_trees", "boosted_trees"):
+        assert main(["train", *base, "--dataset", str(data), "--model", kind,
+                     "--task", "specimens10"]) == 0
+        assert main(["eval", *base, "--dataset", str(data),
+                     "--model", str(out / f"model_specimens10_{kind}.json")]) == 0
+    assert main(["report", *base]) == 0
+    assert main(["direction", *base, "--input", str(data)]) == 0
+    assert json.loads((out / "direction.json").read_text())["direction_deg"] == 0
+    capsys.readouterr()
+
+    def exits_with_data_error(argv):
+        rc = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        return rc == 3 and err["error"] == "DataFileError"
+
+    # Captures of mixed lengths, of mixed widths and with ragged frames.
+    lines = data.read_text().splitlines()
+    first = json.loads(lines[0])
+    for x in (first["x"][:-1], [row[:-1] for row in first["x"]], first["x"][:-1] + [[0.0]]):
+        bad = out / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps({**first, "x": x})] + lines[1:]) + "\n")
+        assert exits_with_data_error(["train", *base, "--dataset", str(bad),
+                                      "--model", "linear_margin", "--task", "depths4"])
+
+    # A model meets input of another width.
+    narrow = out / "narrow.jsonl"
+    narrow.write_text("".join(json.dumps({**json.loads(line), "x": json.loads(line)["x"][:5]}) + "\n"
+                              for line in lines))
+    assert exits_with_data_error(["eval", *base, "--dataset", str(narrow),
+                                  "--model", str(out / "model_specimens10_linear_margin.json")])
+    model_path = out / "model_wide.json"
+    model = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256}, "seed": 0,
+             "classes": [1, 2],
+             "trees": [{"feature": [480, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                        "left": [1, -1, -1], "right": [2, -1, -1],
+                        "value": [None, [1.0, 0.0], [0.0, 1.0]]}]}
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+                                      "task": "specimens10", "model": model}))
+    assert exits_with_data_error(["eval", *base, "--dataset", str(data),
+                                  "--model", str(model_path)])
+
+
+def test_unrunnable_shapes_are_usage_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    for cfg, problem in ((small_shape_config(rows=4, cols=5), "square"),
+                         (small_shape_config(grid=TaxelGridConfig()), "grid")):
+        save_config(cfg_path, cfg)
+        rc = main(["dataset", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and problem in err["message"]

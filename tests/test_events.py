@@ -17,24 +17,19 @@ from whiskerlab.events import (
     sample_to_dict,
     save_samples_jsonl,
 )
-from whiskerlab.features import FeatureVector
 
 from oracles import capture_reference
 
 
-def stream_from_array(values: np.ndarray):
-    return [FeatureVector(row, frame_index=t) for t, row in enumerate(values)]
-
-
 def constant_stream(level, frames, channels=10):
-    return stream_from_array(np.full((frames, channels), float(level)))
+    return np.full((frames, channels), float(level))
 
 
 def hand_trace_stream():
     """One active channel: calibration at 1.0, a 2.5 burst, then quiet."""
     values = np.ones((18, 10))
     values[10:14, 0] = 2.5
-    return stream_from_array(values)
+    return values
 
 
 def test_calibrate_constant_stream():
@@ -53,7 +48,7 @@ def test_calibrate_zero_stream():
 def test_calibrate_ramp():
     cfg = DetectorConfig(window_frames=2, sample_frames=4, backtrack_frames=1)
     values = np.tile(np.linspace(0.1, 1.0, 10)[:, None], (1, 10))
-    baseline = calibrate(stream_from_array(values), cfg)
+    baseline = calibrate(values, cfg)
     assert np.allclose(baseline.levels, 5.5 / 5, atol=1e-12)
 
 
@@ -113,7 +108,7 @@ def test_modes_coincide_on_nonnegative_streams_with_unit_floor():
     for _ in range(20):
         values = rng.uniform(0.0, 1.0, size=(50, 10))
         values[20:23, int(rng.integers(0, 10))] = rng.uniform(2.0, 5.0)
-        stream = stream_from_array(values)
+        stream = values
         kwargs = dict(window_frames=2, backtrack_frames=2, trigger_multiplier=1.5,
                       sample_frames=6)
         lit = capture_samples(stream, DetectorConfig(mode="literal", **kwargs))
@@ -133,8 +128,8 @@ def test_burst_separation_controls_sample_count():
         values = np.ones((60, 10))
         values[20:22, 2] = 5.0
         values[second_start : second_start + 2, 2] = 5.0
-        return detect(stream_from_array(values),
-                      calibrate(stream_from_array(values), cfg), cfg)
+        return detect(values,
+                      calibrate(values, cfg), cfg)
 
     far = run(second_start=30)  # bursts a full sample length apart
     assert len(far) == 2
@@ -162,7 +157,7 @@ def test_captures_match_reference_interpreter_on_random_streams():
         cfg = DetectorConfig(window_frames=m, backtrack_frames=c, trigger_multiplier=b,
                              sample_frames=l, mode="literal")
         detector = Detector(cfg)
-        stream = stream_from_array(values)
+        stream = values
         samples = detector.detect(stream, detector.calibrate(stream))
         expected, expected_discards = capture_reference(values, m, c, b, l)
 
@@ -180,7 +175,7 @@ def test_capture_is_exact_slice_of_stream():
     rng = np.random.default_rng(1)
     values = rng.uniform(0.3, 0.5, size=(40, 10))
     values[15:18, 4] = 6.0
-    samples = capture_samples(stream_from_array(values), cfg)
+    samples = capture_samples(values, cfg)
     assert len(samples) == 1
     start = samples[0].trigger_frame - cfg.backtrack_frames
     assert np.array_equal(samples[0].values, values[start : start + 8].T)
@@ -193,7 +188,7 @@ def test_trigger_near_stream_end_is_discarded():
     values = np.ones((14, 10))
     values[12:14, 0] = 9.0  # fires at t=12 but only 2 frames remain
     detector = Detector(cfg)
-    stream = stream_from_array(values)
+    stream = values
     samples = detector.detect(stream, detector.calibrate(stream))
     assert samples == []
     assert detector.discarded_partial == 1
@@ -205,7 +200,7 @@ def test_ascending_channel_wins_simultaneous_trigger():
     values = np.ones((20, 10))
     values[10:12, 3] = 9.0
     values[10:12, 7] = 9.0
-    samples = capture_samples(stream_from_array(values), cfg)
+    samples = capture_samples(values, cfg)
     assert len(samples) == 1
     assert samples[0].trigger_channel == 4  # 1-based; channel index 3 beats 7
 
@@ -223,6 +218,23 @@ def test_detect_rejects_mismatched_baseline():
         detect(constant_stream(1.0, 200), short, cfg)
 
 
+def test_shapes_follow_the_stream_width():
+    cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
+                         sample_frames=4, mode="literal")
+    values = np.ones((18, 8))
+    values[10:14, 6] = 2.5
+    samples = capture_samples(values, cfg)
+    assert len(samples) == 1 and samples[0].trigger_channel == 7
+    assert samples[0].values.shape == (8, 4)
+    with pytest.raises(ConfigError):
+        detect(np.ones((18, 10)), calibrate(values, cfg), cfg)
+    with pytest.raises(ConfigError):
+        Baseline(np.ones((2, 8)), calibration_end=10)
+    for bad in (np.ones(8), np.ones((2, 2, 2))):
+        with pytest.raises(ConfigError):
+            TactileSample(bad, trigger_frame=0, trigger_channel=1)
+
+
 def test_detection_is_deterministic_and_serializable(tmp_path):
     cfg = DetectorConfig(window_frames=2, backtrack_frames=2, trigger_multiplier=1.8,
                          sample_frames=6, mode="literal")
@@ -231,7 +243,7 @@ def test_detection_is_deterministic_and_serializable(tmp_path):
     values[20:23, 5] = 5.0
     runs = []
     for _ in range(2):
-        samples = capture_samples(stream_from_array(values), cfg)
+        samples = capture_samples(values, cfg)
         runs.append("\n".join(json.dumps(sample_to_dict(s), sort_keys=True) for s in samples))
     assert runs[0] == runs[1] and runs[0]
 

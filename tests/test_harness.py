@@ -5,6 +5,7 @@ import pytest
 from whiskerlab.errors import ConfigError, DataFileError
 from whiskerlab.harness.config import (
     ExperimentConfig,
+    ModelParamsConfig,
     config_digest,
     load_config,
     save_config,
@@ -14,7 +15,10 @@ from whiskerlab.harness.svg import xy_chart_svg
 from whiskerlab.events import DetectorConfig
 from whiskerlab.features import FeatureConfig
 from whiskerlab.learn.dataset import CollectionPlan
-from whiskerlab.sim import SlideConfig
+from whiskerlab.learn.forest import ForestParams
+from whiskerlab.learn.linear import LinearParams
+from whiskerlab.sim import SlideConfig, WhiskerArraySpec
+from whiskerlab.taxel_grid import TaxelGridConfig
 
 
 def test_config_round_trips_losslessly():
@@ -86,6 +90,20 @@ def test_feature_and_detector_epsilon_must_agree():
                      detector=DetectorConfig(epsilon=1e-3)).validate()
     with pytest.raises(ConfigError, match="epsilon"):
         ExperimentConfig(features=FeatureConfig(epsilon=1e-3)).validate()
+
+
+def test_config_validation_checks_shapes_and_model_params():
+    four = dict(grid=TaxelGridConfig(rows=4, cols=4), array=WhiskerArraySpec(rows=4, cols=4))
+    ExperimentConfig(**four).validate()
+    for bad, match in (
+        (dict(grid=TaxelGridConfig(rows=4, cols=6), array=WhiskerArraySpec(rows=4, cols=6)), "square"),
+        (dict(array=WhiskerArraySpec(rows=4, cols=4)), "grid"),
+        (dict(grid=TaxelGridConfig(rows=4, cols=4)), "grid"),
+        (dict(models=ModelParamsConfig(bagged_trees=ForestParams(n_trees=0))), "n_trees"),
+        (dict(models=ModelParamsConfig(linear_margin=LinearParams(reg=-1.0))), "reg"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**bad).validate()
 
 
 def test_config_validation_propagates():

@@ -224,6 +224,56 @@ def test_model_spec_builds_and_validates():
     assert isinstance(model, BoostedTreesClassifier)
 
 
+BAD_PARAMS = [
+    ("bagged_trees", ForestParams(n_trees=0)),
+    ("bagged_trees", ForestParams(max_bins=1)),
+    ("boosted_trees", BoostParams(rounds=0)),
+    ("boosted_trees", BoostParams(max_depth=0)),
+    ("boosted_trees", BoostParams(learning_rate=0.0)),
+    ("boosted_trees", BoostParams(max_bins=1)),
+    ("linear_margin", LinearParams(epochs=0)),
+    ("linear_margin", LinearParams(reg=-0.5)),
+    ("linear_margin", LinearParams(learning_rate=-0.05)),
+]
+
+
+@pytest.mark.parametrize("kind, params", BAD_PARAMS)
+def test_model_params_are_validated(kind, params):
+    with pytest.raises(ConfigError):
+        params.validate()
+    with pytest.raises(ConfigError):
+        ModelSpec(kind, params=params).build()
+
+
+def test_predict_rejects_input_of_another_width(tmp_path):
+    data = blob_dataset(n_per_class=15, n_classes=3, separation=8.0, seed=12, n_features=20)
+    y = task_labels(data, "specimens10")
+    X = data.features
+    for model in (LinearMarginClassifier(LinearParams(epochs=50)),
+                  BaggedTreesClassifier(ForestParams(n_trees=3)),
+                  BoostedTreesClassifier(BoostParams(rounds=3))):
+        model.fit(X, y)
+        model.task = "specimens10"
+        path = tmp_path / f"{model.kind}.json"
+        save_model(path, model)
+        for m in (model, load_model(path)):
+            with pytest.raises(DataFileError):
+                m.predict(X[:, :m.n_features_ - 1])
+            with pytest.raises(DataFileError):
+                m.predict(X[0])
+            wide = np.hstack([X, X[:, :1]])
+            if m.kind == "linear_margin":
+                with pytest.raises(DataFileError):
+                    m.predict(wide)
+            else:  # trees read only the columns they split on
+                assert np.array_equal(m.predict(wide), m.predict(X))
+    doc = json.loads((tmp_path / "linear_margin.json").read_text())
+    doc["model"]["mean"] = doc["model"]["mean"][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFileError):
+        load_model(path)
+
+
 def test_save_load_round_trip_preserves_predictions(tmp_path, small_dataset):
     labeled, _ = small_dataset
     train_set, test_set = split(labeled, 0.2, seed=2)
