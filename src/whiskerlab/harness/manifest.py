@@ -4,11 +4,13 @@ The manifest lives at <out>/manifest.json.  Stages are keyed by name, so
 re-running a command replaces its entry instead of appending (commands stay
 idempotent).  The manifest's own digest covers the config digest and the
 input/output digests but not timing, so reruns of a deterministic pipeline
-agree on it byte for byte.
+agree on it byte for byte.  It is written to a temporary file beside it
+and then renamed over it, so a crash mid-write leaves the previous manifest.
 """
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +84,13 @@ class RunManifest:
             "stages": {k: self.stages[k] for k in sorted(self.stages)},
             "digest": self.digest(),
         }
-        (self.out_dir / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path = self.out_dir / MANIFEST_NAME
+        tmp = path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def recorded_digest(self, rel_path: str):
         """Digest previously recorded for an output file, if any."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import Classifier, check_params
-from .trees import Tree, columns_read, grow_tree, offset_bins, quantile_bin_edges
+from .trees import PackedTrees, Tree, grow_tree, offset_bins, quantile_bin_edges, running_sum
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class BoostedTreesClassifier(Classifier):
     params_cls = BoostParams
     exact_width = False
     trees_: list[list[Tree]]  # trees_[round][class]
+    router_: PackedTrees  # the trees round-major, class-minor
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreesClassifier":
         yi = self._encode_labels(y)
@@ -51,19 +52,23 @@ class BoostedTreesClassifier(Classifier):
                 scores[:, c] += self.params.learning_rate * fitted[:, 0]
                 round_trees.append(tree)
             self.trees_.append(round_trees)
-        self.n_features_ = columns_read(t for row in self.trees_ for t in row)
+        self._pack()
         return self
 
+    def _pack(self) -> None:
+        self.router_ = PackedTrees.pack([t for row in self.trees_ for t in row], None)
+        self.n_features_ = self.router_.n_features
+
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], len(self.classes_)))
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                scores[:, c] += self.params.learning_rate * tree.predict(X, 1)[:, 0]
-        return scores
+        # (rounds * classes, rows, 1) leaf values -> (rounds, rows, classes) steps.
+        leaves = self.router_.route(X).reshape(len(self.trees_), len(self.classes_), X.shape[0])
+        return running_sum(self.params.learning_rate * leaves.transpose(0, 2, 1))
 
     def _state_dict(self) -> dict:
         return {"trees": [[t.to_dict() for t in row] for row in self.trees_]}
 
     def _load_state(self, obj: dict) -> None:
         self.trees_ = [[Tree.from_dict(t) for t in row] for row in obj["trees"]]
-        self.n_features_ = columns_read(t for row in self.trees_ for t in row)
+        if not self.trees_ or any(len(row) != len(self.classes_) for row in self.trees_):
+            raise ValueError("a boosted-trees model needs rounds of one tree per class")
+        self._pack()

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from .base import Classifier, check_params
-from .trees import Tree, columns_read, grow_tree, offset_bins, quantile_bin_edges
+from .trees import PackedTrees, Tree, grow_tree, offset_bins, quantile_bin_edges, running_sum
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class BaggedTreesClassifier(Classifier):
     params_cls = ForestParams
     exact_width = False
     trees_: list[Tree]
+    router_: PackedTrees
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedTreesClassifier":
         yi = self._encode_labels(y)
@@ -50,18 +51,21 @@ class BaggedTreesClassifier(Classifier):
                 sample_features=partial(rng.choice, d, size=k, replace=False),
             )
             self.trees_.append(tree)
-        self.n_features_ = columns_read(self.trees_)
+        self._pack()
         return self
 
+    def _pack(self) -> None:
+        self.router_ = PackedTrees.pack(self.trees_, len(self.classes_))
+        self.n_features_ = self.router_.n_features
+
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        probs = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.trees_:
-            probs += tree.predict(X, len(self.classes_))
-        return probs / len(self.trees_)
+        return running_sum(self.router_.route(X)) / len(self.trees_)
 
     def _state_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees_]}
 
     def _load_state(self, obj: dict) -> None:
         self.trees_ = [Tree.from_dict(t) for t in obj["trees"]]
-        self.n_features_ = columns_read(self.trees_)
+        if not self.trees_:
+            raise ValueError("a bagged-trees model needs at least one tree")
+        self._pack()

@@ -9,7 +9,11 @@ indicators for the gini forest and the target for the squared-error
 booster.  A node's best split maximises the summed squared statistic over
 child size, and a leaf holds the node's statistic totals over its size
 (class probabilities, or the mean target).  Trees serialize to plain dicts
-(feature/threshold/child arrays) so models round-trip through JSON.
+(feature/threshold/child arrays) so models round-trip through JSON.  For
+prediction an ensemble packs its trees into one :class:`PackedTrees` router
+(padded (trees, nodes) arrays) that moves every row down every tree one
+level per step; :func:`running_sum` then adds the per-tree leaf values in
+tree order, so scores equal a per-tree loop bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -95,22 +99,6 @@ class Tree:
         self.value.append(value)
         return len(self.feature) - 1
 
-    def predict(self, X: np.ndarray, value_dim: int) -> np.ndarray:
-        """Route all rows down the tree at once; samples go left when x < threshold."""
-        out = np.empty((X.shape[0], value_dim), dtype=np.float64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = X[idx, self.feature[node]] < self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature,
@@ -122,7 +110,7 @@ class Tree:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Tree":
-        """Rebuild a tree, raising ValueError unless :meth:`predict` can route it.
+        """Rebuild a tree, raising ValueError unless :class:`PackedTrees` can route it.
 
         The five arrays must be equally long and nonempty; a split (feature
         >= 0) must point to two later nodes, so routing ends, and a leaf
@@ -148,9 +136,74 @@ class Tree:
         return tree
 
 
-def columns_read(trees) -> int:
-    """Input width the trees need: one past the highest split feature."""
-    return 1 + max((f for tree in trees for f in tree.feature), default=-1)
+@dataclass(frozen=True)
+class PackedTrees:
+    """An ensemble's trees stacked into padded (trees, nodes) arrays: one router.
+
+    Child ids index the raveled arrays (tree t's node i is t * nodes + i).
+    Leaves and padding have feature -1 and are their own children, so
+    :meth:`route` moves every (tree, row) pair one level down per step until
+    all of them stand on leaves.
+    """
+
+    feature: np.ndarray  # (trees, nodes) split column, -1 at leaves and padding
+    threshold: np.ndarray  # (trees, nodes) rows go left when x < threshold
+    left: np.ndarray  # (trees, nodes) raveled child ids
+    right: np.ndarray
+    value: np.ndarray  # (trees, nodes, value_dim) leaf values, 0 elsewhere
+
+    @classmethod
+    def pack(cls, trees: list, value_dim: Optional[int]) -> "PackedTrees":
+        """Stack trees whose leaves hold ``value_dim`` numbers, or one number
+        when ``value_dim`` is None; ValueError for a leaf of another shape."""
+        n_nodes = max(len(t.feature) for t in trees)
+        shape = (len(trees), n_nodes)
+        feature = np.full(shape, -1, dtype=np.intp)
+        threshold = np.zeros(shape)
+        own = np.arange(len(trees) * n_nodes).reshape(shape)
+        left, right = own.copy(), own.copy()
+        value = np.zeros((*shape, value_dim or 1))
+        leaf_shape = () if value_dim is None else (value_dim,)
+        for t, tree in enumerate(trees):
+            n = len(tree.feature)
+            feature[t, :n] = tree.feature
+            threshold[t, :n] = tree.threshold
+            split = feature[t, :n] >= 0
+            left[t, :n][split] = np.asarray(tree.left)[split] + t * n_nodes
+            right[t, :n][split] = np.asarray(tree.right)[split] + t * n_nodes
+            leaves = np.flatnonzero(~split)
+            leaf_values = np.array([tree.value[i] for i in leaves], dtype=np.float64)
+            if leaf_values.shape != (leaves.size, *leaf_shape):
+                raise ValueError(f"tree {t}: leaf values must each have shape {leaf_shape}")
+            value[t, leaves] = leaf_values.reshape(leaves.size, -1)
+        return cls(feature, threshold, left, right, value)
+
+    @property
+    def n_features(self) -> int:
+        """Input width the trees need: one past the highest split feature."""
+        return int(self.feature.max()) + 1
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Every tree's leaf value for every row, shape (trees, rows, value_dim)."""
+        n_trees, n_nodes = self.feature.shape
+        feature, threshold = self.feature.ravel(), self.threshold.ravel()
+        left, right = self.left.ravel(), self.right.ravel()
+        rows = X.shape[0]
+        node = np.repeat(np.arange(n_trees) * n_nodes, rows)
+        row = np.tile(np.arange(rows), n_trees)
+        f = feature[node]
+        while (f >= 0).any():  # a leaf's -1 reads the last column, then stays put
+            go_left = X[row, f] < threshold[node]
+            node = np.where(go_left, left[node], right[node])
+            f = feature[node]
+        value_dim = self.value.shape[2]
+        return self.value.reshape(-1, value_dim)[node].reshape(n_trees, rows, value_dim)
+
+
+def running_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms`` summed over axis 0 in order from 0.0, bit for bit as a loop of +=."""
+    start = np.zeros((1, *terms.shape[1:]))
+    return np.add.accumulate(np.concatenate([start, terms]), axis=0)[-1]
 
 
 def grow_tree(

@@ -5,7 +5,9 @@ as a bright green patch inside a fixed 50x50 pixel region of interest.  The
 grid layout is fixed by configuration: the image is divided into rows x cols
 cells and the ROI sits centered in each cell.  Extraction reduces a frame to
 a rows x cols matrix of normalized green intensities; rendering is the
-inverse map used for end-to-end tests.
+inverse map used for end-to-end tests.  Both see the frame's ROIs as one
+strided (rows, roi_side, cols, roi_side) view of the selected channel, so
+each is one array operation per frame.
 """
 
 import re
@@ -113,6 +115,23 @@ class TaxelMatrix:
         return float(self.values.sum())
 
 
+def _roi_view(pixels: np.ndarray, cfg: TaxelGridConfig) -> np.ndarray:
+    """The selected channel's ROIs as a (rows, roi_side, cols, roi_side) view.
+
+    Element [i, r, j, c] is pixel (r, c) of the ROI of grid cell (i, j), i.e.
+    the pixel at ``cfg.roi_origin(i, j)`` + (r, c).  Splitting the frame's
+    row and column axes into (cell, offset) pairs is a view whatever the
+    frame's strides, and a centered ROI never leaves its cell, so the view
+    stays inside the frame even when ``image_side`` is not a multiple of the
+    grid size (the leftover last pixels belong to no cell).
+    """
+    top, left = cfg.roi_origin(0, 0)
+    h, w = cfg.cell_height, cfg.cell_width
+    plane = pixels[: cfg.rows * h, : cfg.cols * w, CHANNELS[cfg.channel]]
+    cells = plane.reshape(cfg.rows, h, cfg.cols, w)
+    return cells[:, top : top + cfg.roi_side, :, left : left + cfg.roi_side]
+
+
 def extract_taxels(
     frame: TactileFrame, cfg: TaxelGridConfig = TaxelGridConfig(), frame_index: int = 0
 ) -> TaxelMatrix:
@@ -128,14 +147,10 @@ def extract_taxels(
             f"frame is {frame.width}x{frame.height}, config expects "
             f"{cfg.image_side}x{cfg.image_side}"
         )
-    ch = CHANNELS[cfg.channel]
-    values = np.empty((cfg.rows, cfg.cols), dtype=np.float64)
-    denom = cfg.roi_side * cfg.roi_side * 255
-    for i in range(cfg.rows):
-        for j in range(cfg.cols):
-            top, left = cfg.roi_origin(i, j)
-            roi = frame.pixels[top : top + cfg.roi_side, left : left + cfg.roi_side, ch]
-            values[i, j] = int(roi.sum(dtype=np.int64)) / denom
+    # Exact integer sums, then one division; summing each ROI's row band first
+    # measured faster than one reduction over both ROI axes.
+    sums = _roi_view(frame.pixels, cfg).sum(axis=1, dtype=np.int64).sum(axis=2)
+    values = sums / (cfg.roi_side * cfg.roi_side * 255)
     return TaxelMatrix(values, frame_index)
 
 
@@ -150,12 +165,8 @@ def render_frame(
     if vals.min() < 0.0 or vals.max() > 1.0:
         raise ConfigError("taxel values must lie in [0, 1]")
     pixels = np.zeros((cfg.image_side, cfg.image_side, 3), dtype=np.uint8)
-    ch = CHANNELS[cfg.channel]
     levels = np.rint(vals * 255).astype(np.uint8)
-    for i in range(cfg.rows):
-        for j in range(cfg.cols):
-            top, left = cfg.roi_origin(i, j)
-            pixels[top : top + cfg.roi_side, left : left + cfg.roi_side, ch] = levels[i, j]
+    _roi_view(pixels, cfg)[...] = levels[:, None, :, None]
     return TactileFrame(pixels)
 
 

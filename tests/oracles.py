@@ -216,3 +216,23 @@ def simulate_slide_oracle(
         values = np.clip(array.gain * glow + noise, 0.0, 1.0)
         frames.append(TaxelMatrix(values, frame_index=t))
     return frames
+
+
+def route_oracle(tree, X: np.ndarray, value_dim: int) -> np.ndarray:
+    """Route all rows down the tree at once; samples go left when x < threshold.
+
+    The former ``Tree.predict``, moved here unchanged but for ``self`` -> ``tree``.
+    """
+    out = np.empty((X.shape[0], value_dim), dtype=np.float64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        go_left = X[idx, tree.feature[node]] < tree.threshold[node]
+        stack.append((tree.left[node], idx[go_left]))
+        stack.append((tree.right[node], idx[~go_left]))
+    return out

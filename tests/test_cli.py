@@ -239,6 +239,17 @@ def test_missing_model_file_is_data_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataFileError" and "children" in err["message"]
 
+    # A forest leaf with three values for two classes.
+    model["trees"] = [{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                       "value": [[0.2, 0.3, 0.5]]}]
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+                                      "task": "patterns4", "model": model}))
+    rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
+               "--model", str(model_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFileError" and "leaf" in err["message"]
+
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("WHISKERLAB_OUT", str(tmp_path / "envout"))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,30 @@ def test_manifest_resets_on_config_change(tmp_path):
     m1.record_stage("s", {}, [artifact], elapsed_s=0.1)
     m2 = RunManifest.load_or_create(out, "cfg-b")
     assert m2.stages == {}
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    artifact = out / "a.txt"
+    artifact.write_text("payload")
+    manifest = RunManifest.load_or_create(out, "cfg123")
+    manifest.record_stage("stage-a", {}, [artifact], elapsed_s=0.5)
+    before = (out / "manifest.json").read_bytes()
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        manifest.record_stage("stage-b", {}, [artifact], elapsed_s=0.1)
+    monkeypatch.undo()
+    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["a.txt", "manifest.json"]
+    again = RunManifest.load_or_create(out, "cfg123")
+    assert list(again.stages) == ["stage-a"]
 
 
 def test_svg_chart_is_deterministic_and_wellformed():

@@ -292,7 +292,8 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, small_dataset):
 
 
 def test_load_model_rejects_garbage(tmp_path):
-    # Valid headers whose model part cannot be rebuilt: no trees, an unknown param.
+    # Valid headers whose model part cannot be rebuilt: no trees, an unknown param,
+    # a broken tree, leaves of the wrong shape, a short boosting round.
     header = {"format": "whiskerlab-model", "format_version": 1, "task": "patterns4"}
     no_trees = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256},
                 "seed": 0, "classes": ["flat", "sinc"]}
@@ -301,8 +302,20 @@ def test_load_model_rejects_garbage(tmp_path):
     dangling_child = {**no_trees, "trees": [{
         "feature": [0, -1], "threshold": [0.5, 0.0], "left": [5], "right": [1, -1],
         "value": [None, [1.0, 0.0]]}]}
+
+    def leaf_tree(value):
+        return {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [value]}
+
+    three_probs = {**no_trees, "trees": [leaf_tree([0.2, 0.3, 0.5])]}  # three values, two classes
+    empty_forest = {**no_trees, "trees": []}
+    boosting = {"kind": "boosted_trees",
+                "params": {"rounds": 1, "max_depth": 3, "learning_rate": 0.1, "max_bins": 128},
+                "seed": 0, "classes": ["flat", "sinc"]}
+    listed_boost_leaf = {**boosting, "trees": [[leaf_tree([0.5])] * 2]}  # a leaf must be one number
+    one_tree_round = {**boosting, "trees": [[leaf_tree(0.5)]]}  # two classes need two trees a round
     malformed = [json.dumps({**header, "model": m})
-                 for m in (no_trees, unknown_param, dangling_child)]
+                 for m in (no_trees, unknown_param, dangling_child, three_probs, listed_boost_leaf,
+                           one_tree_round, empty_forest)]
     path = tmp_path / "model.json"
     for text in ["{}", "not json", *malformed]:
         path.write_text(text)

@@ -3,6 +3,7 @@ import pytest
 
 from whiskerlab.errors import ConfigError
 from whiskerlab.taxel_grid import (
+    CHANNELS,
     TactileFrame,
     TaxelGridConfig,
     TaxelMatrix,
@@ -152,3 +153,50 @@ def test_channel_selector_is_configurable():
     red_cfg = TaxelGridConfig(channel="red")
     assert np.all(extract_taxels(TactileFrame(pixels), red_cfg).values == 200 / 255)
     assert np.all(extract_taxels(TactileFrame(pixels), CFG).values == 0.0)
+
+
+GEOMETRIES = [
+    TaxelGridConfig(rows=4, cols=4),
+    TaxelGridConfig(rows=3, cols=7, roi_side=40, image_side=301),  # 301 = 3 * 100 + 1
+    TaxelGridConfig(rows=1, cols=1, roi_side=400),
+    TaxelGridConfig(channel="red"),
+]
+
+
+def non_contiguous(pixels):
+    """The same pixels as a frame whose rows run backwards inside a wider buffer."""
+    side = pixels.shape[0]
+    buffer = np.zeros((2 * side, side, 3), dtype=np.uint8)
+    buffer[::-2] = pixels
+    view = buffer[::-2]
+    assert not view.flags.c_contiguous and np.array_equal(view, pixels)
+    return view
+
+
+@pytest.mark.parametrize("cfg", GEOMETRIES, ids=lambda c: f"{c.rows}x{c.cols}-{c.image_side}-{c.channel}")
+def test_extraction_matches_oracle_on_every_geometry(cfg):
+    cfg.validate()
+    rng = np.random.default_rng(cfg.rows * 10 + cfg.cols)
+    pixels = rng.integers(0, 256, size=(cfg.image_side, cfg.image_side, 3), dtype=np.uint8)
+    expected = roi_mean_oracle(pixels, cfg.rows, cfg.cols, cfg.roi_side, CHANNELS[cfg.channel])
+    for frame in (TactileFrame(pixels), TactileFrame(non_contiguous(pixels))):
+        got = extract_taxels(frame, cfg).values
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cfg", GEOMETRIES, ids=lambda c: f"{c.rows}x{c.cols}-{c.image_side}-{c.channel}")
+def test_round_trip_within_one_count_on_every_geometry(cfg):
+    rng = np.random.default_rng(cfg.roi_side)
+    for _ in range(20):
+        values = rng.uniform(0.0, 1.0, size=(cfg.rows, cfg.cols))
+        frame = render_frame(TaxelMatrix(values), cfg)
+        expected = np.zeros((cfg.image_side, cfg.image_side, 3), dtype=np.uint8)
+        for i in range(cfg.rows):
+            for j in range(cfg.cols):
+                top, left = cfg.roi_origin(i, j)
+                expected[top : top + cfg.roi_side, left : left + cfg.roi_side,
+                         CHANNELS[cfg.channel]] = round(255 * values[i, j])
+        assert np.array_equal(frame.pixels, expected)
+        for f in (frame, TactileFrame(non_contiguous(frame.pixels))):
+            recovered = extract_taxels(f, cfg).values
+            assert np.max(np.abs(recovered - values)) <= 1 / 255
