@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import Classifier, check_params
-from .trees import PackedTrees, Tree, grow_tree, offset_bins, quantile_bin_edges, running_sum
+from .trees import (PackedTrees, Tree, cumulative_counts, grow_tree, offset_bins, quantile_bin_edges,
+                    running_sum)
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,7 @@ class BoostedTreesClassifier(Classifier):
 
         edges = quantile_bin_edges(X, self.params.max_bins)
         offset, max_bins = offset_bins(X, edges)
+        root_counts = cumulative_counts(offset, max_bins)  # every tree's root holds every row
 
         scores = np.zeros_like(onehot)
         self.trees_ = []
@@ -48,7 +50,7 @@ class BoostedTreesClassifier(Classifier):
             for c in range(len(self.classes_)):
                 residual = onehot[:, c] - scores[:, c]
                 tree, fitted = grow_tree(offset, residual, None, edges, max_bins,
-                                         max_depth=self.params.max_depth)
+                                         max_depth=self.params.max_depth, root_counts=root_counts)
                 scores[:, c] += self.params.learning_rate * fitted[:, 0]
                 round_trees.append(tree)
             self.trees_.append(round_trees)

@@ -3,17 +3,42 @@
 Split candidates come from per-feature quantile bins computed once on the
 training matrix (one sort per column, then numpy's linear quantile rule on a
 block of columns at once), then offset per feature so one flat histogram
-covers every feature.  Both ensembles grow their trees with one grower and one split
-search: a histogram scan parametrised by a per-sample statistic, class
-indicators for the gini forest and the target for the squared-error
-booster.  A node's best split maximises the summed squared statistic over
-child size, and a leaf holds the node's statistic totals over its size
-(class probabilities, or the mean target).  Trees serialize to plain dicts
-(feature/threshold/child arrays) so models round-trip through JSON.  For
-prediction an ensemble packs its trees into one :class:`PackedTrees` router
-(padded (trees, nodes) arrays) that moves every row down every tree one
-level per step; :func:`running_sum` then adds the per-tree leaf values in
-tree order, so scores equal a per-tree loop bit for bit.
+covers every feature.  Both ensembles grow their trees with one grower and
+one split search parametrised by a per-sample statistic, class indicators
+for the gini forest and the target for the squared-error booster.  A node's
+best split maximises the summed squared statistic over child size, and a
+leaf holds the node's statistic totals over its size (class probabilities,
+or the mean target).
+
+The search skips work that cannot change its answer, so every tree equals
+the one a full histogram per node gives, bit for bit.  One scorer,
+:func:`_best_split`, takes a node's cumulative row counts and statistic sums
+at its candidate split positions, however they were formed:
+
+* Histogram: one ``bincount`` of the node's (row, candidate) codes, which
+  are ``intp`` so that ``bincount`` does not cast them, then a cumsum over
+  bins.  Each bin's residual sum accumulates in row order.
+* Count reuse (squared error): row counts are exact integers, and the
+  cumsum of a difference is the difference of the cumsums.  So the root's
+  cumulative counts are computed once per fit, and each split counts only
+  its smaller child; the larger child's are the parent's minus those.
+  Children at ``max_depth`` get no counts.
+* Sorted (gini, a node of fewer rows than ``max_bins``): each candidate's
+  rows are sorted by (code, label), and integer class counts are cumulated
+  down them.  At the last row of an occupied bin these equal the
+  histogram's cumulative counts at that bin, so the scores there are the
+  same floats.  An empty bin repeats the previous cumulative counts and so
+  the previous score, and the first maximum in (candidate, bin) order
+  therefore falls on an occupied bin: scoring occupied bins alone picks
+  the same split.  The choice between this and the histogram reads only
+  the node size and ``max_bins``.
+
+Trees serialize to plain dicts (feature/threshold/child arrays) so models
+round-trip through JSON.  For prediction an ensemble packs its trees into one
+:class:`PackedTrees` router (padded (trees, nodes) arrays) that moves every
+row down every tree one level per step; :func:`running_sum` then adds the
+per-tree leaf values in tree order, so scores equal a per-tree loop bit for
+bit.
 """
 
 from dataclasses import dataclass, field
@@ -66,10 +91,13 @@ def offset_bins(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int
     """Bin codes offset per feature, so one flat histogram covers all features.
 
     Value x of feature f falls in bin b when edges[f][b-1] <= x < edges[f][b],
-    and gets code f * max_bins + b.
+    and gets code f * max_bins + b.  The codes are ``intp``, the index type
+    ``np.bincount`` counts in, so no per-node histogram casts them; the
+    grower reuses these integer counts (see the module docstring) and sorts
+    a small gini node's codes directly.
     """
     max_bins = max(len(e) for e in edges) + 1
-    offset = np.empty(X.shape, dtype=np.int32)
+    offset = np.empty(X.shape, dtype=np.intp)
     for f, e in enumerate(edges):
         offset[:, f] = np.searchsorted(e, X[:, f], side="right") + f * max_bins
     return offset, max_bins
@@ -206,6 +234,16 @@ def running_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([start, terms]), axis=0)[-1]
 
 
+def cumulative_counts(codes: np.ndarray, max_bins: int) -> np.ndarray:
+    """Rows at or below each bin of each column of offset ``codes``, shape (columns, max_bins).
+
+    The counts are integers held as float64 (exact below 2**53), so sums and
+    differences of them stay exact and the scorer divides by them uncast.
+    """
+    counts = np.bincount(codes.ravel(), minlength=codes.shape[1] * max_bins)
+    return np.cumsum(counts.reshape(-1, max_bins), axis=1, dtype=np.float64)
+
+
 def grow_tree(
     offset: np.ndarray,
     y: np.ndarray,
@@ -214,6 +252,7 @@ def grow_tree(
     max_bins: int,
     max_depth: Optional[int] = None,
     sample_features: Optional[Callable[[], np.ndarray]] = None,
+    root_counts: Optional[np.ndarray] = None,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree over an offset bin matrix (see :func:`offset_bins`).
 
@@ -224,13 +263,24 @@ def grow_tree(
     where no split gains.  ``sample_features`` draws the candidate features
     of each split; without it every feature is a candidate.
 
+    Squared error carries each node's cumulative row counts of every
+    feature down the tree: the root's are ``root_counts``, which must be
+    ``cumulative_counts(offset, max_bins)`` (computed here when None; a
+    caller growing many trees on one matrix passes it once), and a split
+    counts its smaller child's rows and gives the larger child the parent's
+    counts minus those.
+
     Returns the tree and each row's leaf value, shape (rows, statistics).
     """
     tree = Tree()
     leaf_values = np.empty((offset.shape[0], n_classes or 1))
-    stack = [(np.arange(offset.shape[0]), 0, None, None)]  # (indices, depth, parent, side)
+    reuse_counts = n_classes is None
+    if reuse_counts and root_counts is None:
+        root_counts = cumulative_counts(offset, max_bins)
+    # (indices, depth, parent, side, cumulative counts or None)
+    stack = [(np.arange(offset.shape[0]), 0, None, None, root_counts)]
     while stack:
-        idx, depth, parent, side = stack.pop()
+        idx, depth, parent, side, counts = stack.pop()
         n = idx.size
         if n_classes:
             totals = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
@@ -241,16 +291,23 @@ def grow_tree(
         node = None
         if n >= 2 and splittable and (max_depth is None or depth < max_depth):
             feats = sample_features() if sample_features is not None else None
-            cnt, sums = _histograms(offset, y, idx, feats, n_classes, max_bins)
-            best = _best_split(cnt, sums, n, totals)
+            best = _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts)
             if best is not None:
-                j, b = best
-                f = j if feats is None else int(feats[j])
+                f, b = best
                 node = tree.add_split(f, edges[f][b])
                 go_left = offset[idx, f] <= f * max_bins + b
+                left, right = idx[go_left], idx[~go_left]
+                left_counts = right_counts = None
+                if reuse_counts and (max_depth is None or depth + 1 < max_depth):
+                    if left.size <= right.size:
+                        left_counts = cumulative_counts(offset[left], max_bins)
+                        right_counts = counts - left_counts
+                    else:
+                        right_counts = cumulative_counts(offset[right], max_bins)
+                        left_counts = counts - right_counts
                 # Push right first so left is processed first (cosmetic only).
-                stack.append((idx[~go_left], depth + 1, node, "right"))
-                stack.append((idx[go_left], depth + 1, node, "left"))
+                stack.append((right, depth + 1, node, "right", right_counts))
+                stack.append((left, depth + 1, node, "left", left_counts))
         if node is None:
             value = totals / n
             node = tree.add_leaf(value.tolist() if n_classes else float(value[0]))
@@ -263,48 +320,82 @@ def grow_tree(
     return tree, leaf_values
 
 
-def _histograms(offset, y, idx, feats, n_classes, max_bins):
-    """A node's per-(candidate, bin) counts and per-(statistic, candidate, bin) sums.
+def _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts):
+    """A node's best split as (feature, bin), or None when none gains.
 
     Candidates are all features when ``feats`` is None, else the sampled
-    ``feats``, whose columns are re-offset by their position among them.
+    ``feats``, whose columns are re-offset by their position among them, so
+    candidate j's codes are j * max_bins + bin.  A gini node with fewer rows
+    than bins is scored from its sorted codes, any other node from its
+    histograms; ``counts`` are the node's cumulative counts of every feature
+    under squared error (see :func:`grow_tree`), else None.
     """
+    n = idx.size
     if feats is None:
         k, codes = offset.shape[1], offset[idx]
     else:
         k = feats.size
         codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
-    if n_classes:
-        sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
-                           minlength=n_classes * k * max_bins)
-        sums = sums.reshape(n_classes, k, max_bins)
-        return sums.sum(axis=0), sums
-    flat = codes.ravel()
-    cnt = np.bincount(flat, minlength=k * max_bins).reshape(k, max_bins)
-    sums = np.bincount(flat, weights=np.repeat(y[idx], k), minlength=k * max_bins)
-    return cnt, sums.reshape(1, k, max_bins)
+    if n_classes and n < max_bins:
+        # Sort each candidate's rows by (code, label), one key, and cumulate
+        # class counts down them.  A split can fall only after the last row
+        # of an occupied bin, where these counts equal the histogram's
+        # cumulative counts at that bin, whatever the order inside the bin.
+        keys = np.sort((codes * n_classes + y[idx, None]).T, axis=1)
+        sorted_codes = keys // n_classes
+        labels = keys - sorted_codes * n_classes
+        s_left = np.cumsum(labels == np.arange(n_classes)[:, None, None], axis=2)[:, :, :-1]
+        valid = sorted_codes[:, :-1] != sorted_codes[:, 1:]
+        best = _best_split(np.arange(1, n), s_left, n, totals, valid)
+        if best is None:
+            return None
+        j, row = best
+        b = int(sorted_codes[j, row]) - j * max_bins
+    else:
+        if n_classes:
+            sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
+                               minlength=n_classes * k * max_bins)
+            s_left = np.cumsum(sums.reshape(n_classes, k, max_bins), axis=2)[:, :, :-1]
+            n_left = s_left.sum(axis=0)
+        else:
+            sums = np.bincount(codes.ravel(), weights=np.repeat(y[idx], k), minlength=k * max_bins)
+            s_left = np.cumsum(sums.reshape(1, k, max_bins), axis=2)[:, :, :-1]
+            n_left = (counts if feats is None else counts[feats])[:, :-1]
+        best = _best_split(n_left, s_left, n, totals)
+        if best is None:
+            return None
+        j, b = best
+    return (j if feats is None else int(feats[j])), b
 
 
-def _best_split(cnt, sums, n, totals):
-    """Best (candidate, bin) split of a node, or None when none gains.
+def _best_split(n_left, s_left, n, totals, valid=None):
+    """Best (candidate, position) split of a node, or None when none gains.
 
-    ``cnt`` is (candidates, bins) and ``sums`` is (statistics, candidates,
-    bins); splitting after bin b sends bins <= b left.  The score
+    ``n_left`` (candidates, positions) counts the rows left of each split
+    position, and ``s_left`` (statistics, candidates, positions) sums the
+    statistics over them; ``valid`` marks the positions that may split, by
+    default those with rows on both sides.  The score
     sum(S_left**2) / n_left + sum(S_right**2) / n_right is maximised, with
-    ties going to the first candidate, then the first bin; the winner must
-    beat the unsplit node's sum(totals**2) / n by more than _MIN_GAIN.
+    ties going to the first candidate, then the first position; the winner
+    must beat the unsplit node's sum(totals**2) / n by more than _MIN_GAIN.
     """
-    n_left = np.cumsum(cnt, axis=1)[:, :-1]
-    s_left = np.cumsum(sums, axis=2)[:, :, :-1]
     n_right = n - n_left
-    s_right = totals[:, None, None] - s_left
-    valid = (n_left > 0) & (n_right > 0)
+    if valid is None:
+        valid = (n_left > 0) & (n_right > 0)
     if not valid.any():
         return None
-    sq_left = np.einsum("skb,skb->kb", s_left, s_left)  # sum over statistics of S**2
-    sq_right = np.einsum("skb,skb->kb", s_right, s_right)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = sq_left / n_left + sq_right / n_right
+        if totals.size == 1:  # one statistic: square and divide in place
+            score = np.square(s_left[0])
+            score /= n_left
+            right = np.subtract(totals[0], s_left[0])
+            np.square(right, out=right)
+        else:  # sum over statistics of S**2
+            score = np.einsum("skb,skb->kb", s_left, s_left) / n_left
+            s_right = totals[:, None, None] - s_left
+            right = np.einsum("skb,skb->kb", s_right, s_right)
+        right /= n_right
+        score += right
     score[~valid] = -np.inf
     j, b = divmod(int(np.argmax(score)), score.shape[1])
     if score[j, b] - float((totals**2).sum()) / n <= _MIN_GAIN:

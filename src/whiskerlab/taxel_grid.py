@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataFileError
 
 CHANNELS = {"red": 0, "green": 1, "blue": 2}
 
@@ -67,12 +67,25 @@ class TaxelGridConfig:
 
 @dataclass
 class TactileFrame:
-    """One RGB camera frame, shape (height, width, 3), dtype uint8."""
+    """One RGB camera frame, shape (height, width, 3), dtype uint8.
+
+    Integer pixels in [0, 255] of another dtype are converted; any other
+    pixels (floats, bools, integers out of range) raise DataFileError
+    rather than wrapping or truncating.  uint8 pixels pass unscanned.
+    """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype != np.uint8:
+            if pixels.dtype.kind not in "iu":
+                raise DataFileError(f"frame pixels must be integers in [0, 255], got dtype {pixels.dtype}")
+            if pixels.size and (pixels.min() < 0 or pixels.max() > 255):
+                raise DataFileError(
+                    f"frame pixels must lie in [0, 255], got [{pixels.min()}, {pixels.max()}]")
+            pixels = pixels.astype(np.uint8)
+        self.pixels = pixels
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ConfigError(f"frame must have shape (h, w, 3), got {self.pixels.shape}")
 

@@ -6,9 +6,11 @@ bug would have to appear twice (and identically) to slip through.
 """
 
 import math
+from typing import Callable, Optional
 
 import numpy as np
 
+from whiskerlab.learn.trees import Tree
 from whiskerlab.sim import (
     SlideConfig,
     TextureSpec,
@@ -236,3 +238,115 @@ def route_oracle(tree, X: np.ndarray, value_dim: int) -> np.ndarray:
         stack.append((tree.left[node], idx[go_left]))
         stack.append((tree.right[node], idx[~go_left]))
     return out
+
+
+# The tree grower before its split search became node-aware, moved here
+# unchanged but for its name: one full histogram per searched node, scored
+# from its own cumsums.  The package's grower must return the same trees.
+_MIN_GAIN = 1e-12
+
+
+def grow_tree_oracle(
+    offset: np.ndarray,
+    y: np.ndarray,
+    n_classes: Optional[int],
+    edges: list[np.ndarray],
+    max_bins: int,
+    max_depth: Optional[int] = None,
+    sample_features: Optional[Callable[[], np.ndarray]] = None,
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree over an offset bin matrix (see :func:`offset_bins`).
+
+    ``y`` holds integer labels below ``n_classes`` (gini: the statistics are
+    class indicators, leaves store class probability lists) or, with
+    ``n_classes=None``, a real target (squared error: leaves store the mean).
+    Growth stops at ``max_depth``, at nodes of one sample or one class, and
+    where no split gains.  ``sample_features`` draws the candidate features
+    of each split; without it every feature is a candidate.
+
+    Returns the tree and each row's leaf value, shape (rows, statistics).
+    """
+    tree = Tree()
+    leaf_values = np.empty((offset.shape[0], n_classes or 1))
+    stack = [(np.arange(offset.shape[0]), 0, None, None)]  # (indices, depth, parent, side)
+    while stack:
+        idx, depth, parent, side = stack.pop()
+        n = idx.size
+        if n_classes:
+            totals = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+            splittable = np.count_nonzero(totals) > 1
+        else:
+            totals = np.array([float(y[idx].sum())])
+            splittable = True
+        node = None
+        if n >= 2 and splittable and (max_depth is None or depth < max_depth):
+            feats = sample_features() if sample_features is not None else None
+            cnt, sums = _histograms(offset, y, idx, feats, n_classes, max_bins)
+            best = _best_split(cnt, sums, n, totals)
+            if best is not None:
+                j, b = best
+                f = j if feats is None else int(feats[j])
+                node = tree.add_split(f, edges[f][b])
+                go_left = offset[idx, f] <= f * max_bins + b
+                # Push right first so left is processed first (cosmetic only).
+                stack.append((idx[~go_left], depth + 1, node, "right"))
+                stack.append((idx[go_left], depth + 1, node, "left"))
+        if node is None:
+            value = totals / n
+            node = tree.add_leaf(value.tolist() if n_classes else float(value[0]))
+            leaf_values[idx] = value
+        if parent is not None:
+            if side == "left":
+                tree.left[parent] = node
+            else:
+                tree.right[parent] = node
+    return tree, leaf_values
+
+
+def _histograms(offset, y, idx, feats, n_classes, max_bins):
+    """A node's per-(candidate, bin) counts and per-(statistic, candidate, bin) sums.
+
+    Candidates are all features when ``feats`` is None, else the sampled
+    ``feats``, whose columns are re-offset by their position among them.
+    """
+    if feats is None:
+        k, codes = offset.shape[1], offset[idx]
+    else:
+        k = feats.size
+        codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
+    if n_classes:
+        sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
+                           minlength=n_classes * k * max_bins)
+        sums = sums.reshape(n_classes, k, max_bins)
+        return sums.sum(axis=0), sums
+    flat = codes.ravel()
+    cnt = np.bincount(flat, minlength=k * max_bins).reshape(k, max_bins)
+    sums = np.bincount(flat, weights=np.repeat(y[idx], k), minlength=k * max_bins)
+    return cnt, sums.reshape(1, k, max_bins)
+
+
+def _best_split(cnt, sums, n, totals):
+    """Best (candidate, bin) split of a node, or None when none gains.
+
+    ``cnt`` is (candidates, bins) and ``sums`` is (statistics, candidates,
+    bins); splitting after bin b sends bins <= b left.  The score
+    sum(S_left**2) / n_left + sum(S_right**2) / n_right is maximised, with
+    ties going to the first candidate, then the first bin; the winner must
+    beat the unsplit node's sum(totals**2) / n by more than _MIN_GAIN.
+    """
+    n_left = np.cumsum(cnt, axis=1)[:, :-1]
+    s_left = np.cumsum(sums, axis=2)[:, :, :-1]
+    n_right = n - n_left
+    s_right = totals[:, None, None] - s_left
+    valid = (n_left > 0) & (n_right > 0)
+    if not valid.any():
+        return None
+    sq_left = np.einsum("skb,skb->kb", s_left, s_left)  # sum over statistics of S**2
+    sq_right = np.einsum("skb,skb->kb", s_right, s_right)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = sq_left / n_left + sq_right / n_right
+    score[~valid] = -np.inf
+    j, b = divmod(int(np.argmax(score)), score.shape[1])
+    if score[j, b] - float((totals**2).sum()) / n <= _MIN_GAIN:
+        return None
+    return j, b

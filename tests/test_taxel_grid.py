@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whiskerlab.errors import ConfigError
+from whiskerlab.errors import ConfigError, DataFileError
 from whiskerlab.taxel_grid import (
     CHANNELS,
     TactileFrame,
@@ -145,6 +145,25 @@ def test_raw_rgb24_round_trip():
     assert np.array_equal(again.pixels, pixels)
     with pytest.raises(ConfigError):
         TactileFrame.from_rgb24(b"\x00" * 10, 16, 16)
+
+
+@pytest.mark.parametrize("pixels", [
+    np.full((4, 4, 3), 0.9),  # floats in [0, 1] would read as black
+    np.full((4, 4, 3), 300),  # would wrap to 44
+    np.full((4, 4, 3), -1),
+    np.ones((4, 4, 3), dtype=bool),
+], ids=["float", "300", "-1", "bool"])
+def test_frame_rejects_pixels_that_are_not_bytes(pixels):
+    with pytest.raises(DataFileError):
+        TactileFrame(pixels)
+
+
+def test_frame_takes_in_range_integers_and_keeps_uint8_as_is():
+    wide = np.arange(48, dtype=np.int64).reshape(4, 4, 3) * 5  # 0 .. 235
+    frame = TactileFrame(wide)
+    assert frame.pixels.dtype == np.uint8 and np.array_equal(frame.pixels, wide)
+    pixels = np.zeros((4, 4, 3), dtype=np.uint8)
+    assert TactileFrame(pixels).pixels is pixels
 
 
 def test_channel_selector_is_configurable():

@@ -1,10 +1,22 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from oracles import quantile_edges_oracle, route_oracle, split_oracle
+from oracles import grow_tree_oracle, quantile_edges_oracle, route_oracle, split_oracle
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
-from whiskerlab.learn.trees import PackedTrees, Tree, _best_split, quantile_bin_edges, running_sum
+from whiskerlab.learn.trees import (
+    PackedTrees,
+    Tree,
+    _best_split,
+    _node_split,
+    cumulative_counts,
+    grow_tree,
+    offset_bins,
+    quantile_bin_edges,
+    running_sum,
+)
 
 
 def node_histograms(bins, stats, n_bins):
@@ -17,6 +29,11 @@ def node_histograms(bins, stats, n_bins):
             cnt[j, bins[i, j]] += 1
             sums[:, j, bins[i, j]] += stats[i]
     return cnt, sums
+
+
+def best_split(cnt, sums, n, totals):
+    """_best_split fed a node's histograms as the grower feeds them: cumulated over bins."""
+    return _best_split(np.cumsum(cnt, axis=1)[:, :-1], np.cumsum(sums, axis=2)[:, :, :-1], n, totals)
 
 
 def random_node(rng, classes):
@@ -47,7 +64,7 @@ def test_best_split_matches_oracle_on_random_nodes(classes):
     for _ in range(300):
         cnt, sums, m, totals = random_node(rng, classes)
         expected = split_oracle(cnt.tolist(), sums.tolist(), m, totals.tolist())
-        assert _best_split(cnt, sums, m, totals) == expected
+        assert best_split(cnt, sums, m, totals) == expected
         found += expected is not None
     assert 0 < found < 300  # both outcomes are exercised
 
@@ -66,17 +83,140 @@ def test_best_split_ties_go_to_first_candidate_then_first_bin(classes):
         stats = (labels > 0).astype(np.float64)[:, None]
         totals = np.array([float(stats.sum())])
     cnt, sums = node_histograms(bins, stats, 5)
-    assert _best_split(cnt, sums, 8, totals) == (1, 1)
+    assert best_split(cnt, sums, 8, totals) == (1, 1)
     assert split_oracle(cnt.tolist(), sums.tolist(), 8, totals.tolist()) == (1, 1)
 
 
 def test_best_split_rejects_nodes_without_gain():
     # One occupied bin leaves no two-sided split; a constant target gains nothing.
     cnt, sums = node_histograms(np.zeros((6, 2), dtype=int), np.ones((6, 1)), 4)
-    assert _best_split(cnt, sums, 6, np.array([6.0])) is None
+    assert best_split(cnt, sums, 6, np.array([6.0])) is None
     cnt, sums = node_histograms(np.arange(12).reshape(6, 2) % 4, np.ones((6, 1)), 4)
-    assert _best_split(cnt, sums, 6, np.array([6.0])) is None
+    assert best_split(cnt, sums, 6, np.array([6.0])) is None
     assert split_oracle(cnt.tolist(), sums.tolist(), 6, [6.0]) is None
+
+
+def small_gini_node(rng, max_bins):
+    """A gini node of 2 .. max_bins rows inside a larger offset code matrix.
+
+    Columns take their bins from a random subset, so occupied bins have
+    empty ones between them; some columns duplicate an earlier one or are
+    constant, and the candidates are every column or a sample of them.
+    """
+    n = int(rng.integers(2, max_bins + 1))
+    d = int(rng.integers(1, 7))
+    rows = n + int(rng.integers(0, 20))
+    occupied = rng.choice(max_bins, size=int(rng.integers(1, max_bins + 1)), replace=False)
+    bins = rng.choice(occupied, size=(rows, d))
+    for j in range(d):
+        if j and rng.random() < 0.4:
+            bins[:, j] = bins[:, int(rng.integers(0, j))]
+        elif rng.random() < 0.15:
+            bins[:, j] = bins[0, j]
+    classes = int(rng.integers(2, 5))
+    y = rng.integers(0, classes, size=rows)
+    if rng.random() < 0.3:  # labels that follow a column: strong splits, pure sides
+        y = bins[:, int(rng.integers(0, d))] * classes // max_bins
+    idx = np.sort(rng.choice(rows, size=n, replace=False))
+    feats = None if rng.random() < 0.3 else rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+    return bins, y, classes, idx, feats
+
+
+@pytest.mark.parametrize("max_bins", [3, 8, 32])
+def test_sorted_small_node_split_matches_oracle_on_its_histogram(max_bins):
+    rng = np.random.default_rng(max_bins)
+    found = 0
+    for _ in range(300):
+        bins, y, classes, idx, feats = small_gini_node(rng, max_bins)
+        offset = bins + np.arange(bins.shape[1]) * max_bins
+        totals = np.bincount(y[idx], minlength=classes).astype(np.float64)
+        got = _node_split(offset, y, idx, feats, classes, max_bins, totals, None)
+        candidates = np.arange(bins.shape[1]) if feats is None else feats
+        cnt, sums = node_histograms(bins[np.ix_(idx, candidates)],
+                                    np.eye(classes, dtype=np.int64)[y[idx]], max_bins)
+        want = split_oracle(cnt.tolist(), sums.tolist(), idx.size, totals.tolist())
+        assert got == (None if want is None else (int(candidates[want[0]]), want[1]))
+        found += want is not None
+    assert 0 < found < 300  # both outcomes are exercised
+
+
+def test_sorted_small_node_ties_go_to_first_candidate_then_first_occupied_bin():
+    # Candidates 1 and 2 are one column whose bins 1 and 2 are empty, so splitting
+    # after bin 0, 1 or 2 scores the same; 6 rows < 8 bins takes the sorted path.
+    informative = np.array([0, 0, 3, 3, 5, 5])
+    bins = np.stack([np.array([4, 1, 6, 1, 4, 6]), informative, informative], axis=1)
+    offset = bins + np.arange(3) * 8
+    y = np.array([0, 0, 1, 1, 1, 2])
+    totals = np.bincount(y).astype(np.float64)
+    assert _node_split(offset, y, np.arange(6), None, 3, 8, totals, None) == (1, 0)
+    cnt, sums = node_histograms(bins, np.eye(3, dtype=np.int64)[y], 8)
+    assert split_oracle(cnt.tolist(), sums.tolist(), 6, totals.tolist()) == (1, 0)
+    # Each occupied bin holds one row of each class, so no split gains.
+    y = np.array([0, 1, 1, 0, 1, 0])
+    assert _node_split(offset, y, np.arange(6), None, 2, 8, np.array([3.0, 3.0]), None) is None
+
+
+def random_problem(rng, max_bins):
+    """Binned features with ties, a duplicated and a constant column, and labels
+    that follow two of them, so trees grow deep and some nodes hold one class."""
+    n = int(rng.integers(2, 600))
+    d = int(rng.integers(2, 9))
+    X = rng.normal(size=(n, d))
+    X[:, 0] = np.round(X[:, 0] * 2)  # few distinct values
+    if d > 3:
+        X[:, 2] = X[:, 1]
+    X[:, -1] = 0.5
+    y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] > 0.7)
+    flip = rng.random(n) < 0.2
+    y[flip] = rng.integers(0, 3, size=int(flip.sum()))
+    edges = quantile_bin_edges(X, max_bins)
+    offset, bins = offset_bins(X, edges)
+    return offset, y, edges, bins
+
+
+@pytest.mark.parametrize("max_bins", [2, 3, 16, 256])
+def test_grower_matches_oracle_on_gini_trees(max_bins):
+    """Bootstrap rows and per-split feature samples, as the forest grows its
+    trees; nodes fall on both sides of the sorted path's n < max_bins."""
+    rng = np.random.default_rng(max_bins)
+    for trial in range(10):
+        offset, y, edges, bins = random_problem(rng, max_bins)
+        n, d = offset.shape
+        boot = rng.integers(0, n, size=n)
+        k, seed = int(rng.integers(1, d + 1)), int(rng.integers(2**32))
+        trees = []
+        for grower in (grow_tree, grow_tree_oracle):
+            sample = partial(np.random.default_rng(seed).choice, d, size=k, replace=False)
+            trees.append(grower(offset[boot], y[boot], 3, edges, bins,
+                                sample_features=None if trial % 4 == 0 else sample))
+        (got, got_leaves), (want, want_leaves) = trees
+        assert got.to_dict() == want.to_dict()
+        assert got_leaves.tobytes() == want_leaves.tobytes()
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+def test_grower_matches_oracle_on_regression_trees(max_depth):
+    """Every feature a candidate, as the booster grows its trees, with the
+    root's counts computed by the grower or passed in; then with sampled
+    candidates."""
+    rng = np.random.default_rng(max_depth)
+    for trial in range(10):
+        offset, labels, edges, bins = random_problem(rng, [2, 3, 16, 128][trial % 4])
+        target = labels - np.round(rng.normal(size=labels.size), int(rng.integers(0, 3)))
+        want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
+        for root_counts in (None, cumulative_counts(offset, bins)):
+            got, got_leaves = grow_tree(offset, target, None, edges, bins, max_depth=max_depth,
+                                        root_counts=root_counts)
+            assert got.to_dict() == want.to_dict()
+            assert got_leaves.tobytes() == want_leaves.tobytes()
+        d = offset.shape[1]
+        k, seed = int(rng.integers(1, d + 1)), int(rng.integers(2**32))
+        (got, got_leaves), (want, want_leaves) = (
+            grower(offset, target, None, edges, bins, max_depth=max_depth,
+                   sample_features=partial(np.random.default_rng(seed).choice, d, size=k, replace=False))
+            for grower in (grow_tree, grow_tree_oracle))
+        assert got.to_dict() == want.to_dict()
+        assert got_leaves.tobytes() == want_leaves.tobytes()
 
 
 def edge_matrices(rng):
