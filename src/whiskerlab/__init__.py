@@ -46,6 +46,14 @@ from .sim import (
     simulate_frames,
     simulate_slide,
 )
-from .taxel_grid import TactileFrame, TaxelGridConfig, TaxelMatrix, extract_taxels, render_frame
+from .taxel_grid import (
+    TactileFrame,
+    TaxelGridConfig,
+    TaxelMatrix,
+    TaxelStream,
+    extract_taxels,
+    render_frame,
+    taxel_array,
+)
 
 __version__ = "0.1.0"

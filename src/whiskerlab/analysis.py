@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, DirectionIndeterminateError
 from .events import TactileSample
-from .taxel_grid import TaxelMatrix
+from .taxel_grid import taxel_array
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,17 @@ class RegressionFit:
         return self.intercept + self.slope * math.log10(speed)
 
 
-def event_duration(
-    stream: Sequence[TaxelMatrix], cfg: DurationConfig = DurationConfig()
-) -> Optional[int]:
+def event_duration(stream, cfg: DurationConfig = DurationConfig()) -> Optional[int]:
     """Frames between the first and last valid frame, or None if none are valid.
 
     A frame is valid iff its total taxel sum is nonzero and exceeds the
-    threshold.  A single valid frame gives duration 0.
+    threshold.  A single valid frame gives duration 0.  The stream is read
+    through ``taxel_array``; each frame's total is the same sum as its
+    ``TaxelMatrix.total``.
     """
     cfg.validate()
-    if len(stream) == 0:
-        raise ConfigError("event_duration needs a nonempty stream")
-    totals = np.array([m.total for m in stream])
+    taxels = taxel_array(stream)
+    totals = taxels.reshape(len(taxels), -1).sum(axis=1)
     valid = np.nonzero((totals > cfg.valid_threshold) & (totals != 0.0))[0]
     if valid.size == 0:
         return None

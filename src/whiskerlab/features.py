@@ -9,17 +9,17 @@ finite.
 
 A feature stream is one (frames, rows + cols) float64 array.
 :func:`features_array` maps a (frames, rows, cols) taxel array to it in
-one vectorised step; :func:`features_stream` does the same for a list of
-per-frame ``TaxelMatrix`` objects (the simulator's and the camera's unit).
+one vectorised step; :func:`features_stream` does the same for a taxel
+stream, read through ``taxel_array``: the simulator's ``TaxelStream`` with
+no copy, or a list of per-frame ``TaxelMatrix`` objects (the camera's unit).
 """
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError
-from .taxel_grid import TaxelMatrix
+from .taxel_grid import taxel_array
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,9 @@ def features_array(taxels: np.ndarray, cfg: FeatureConfig = FeatureConfig()) -> 
     return np.log(np.maximum(sums, cfg.epsilon))
 
 
-def features_stream(
-    frames: Iterable[TaxelMatrix], cfg: FeatureConfig = FeatureConfig()
-) -> np.ndarray:
-    """:func:`features_array` over a nonempty list of taxel matrices, in frame order."""
-    frames = list(frames)
-    if not frames:
-        raise ConfigError("a feature stream needs at least one frame")
-    return features_array(np.stack([m.values for m in frames]), cfg)
+def features_stream(stream, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """:func:`features_array` over a nonempty taxel stream, in frame order."""
+    return features_array(taxel_array(stream), cfg)
 
 
 def stream_to_array(stream) -> np.ndarray:

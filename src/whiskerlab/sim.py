@@ -17,9 +17,10 @@ not finite-element:
   which exercises the detector's shifted-mode semantics.
 
 The core, :func:`simulate_taxels`, returns one (frames, rows, cols) array;
-:func:`simulate_slide` wraps it as per-frame ``TaxelMatrix`` objects for
-callers that want them.  Identical seeds give bitwise-identical streams;
-distinct slides are embarrassingly parallel since each owns its generator.
+:func:`simulate_slide` wraps it, uncopied, as a ``TaxelStream`` whose frames
+are ``TaxelMatrix`` views built on access.  Identical seeds give
+bitwise-identical streams; distinct slides are embarrassingly parallel
+since each owns its generator.
 """
 
 import json
@@ -35,8 +36,10 @@ from .taxel_grid import (
     TactileFrame,
     TaxelGridConfig,
     TaxelMatrix,
+    TaxelStream,
     read_ppm,
     render_frame,
+    taxel_array,
     write_ppm,
 )
 
@@ -265,11 +268,12 @@ def simulate_taxels(
 ) -> np.ndarray:
     """Simulate one slide as a (frames, rows, cols) taxel array, dark leads included.
 
-    The glow and fatigue recurrence steps through the active frames; the
-    dark lead-in and the decaying lead-out are filled in whole.  The noise
-    is one uniform draw for the whole stream (bitwise the same numbers as
-    one draw per frame), and gain, noise and clip apply to all frames at
-    once.
+    Wear (accumulated emission) is one cumulative sum and the fatigue-scaled
+    drive one exponential over the active frames, so only the glow
+    recurrence steps frame by frame; the dark lead-in and the decaying
+    lead-out are filled in whole.  The noise is one uniform draw for the
+    whole stream (bitwise the same numbers as one draw per frame), and gain,
+    noise and clip apply to all frames at once.
     """
     texture.validate()
     slide.validate()
@@ -293,13 +297,17 @@ def simulate_taxels(
     emission = positive_rate.reshape(n_active, sub, *offsets.shape).sum(axis=1)
 
     decay = math.exp(-1.0 / array.decay_tau_frames)
+    # worn[a] is the emission accumulated before active frame a; each sum is
+    # the same left-to-right sequence of additions as a running total.
+    worn = np.zeros((n_active + 1,) + offsets.shape)
+    np.cumsum(emission, axis=0, out=worn[1:])
+    drive = emission * np.exp(-array.fatigue * worn[:-1])
     glow_stream = np.zeros((n_total,) + offsets.shape)  # lead-in frames stay dark
     glow = np.zeros(offsets.shape)
-    worn = np.zeros(offsets.shape)  # accumulated emission, drives fatigue
-    for a in range(n_active):
-        glow = glow * decay + emission[a] * np.exp(-array.fatigue * worn)
-        worn = worn + emission[a]
-        glow_stream[slide.lead_in_frames + a] = glow
+    for frame, d in zip(glow_stream[slide.lead_in_frames:], drive):
+        np.multiply(glow, decay, out=frame)
+        frame += d
+        glow = frame
     # Lead-out: each frame is the previous one times decay, in sequence.
     afterglow = glow_stream[slide.lead_in_frames + n_active - 1:]
     afterglow[1:] = decay
@@ -313,10 +321,9 @@ def simulate_slide(
     texture: TextureSpec,
     slide: SlideConfig,
     array: WhiskerArraySpec = WhiskerArraySpec(),
-) -> list[TaxelMatrix]:
-    """:func:`simulate_taxels` as one TaxelMatrix per frame, indexed from 0."""
-    return [TaxelMatrix(values, frame_index=t)
-            for t, values in enumerate(simulate_taxels(texture, slide, array))]
+) -> TaxelStream:
+    """:func:`simulate_taxels` as a TaxelStream, frames indexed from 0."""
+    return TaxelStream(simulate_taxels(texture, slide, array))
 
 
 def simulate_frames(
@@ -331,13 +338,14 @@ def simulate_frames(
 
 def save_taxel_csv(path, stream) -> None:
     """Write a nonempty taxel stream as CSV: frame_index, o11..o{rows}{cols} (row-major)."""
+    taxels = taxel_array(stream)
+    frames, rows, cols = taxels.shape
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        rows, cols = stream[0].values.shape
         header = ["frame_index"] + [f"o{i + 1}{j + 1}" for i in range(rows) for j in range(cols)]
         writer.writerow(header)
-        for m in stream:
-            writer.writerow([m.frame_index] + [repr(v) for v in m.values.ravel().tolist()])
+        for m, values in zip(stream, taxels.reshape(frames, -1).tolist()):
+            writer.writerow([m.frame_index] + [repr(v) for v in values])
 
 
 def load_taxel_csv(path) -> list[TaxelMatrix]:

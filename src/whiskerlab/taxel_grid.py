@@ -11,6 +11,7 @@ each is one array operation per frame.
 """
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,6 +127,54 @@ class TaxelMatrix:
     def total(self) -> float:
         """Sum over all taxels (the per-frame signal the duration analysis uses)."""
         return float(self.values.sum())
+
+
+class TaxelStream(Sequence):
+    """A slide's taxels as one (frames, rows, cols) float64 array.
+
+    ``values[t]`` is frame ``start + t``.  Indexing gives that frame as a
+    ``TaxelMatrix`` view, built only when asked for; a slice with step 1
+    gives a ``TaxelStream`` view of the same array.
+    """
+
+    __slots__ = ("values", "start")
+
+    def __init__(self, values: np.ndarray, start: int = 0):
+        self.values = np.asarray(values, dtype=np.float64)
+        if self.values.ndim != 3:
+            raise ConfigError(f"a taxel stream must be (frames, rows, cols), got shape {self.values.shape}")
+        self.start = start
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, key):
+        frames = range(len(self))[key]  # wraps negative indices; raises IndexError past the end
+        if isinstance(frames, int):
+            return TaxelMatrix(self.values[frames], self.start + frames)
+        if frames.step == 1:
+            return TaxelStream(self.values[key], self.start + frames.start)
+        return [self[t] for t in frames]
+
+    def __iter__(self):
+        for t, values in enumerate(self.values, self.start):
+            yield TaxelMatrix(values, t)
+
+
+def taxel_array(stream) -> np.ndarray:
+    """A nonempty taxel stream as one (frames, rows, cols) float64 array.
+
+    A ``TaxelStream`` gives its array, uncopied; any other iterable of
+    ``TaxelMatrix`` is stacked by one ``np.array`` call.  An empty stream
+    raises ConfigError.
+    """
+    if isinstance(stream, TaxelStream):
+        taxels = stream.values
+    else:
+        taxels = np.array([m.values for m in stream], dtype=np.float64)
+    if len(taxels) == 0:
+        raise ConfigError("a taxel stream needs at least one frame")
+    return taxels
 
 
 def _roi_view(pixels: np.ndarray, cfg: TaxelGridConfig) -> np.ndarray:

@@ -20,7 +20,8 @@ from whiskerlab.errors import (
 from whiskerlab.events import capture_samples
 from whiskerlab.features import features_stream
 from whiskerlab.sim import SlideConfig, TextureSpec, simulate_slide
-from whiskerlab.taxel_grid import TaxelMatrix
+from whiskerlab.sim import WhiskerArraySpec
+from whiskerlab.taxel_grid import TaxelMatrix, TaxelStream
 
 from oracles import duration_oracle
 
@@ -64,8 +65,39 @@ def test_duration_invariant_to_appended_dark_frames():
 
 
 def test_duration_needs_nonempty_stream():
-    with pytest.raises(ConfigError):
-        event_duration([], CFG)
+    for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((3, 5, 5)))[3:]):
+        with pytest.raises(ConfigError):
+            event_duration(empty, CFG)
+
+
+def test_duration_of_array_stream_matches_per_frame_totals():
+    values = np.zeros((12, 5, 5))
+    values[2, 1, 3] = CFG.valid_threshold  # exactly at the threshold: not valid
+    values[4:8] = 0.3 / 25
+    values[9, 4, 0] = CFG.valid_threshold  # at the threshold again, after the event
+    stream = TaxelStream(values)
+    totals = [m.total for m in stream]
+    assert totals[2] == totals[9] == CFG.valid_threshold
+    assert event_duration(stream, CFG) == duration_oracle(totals, CFG.valid_threshold) == 3
+    assert event_duration(TaxelStream(np.zeros((9, 5, 5))), CFG) is None
+    values[9, 4, 0] = np.nextafter(CFG.valid_threshold, 1.0)
+    assert event_duration(stream, CFG) == 5
+
+
+@pytest.mark.parametrize("side", [4, 5])
+def test_duration_of_taxel_stream_matches_matrix_list(side):
+    array = WhiskerArraySpec(rows=side, cols=side)
+    rng = np.random.default_rng(side)
+    for texture in (TextureSpec("flat", 0), TextureSpec("sinc", 2), TextureSpec("sawtooth", 4)):
+        for direction in (0, 90, 180, 270):
+            slide = SlideConfig(float(rng.uniform(60.0, 250.0)), direction, seed=int(rng.integers(2**31)),
+                                noise_amp=float(rng.choice([0.0, 0.0015])))
+            stream = simulate_slide(texture, slide, array)
+            by_hand = [TaxelMatrix(m.values.copy(), m.frame_index) for m in stream]
+            totals = [m.total for m in by_hand]
+            got = event_duration(stream, CFG)
+            assert got == event_duration(by_hand, CFG) == duration_oracle(totals, CFG.valid_threshold)
+            assert event_duration(stream[5:], CFG) == duration_oracle(totals[5:], CFG.valid_threshold)
 
 
 def test_threshold_must_be_positive():

@@ -5,7 +5,7 @@ import pytest
 
 from whiskerlab.errors import ConfigError
 from whiskerlab.features import FeatureConfig, features_array, features_stream, stream_to_array
-from whiskerlab.taxel_grid import TaxelMatrix
+from whiskerlab.taxel_grid import TaxelMatrix, TaxelStream
 
 from oracles import feature_oracle
 
@@ -111,8 +111,9 @@ def test_channel_count_is_ten():
 
 
 def test_stream_empty_and_single():
-    with pytest.raises(ConfigError):
-        features_stream([], CFG)
+    for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((3, 5, 5)))[3:]):
+        with pytest.raises(ConfigError):
+            features_stream(empty, CFG)
     one = TaxelMatrix(np.full((5, 5), 0.2), frame_index=4)
     stream = features_stream([one], CFG)
     assert stream.shape == (1, 10)
@@ -158,3 +159,17 @@ def test_stream_to_array_passes_a_feature_array_through():
     for bad in (np.zeros(10), np.zeros((2, 5, 5))):
         with pytest.raises(ConfigError):
             stream_to_array(bad)
+
+
+@pytest.mark.parametrize("side", [4, 5])
+def test_features_stream_of_taxel_stream_matches_matrix_list_bitwise(side):
+    from whiskerlab.sim import SlideConfig, TextureSpec, WhiskerArraySpec, simulate_slide
+
+    array = WhiskerArraySpec(rows=side, cols=side)
+    for seed, speed in ((1, 90.0), (2, 210.0)):
+        stream = simulate_slide(TextureSpec("triangle", 3), SlideConfig(speed, 90, seed=seed), array)
+        by_hand = [TaxelMatrix(m.values.copy(), m.frame_index) for m in stream]
+        got = features_stream(stream, CFG)
+        assert got.shape == (len(stream), 2 * side)
+        assert got.tobytes() == features_stream(by_hand, CFG).tobytes()
+        assert features_stream(stream[10:50], CFG).tobytes() == got[10:50].tobytes()

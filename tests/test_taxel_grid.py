@@ -7,9 +7,11 @@ from whiskerlab.taxel_grid import (
     TactileFrame,
     TaxelGridConfig,
     TaxelMatrix,
+    TaxelStream,
     extract_taxels,
     read_ppm,
     render_frame,
+    taxel_array,
     write_ppm,
 )
 
@@ -219,3 +221,53 @@ def test_round_trip_within_one_count_on_every_geometry(cfg):
         for f in (frame, TactileFrame(non_contiguous(frame.pixels))):
             recovered = extract_taxels(f, cfg).values
             assert np.max(np.abs(recovered - values)) <= 1 / 255
+
+
+def test_taxel_stream_indexes_frames_as_views():
+    values = np.random.default_rng(8).uniform(size=(7, 4, 5))
+    s = TaxelStream(values)
+    assert len(s) == 7
+    assert taxel_array(s) is s.values
+    for t in (0, 3, 6, -1, -7):
+        m = s[t]
+        assert isinstance(m, TaxelMatrix) and m.frame_index == t % 7
+        assert np.shares_memory(m.values, s.values) and np.array_equal(m.values, values[t])
+    for t in (7, -8):
+        with pytest.raises(IndexError):
+            s[t]
+    frames = list(s)
+    assert [m.frame_index for m in frames] == list(range(7))
+    assert all(np.shares_memory(m.values, s.values) for m in frames)
+    assert all(np.array_equal(m.values, v) for m, v in zip(frames, values))
+
+
+def test_taxel_stream_slices_keep_frame_indices():
+    s = TaxelStream(np.random.default_rng(9).uniform(size=(10, 5, 5)))
+    tail = s[3:8]
+    assert isinstance(tail, TaxelStream) and len(tail) == 5
+    assert np.shares_memory(tail.values, s.values)
+    assert [m.frame_index for m in tail] == [3, 4, 5, 6, 7]
+    assert tail[0].frame_index == 3 and tail[-1].frame_index == 7
+    assert [m.frame_index for m in tail[1:]] == [4, 5, 6, 7]
+    assert [m.frame_index for m in s[-2:]] == [8, 9]
+    strided = s[::3]
+    assert [m.frame_index for m in strided] == [0, 3, 6, 9]
+    assert all(np.array_equal(m.values, s.values[m.frame_index]) for m in strided)
+    assert len(s[20:]) == 0
+
+
+def test_taxel_array_stacks_a_matrix_list_bitwise():
+    values = np.random.default_rng(10).uniform(size=(6, 5, 5))
+    matrices = [TaxelMatrix(v, t) for t, v in enumerate(values)]
+    got = taxel_array(matrices)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.stack([m.values for m in matrices]).tobytes()
+
+
+def test_empty_or_misshapen_taxel_streams_are_config_errors():
+    for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((4, 5, 5)))[4:]):
+        with pytest.raises(ConfigError):
+            taxel_array(empty)
+    for bad in (np.zeros((5, 5)), np.zeros((2, 3, 5, 5))):
+        with pytest.raises(ConfigError):
+            TaxelStream(bad)
