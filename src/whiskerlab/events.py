@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import CalibrationUnderrunError, ConfigError, DataFileError
 from .features import stream_to_array
 
@@ -236,10 +237,18 @@ def sample_to_dict(sample: TactileSample) -> dict:
     }
 
 
+LOG_RANGE = (math.log(5e-324), math.log(np.finfo(np.float64).max))  # logs of positive float64s
+
+
 def sample_from_dict(obj: dict) -> TactileSample:
+    """Rebuild a sample; a missing key, a value of the wrong type or an ``x`` that
+    is not a (frames, channels) array of features raises KeyError, TypeError or ValueError."""
     label = SampleLabel(**obj["label"]) if obj.get("label") else None
+    values = np.array(obj["x"], dtype=np.float64).T
+    if not ((values >= LOG_RANGE[0]) & (values <= LOG_RANGE[1])).all():
+        raise ValueError("x values must be logs of positive float64 sums")
     return TactileSample(
-        values=np.array(obj["x"], dtype=np.float64).T,
+        values=values,
         trigger_frame=int(obj["trigger_frame"]),
         trigger_channel=int(obj["trigger_channel"]),
         label=label,
@@ -249,20 +258,20 @@ def sample_from_dict(obj: dict) -> TactileSample:
 
 
 def save_samples_jsonl(path, samples: Sequence[TactileSample]) -> None:
-    """One JSON object per line per sample."""
-    with open(path, "w") as fh:
+    """One JSON object per line per sample, streamed into one atomic write."""
+    with atomic_open(path) as fh:
         for sample in samples:
             fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
             fh.write("\n")
 
 
 def load_samples_jsonl(path) -> list[TactileSample]:
-    samples = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            samples.append(sample_from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
+    """Samples of a JSONL file; bad UTF-8 (as line 0) or a bad record raises DataFileError."""
+    samples, line_no = [], 0
+    try:
+        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip():
+                samples.append(sample_from_dict(json.loads(line)))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
     return samples

@@ -1,26 +1,31 @@
 """Command-line interface tying the pipeline stages together.
 
 Commands: simulate, dataset, train, eval, report, fit-speed, direction,
-plot, init-config.  Common behavior:
-
-* configuration comes from defaults, then an optional --config JSON file,
-  then flags (flags win); --out falls back to $WHISKERLAB_OUT;
-* every command records a stage in <out>/manifest.json with input/output
-  digests; file inputs are re-verified against recorded digests;
-* exit codes: 0 success, 2 usage/configuration error, 3 data error.
+plot, init-config.  Configuration comes from defaults, then an optional
+--config JSON file, then flags (flags win); --out falls back to
+$WHISKERLAB_OUT.  Every command but init-config is a stage: it returns its
+(stage name, inputs, outputs), and :func:`main` records them with their
+digests and the elapsed time in <out>/manifest.json.  File inputs are
+re-verified against recorded digests; files are written atomically
+(:mod:`whiskerlab.artifacts`).  Exit codes: 0 success, 2 usage or
+configuration error, 3 data error (a missing, corrupt or malformed input
+file); an error prints one JSON ``{"error", "message"}`` line on stderr.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .. import analysis, events, sim
+from ..artifacts import file_digest, read_json, write_csv, write_json, write_text
 from ..errors import ConfigError, DataFileError, WhiskerlabError
 from ..features import features_stream
 from ..learn import dataset as dataset_mod
@@ -43,14 +48,6 @@ from .manifest import RunManifest
 from .svg import xy_chart_svg
 
 
-def _load_experiment(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
-    cfg.validate()
-    return cfg
-
-
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("WHISKERLAB_OUT")
     if not out:
@@ -60,15 +57,7 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _slide_name(pattern: str, depth, speed, direction: int, k: int) -> str:
-    return f"slide_{pattern}{depth:g}_v{speed:g}_dir{direction}_k{k}"
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-
+def cmd_simulate(args, cfg, out, manifest):
     texture = sim.TextureSpec(args.pattern, args.depth)
     texture.validate()
     speeds = args.speeds or [args.speed]
@@ -80,18 +69,10 @@ def cmd_simulate(args) -> int:
         for k in range(args.samples):
             slide_seed = derive_seed(cfg.seed, "simulate", args.pattern, args.depth,
                                      speed, args.direction, k)
-            slide = sim.SlideConfig(
-                speed_mm_s=speed,
-                direction_deg=args.direction,
-                path_mm=cfg.slide.path_mm,
-                fps=cfg.slide.fps,
-                seed=slide_seed,
-                noise_amp=cfg.slide.noise_amp,
-                lead_in_frames=cfg.slide.lead_in_frames,
-                lead_out_frames=cfg.slide.lead_out_frames,
-            )
+            slide = replace(cfg.slide, speed_mm_s=speed, direction_deg=args.direction,
+                            seed=slide_seed)
             stream = sim.simulate_slide(texture, slide, cfg.array)
-            name = _slide_name(args.pattern, args.depth, speed, args.direction, k)
+            name = f"slide_{args.pattern}{args.depth:g}_v{speed:g}_dir{args.direction}_k{k}"
             csv_path = out / f"{name}.csv"
             meta_path = out / f"{name}.json"
             sim.save_taxel_csv(csv_path, stream)
@@ -101,22 +82,14 @@ def cmd_simulate(args) -> int:
                 rendered = [render_frame(m, cfg.grid) for m in stream]
                 outputs.extend(sim.save_frame_dir(out / f"{name}_frames", rendered))
 
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-    manifest.record_stage("simulate", {}, outputs, time.perf_counter() - started)
     print(f"wrote {len(outputs) // 2} slide(s) to {out}")
-    return 0
+    return "simulate", {}, outputs
 
 
-def cmd_dataset(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-
+def cmd_dataset(args, cfg, out, manifest):
     plan = cfg.collection
     if args.slides_per_specimen is not None:
-        plan = dataset_mod.CollectionPlan(**{
-            **plan.__dict__, "slides_per_specimen": args.slides_per_specimen,
-        })
+        plan = replace(plan, slides_per_specimen=args.slides_per_specimen)
 
     labeled, diagnostics = dataset_mod.build_dataset(
         plan=plan,
@@ -132,17 +105,15 @@ def cmd_dataset(args) -> int:
         "n_samples": labeled.n,
         "slides_per_specimen": plan.slides_per_specimen,
         "seed": cfg.seed,
-        "dataset_digest": dataset_mod.dataset_digest(data_path),
+        "dataset_digest": file_digest(data_path),
         "attempts_per_specimen": {str(k): v for k, v in sorted(diagnostics.attempts.items())},
         "retried_slides": len(diagnostics.retried_slides),
     }
     meta_path = out / "dataset_meta.json"
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path, meta)
 
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-    manifest.record_stage("dataset", {}, [data_path, meta_path], time.perf_counter() - started)
     print(f"wrote {labeled.n} samples to {data_path}")
-    return 0
+    return "dataset", {}, [data_path, meta_path]
 
 
 def _load_split(cfg, args, manifest):
@@ -151,85 +122,61 @@ def _load_split(cfg, args, manifest):
     labeled = dataset_mod.load_dataset(data_path)
     split_seed = derive_seed(cfg.seed, "split")
     train_set, test_set = dataset_mod.split(labeled, cfg.collection.test_fraction, split_seed)
-    return labeled, train_set, test_set, {str(data_path): digest}
+    return train_set, test_set, {str(data_path): digest}
 
 
-def cmd_train(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-
-    _, train_set, _, inputs = _load_split(cfg, args, manifest)
+def cmd_train(args, cfg, out, manifest):
+    train_set, _, inputs = _load_split(cfg, args, manifest)
     spec = ModelSpec(kind=args.model, train_seed=derive_seed(cfg.seed, "train", args.model, args.task),
                      params=getattr(cfg.models, args.model))
     model = train_model(spec, train_set, args.task)
     model_path = out / f"model_{args.task}_{args.model}.json"
     save_model(model_path, model)
 
-    manifest.record_stage(f"train:{args.task}:{args.model}", inputs, [model_path],
-                          time.perf_counter() - started)
     print(f"trained {args.model} on {args.task} ({train_set.n} samples) -> {model_path}")
-    return 0
+    return f"train:{args.task}:{args.model}", inputs, [model_path]
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-
+def cmd_eval(args, cfg, out, manifest):
     model_path = Path(args.model)
     model_digest = manifest.verify_input(model_path)
     model = load_model(model_path)
-    task = model.task
-    if task not in TASKS:
-        raise DataFileError(f"{model_path}: model carries no valid task tag")
 
-    _, _, test_set, inputs = _load_split(cfg, args, manifest)
+    _, test_set, inputs = _load_split(cfg, args, manifest)
     inputs[str(model_path)] = model_digest
-    report = evaluate_model(model, test_set, task)
+    report = evaluate_model(model, test_set, model.task)
 
-    report_path = out / f"eval_{task}_{model.kind}.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    csv_path = out / f"eval_{task}_{model.kind}.csv"
+    report_path = out / f"eval_{model.task}_{model.kind}.json"
+    write_json(report_path, report.to_dict())
+    csv_path = out / f"eval_{model.task}_{model.kind}.csv"
     save_report_csv(csv_path, [report])
 
-    manifest.record_stage(f"eval:{task}:{model.kind}", inputs, [report_path, csv_path],
-                          time.perf_counter() - started)
-    print(f"{task} / {model.kind}: accuracy {report.accuracy:.3f} on {report.n_test} samples")
-    return 0
+    print(f"{model.task} / {model.kind}: accuracy {report.accuracy:.3f} on {report.n_test} samples")
+    return f"eval:{model.task}:{model.kind}", inputs, [report_path, csv_path]
 
 
-def cmd_report(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-
+def cmd_report(args, cfg, out, manifest):
     reports, inputs = [], {}
     for path in sorted(out.glob("eval_*.json")):
         inputs[str(path.relative_to(out))] = manifest.verify_input(path)
-        reports.append(EvalReport.from_dict(json.loads(path.read_text())))
+        try:
+            reports.append(EvalReport.from_dict(read_json(path)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFileError(f"{path}: malformed eval report ({exc!r})") from exc
     if not reports:
         raise DataFileError(f"no eval_*.json files in {out}")
 
     csv_path = out / "report.csv"
     save_report_csv(csv_path, reports)
     md_path = out / "report.md"
-    md_path.write_text(render_report_markdown(reports))
+    markdown = render_report_markdown(reports)
+    write_text(md_path, markdown)
 
-    manifest.record_stage("report", inputs, [csv_path, md_path], time.perf_counter() - started)
-    print(md_path.read_text(), end="")
-    return 0
+    print(markdown, end="")
+    return "report", inputs, [csv_path, md_path]
 
 
-def cmd_fit_speed(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-
+def cmd_fit_speed(args, cfg, out, manifest):
     sweep_dir = Path(args.sweep_dir)
     slide_csvs = sorted(sweep_dir.glob("slide_*.csv"))
     if not slide_csvs:
@@ -237,11 +184,8 @@ def cmd_fit_speed(args) -> int:
 
     inputs, rows = {}, []
     for csv_path in slide_csvs:
-        meta_path = csv_path.with_suffix(".json")
         inputs[csv_path.name] = manifest.verify_input(csv_path)
-        if not meta_path.exists():
-            raise DataFileError(f"{csv_path}: sidecar {meta_path.name} missing")
-        _, slide, _ = sim.load_slide_manifest(meta_path)
+        _, slide, _ = sim.load_slide_manifest(csv_path.with_suffix(".json"))
         stream = sim.load_taxel_csv(csv_path)
         duration = analysis.event_duration(stream, cfg.duration)
         rows.append((csv_path.name, slide.speed_mm_s, duration))
@@ -250,35 +194,21 @@ def cmd_fit_speed(args) -> int:
     fit = analysis.fit_log_regression(usable)
 
     durations_path = out / "durations.csv"
-    with open(durations_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slide", "speed_mm_s", "duration_frames"])
-        for name, speed, duration in rows:
-            writer.writerow([name, repr(speed), "" if duration is None else duration])
-
-    fit_doc = {"intercept": fit.intercept, "slope": fit.slope, "r2": fit.r2, "n": fit.n}
+    write_csv(durations_path, ["slide", "speed_mm_s", "duration_frames"],
+              ([name, repr(speed), "" if duration is None else duration]
+               for name, speed, duration in rows))
     fit_json = out / "speed_fit.json"
-    fit_json.write_text(json.dumps(fit_doc, indent=2, sort_keys=True) + "\n")
+    write_json(fit_json, {"intercept": fit.intercept, "slope": fit.slope, "r2": fit.r2, "n": fit.n})
     fit_csv = out / "speed_fit.csv"
-    with open(fit_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["intercept", "slope_per_decade", "r2", "n"])
-        writer.writerow([repr(fit.intercept), repr(fit.slope),
-                         "" if fit.r2 is None else repr(fit.r2), fit.n])
+    write_csv(fit_csv, ["intercept", "slope_per_decade", "r2", "n"],
+              [[repr(fit.intercept), repr(fit.slope), "" if fit.r2 is None else repr(fit.r2), fit.n]])
 
-    manifest.record_stage("fit-speed", inputs, [durations_path, fit_json, fit_csv],
-                          time.perf_counter() - started)
     print(f"duration = {fit.intercept:.2f} {fit.slope:+.2f} * log10(speed); "
           f"r2 = {fit.r2 if fit.r2 is None else round(fit.r2, 4)} over {fit.n} slides")
-    return 0
+    return "fit-speed", inputs, [durations_path, fit_json, fit_csv]
 
 
-def cmd_direction(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
-
+def cmd_direction(args, cfg, out, manifest):
     path = Path(args.input)
     digest = manifest.verify_input(path)
     if path.suffix == ".jsonl":
@@ -296,58 +226,64 @@ def cmd_direction(args) -> int:
     doc = {"input": path.name, "index": args.index if path.suffix == ".jsonl" else None,
            "direction_deg": direction}
     out_path = out / "direction.json"
-    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out_path, doc)
 
-    manifest.record_stage("direction", {path.name: digest}, [out_path],
-                          time.perf_counter() - started)
     print(f"direction: {direction} deg")
-    return 0
+    return "direction", {path.name: digest}, [out_path]
 
 
-def cmd_plot(args) -> int:
-    cfg = _load_experiment(args)
-    out = _out_dir(args)
-    started = time.perf_counter()
-    manifest = RunManifest.load_or_create(out, config_digest(cfg))
+def _read_speed_fit(durations_path, fit_path):
+    """A durations CSV's (speed, duration) points and the fit's (intercept, slope);
+    a missing column, a non-finite value or a speed <= 0 raises DataFileError."""
+    try:
+        with open(durations_path, newline="", encoding="utf-8") as fh:
+            points = [(float(row["speed_mm_s"]), float(row["duration_frames"]))
+                      for row in csv.DictReader(fh) if row["duration_frames"]]
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise DataFileError(f"{durations_path}: bad durations CSV ({exc!r})") from exc
+    if not points:
+        raise DataFileError(f"{durations_path}: no usable duration rows")
+    if not all(x > 0 and math.isfinite(x) and math.isfinite(y) for x, y in points):
+        raise DataFileError(f"{durations_path}: speeds must be positive and values finite")
+    fit_doc = read_json(fit_path)
+    coef = (fit_doc.get("intercept"), fit_doc.get("slope"))
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+               for c in coef):
+        raise DataFileError(f"{fit_path}: intercept and slope must be finite numbers")
+    return points, coef
 
+
+def cmd_plot(args, cfg, out, manifest):
     if args.kind == "speed-fit":
         if not args.durations or not args.fit:
             raise ConfigError("plot speed-fit needs --durations and --fit")
         durations_path, fit_path = Path(args.durations), Path(args.fit)
         inputs = {durations_path.name: manifest.verify_input(durations_path),
                   fit_path.name: manifest.verify_input(fit_path)}
-        points = []
-        with open(durations_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["duration_frames"]:
-                    points.append((float(row["speed_mm_s"]), float(row["duration_frames"])))
-        if not points:
-            raise DataFileError(f"{durations_path}: no usable duration rows")
-        fit_doc = json.loads(fit_path.read_text())
+        points, (intercept, slope) = _read_speed_fit(durations_path, fit_path)
         xs = sorted(p[0] for p in points)
         curve_x = [xs[0] + (xs[-1] - xs[0]) * i / 100 for i in range(101)]
-        curve_y = [fit_doc["intercept"] + fit_doc["slope"] * np.log10(x) for x in curve_x]
-        svg = xy_chart_svg(
-            [
-                {"x": [p[0] for p in points], "y": [p[1] for p in points],
-                 "mode": "points", "label": "slides"},
-                {"x": curve_x, "y": curve_y, "mode": "line", "label": "log fit"},
-            ],
-            title="Event duration vs sliding speed",
-            xlabel="speed (mm/s)", ylabel="duration (frames)",
-        )
+        try:  # finite inputs can still overflow the curve or the chart's ranges
+            with np.errstate(all="raise"):
+                curve_y = [intercept + slope * np.log10(x) for x in curve_x]
+                svg = xy_chart_svg(
+                    [
+                        {"x": [p[0] for p in points], "y": [p[1] for p in points],
+                         "mode": "points", "label": "slides"},
+                        {"x": curve_x, "y": curve_y, "mode": "line", "label": "log fit"},
+                    ],
+                    title="Event duration vs sliding speed",
+                    xlabel="speed (mm/s)", ylabel="duration (frames)",
+                )
+        except (FloatingPointError, OverflowError, ValueError) as exc:
+            raise DataFileError(f"{durations_path}, {fit_path}: cannot chart ({exc})") from exc
         svg_path = out / "speed_fit.svg"
-        svg_path.write_text(svg)
+        write_text(svg_path, svg)
         twin_path = out / "speed_fit_points.csv"
-        with open(twin_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["series", "x", "y"])
-            for x, y in points:
-                writer.writerow(["scatter", repr(x), repr(y)])
-            for x, y in zip(curve_x, curve_y):
-                writer.writerow(["fit", repr(x), repr(float(y))])
-        outputs = [svg_path, twin_path]
-    elif args.kind == "stream":
+        write_csv(twin_path, ["series", "x", "y"],
+                  [["scatter", repr(x), repr(y)] for x, y in points]
+                  + [["fit", repr(x), repr(float(y))] for x, y in zip(curve_x, curve_y)])
+    else:  # stream
         if not args.input:
             raise ConfigError("plot stream needs --input")
         path = Path(args.input)
@@ -360,20 +296,14 @@ def cmd_plot(args) -> int:
             title=path.stem, xlabel="frame", ylabel="total taxel sum",
         )
         svg_path = out / f"{path.stem}_totals.svg"
-        svg_path.write_text(svg)
+        write_text(svg_path, svg)
         twin_path = out / f"{path.stem}_totals.csv"
-        with open(twin_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame_index", "taxel_sum"])
-            for f, v in zip(frames, totals):
-                writer.writerow([f, repr(v)])
-        outputs = [svg_path, twin_path]
-    else:
-        raise ConfigError(f"unknown plot kind {args.kind!r}")
+        write_csv(twin_path, ["frame_index", "taxel_sum"],
+                  ([f, repr(v)] for f, v in zip(frames, totals)))
 
-    manifest.record_stage(f"plot:{args.kind}", inputs, outputs, time.perf_counter() - started)
+    outputs = [svg_path, twin_path]
     print(f"wrote {', '.join(str(p) for p in outputs)}")
-    return 0
+    return f"plot:{args.kind}", inputs, outputs
 
 
 def cmd_init_config(args) -> int:
@@ -394,13 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="experiment config JSON (defaults used if omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the root seed")
         p.add_argument("--out", default=None, help="output directory (or $WHISKERLAB_OUT)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="simulate slides and write taxel CSV streams")
-    common(p)
+    p = command("simulate", cmd_simulate, "simulate slides and write taxel CSV streams")
     p.add_argument("--pattern", required=True, choices=sim.PATTERNS)
     p.add_argument("--depth", required=True, type=float, help="texture depth in mm")
     p.add_argument("--speed", type=float, default=None, help="slide speed in mm/s")
@@ -410,52 +342,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1, help="slides per speed")
     p.add_argument("--frames", action="store_true",
                    help="also render each frame as a PPM image directory")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("dataset", help="build the labeled capture dataset over all specimens")
-    common(p)
+    p = command("dataset", cmd_dataset, "build the labeled capture dataset over all specimens")
     p.add_argument("--slides-per-specimen", type=int, default=None)
-    p.set_defaults(func=cmd_dataset)
 
-    p = sub.add_parser("train", help="train one model family on one task")
-    common(p)
+    p = command("train", cmd_train, "train one model family on one task")
     p.add_argument("--dataset", required=True, help="dataset.jsonl path")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--task", required=True, choices=TASKS)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model on the held-out split")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a trained model on the held-out split")
     p.add_argument("--dataset", required=True, help="dataset.jsonl path")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="collect eval results into a grid report")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    command("report", cmd_report, "collect eval results into a grid report")
 
-    p = sub.add_parser("fit-speed", help="fit event duration against log10(speed) over a sweep")
-    common(p)
+    p = command("fit-speed", cmd_fit_speed, "fit event duration against log10(speed) over a sweep")
     p.add_argument("--sweep-dir", required=True, help="directory of simulate outputs")
-    p.set_defaults(func=cmd_fit_speed)
 
-    p = sub.add_parser("direction", help="identify the slide direction of a capture or stream")
-    common(p)
+    p = command("direction", cmd_direction, "identify the slide direction of a capture or stream")
     p.add_argument("--input", required=True, help=".jsonl sample file or .csv taxel stream")
     p.add_argument("--index", type=int, default=0, help="sample index within a .jsonl file")
-    p.set_defaults(func=cmd_direction)
 
-    p = sub.add_parser("plot", help="emit SVG charts with CSV twins")
-    common(p)
+    p = command("plot", cmd_plot, "emit SVG charts with CSV twins")
     p.add_argument("--kind", required=True, choices=("speed-fit", "stream"))
     p.add_argument("--durations", help="durations.csv (speed-fit)")
     p.add_argument("--fit", help="speed_fit.json (speed-fit)")
     p.add_argument("--input", help="taxel stream CSV (stream)")
-    p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("init-config", help="write the default experiment config")
-    common(p)
-    p.set_defaults(func=cmd_init_config)
+    command("init-config", cmd_init_config, "write the default experiment config")
 
     return parser
 
@@ -463,7 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_init_config:
+            return cmd_init_config(args)
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        cfg.validate()
+        out = _out_dir(args)
+        started = time.perf_counter()
+        manifest = RunManifest.load_or_create(out, config_digest(cfg))
+        stage, inputs, outputs = args.func(args, cfg, out, manifest)
+        manifest.record_stage(stage, inputs, outputs, time.perf_counter() - started)
+        return 0
     except ConfigError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -8,11 +8,11 @@ experiment run in two places produces the same digests.
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict, field, fields, is_dataclass
-from pathlib import Path
+from dataclasses import dataclass, asdict, fields, is_dataclass
 
 from ..analysis import DirectionConfig, DurationConfig
-from ..errors import ConfigError, DataFileError
+from ..artifacts import read_json, write_json
+from ..errors import ConfigError
 from ..events import DetectorConfig
 from ..features import FeatureConfig
 from ..learn.boosting import BoostParams
@@ -108,27 +108,21 @@ def _from_dict(cls, obj):
             kwargs[f.name] = value
         else:
             raise ConfigError(f"{cls.__name__}.{f.name} must be {f.type.__name__}, got {value!r}")
-    return cls(**kwargs)
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a field without a default (slide.speed_mm_s) is missing
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_json(cfg.to_dict()).encode()).hexdigest()
+    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, cfg.to_dict())
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFileError(f"{path}: cannot read config ({exc})") from exc
-    try:
-        return ExperimentConfig.from_dict(obj)
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"{path}: bad config structure ({exc})") from exc
+    """A file that is not a JSON object raises DataFileError, a bad field ConfigError."""
+    return ExperimentConfig.from_dict(read_json(path))

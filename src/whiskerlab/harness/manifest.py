@@ -4,28 +4,23 @@ The manifest lives at <out>/manifest.json.  Stages are keyed by name, so
 re-running a command replaces its entry instead of appending (commands stay
 idempotent).  The manifest's own digest covers the config digest and the
 input/output digests but not timing, so reruns of a deterministic pipeline
-agree on it byte for byte.  It is written to a temporary file beside it
-and then renamed over it, so a crash mid-write leaves the previous manifest.
+agree on it byte for byte.  It is written atomically
+(:func:`whiskerlab.artifacts.write_json`), so a crash mid-write leaves the
+previous manifest.  A manifest that is not a JSON object, or whose stages
+are not objects mapping ``inputs`` and ``outputs`` to digest strings, is a
+DataFileError.
 """
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..artifacts import file_digest, read_json, write_json
 from ..errors import DataFileError
 
 MANIFEST_NAME = "manifest.json"
 TOOL_VERSION = "0.1.0"
-
-
-def file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass
@@ -40,12 +35,17 @@ class RunManifest:
         path = out_dir / MANIFEST_NAME
         manifest = cls(out_dir=out_dir, config_digest=config_digest)
         if path.exists():
-            try:
-                doc = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise DataFileError(f"{path}: corrupt manifest ({exc})") from exc
+            doc = read_json(path)
+            stages = doc.get("stages", {})
+            if not (isinstance(stages, dict) and all(
+                    isinstance(st, dict) and all(
+                        isinstance(st.get(io), dict)
+                        and all(isinstance(v, str) for v in st[io].values())
+                        for io in ("inputs", "outputs"))
+                    for st in stages.values())):
+                raise DataFileError(f"{path}: corrupt manifest (malformed stages)")
             if doc.get("config_digest") == config_digest:
-                manifest.stages = doc.get("stages", {})
+                manifest.stages = stages
             # A different config in the same directory starts a fresh manifest.
         return manifest
 
@@ -84,20 +84,7 @@ class RunManifest:
             "stages": {k: self.stages[k] for k in sorted(self.stages)},
             "digest": self.digest(),
         }
-        path = self.out_dir / MANIFEST_NAME
-        tmp = path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def recorded_digest(self, rel_path: str):
-        """Digest previously recorded for an output file, if any."""
-        for stage in self.stages.values():
-            if rel_path in stage["outputs"]:
-                return stage["outputs"][rel_path]
-        return None
+        write_json(self.out_dir / MANIFEST_NAME, doc)
 
     def verify_input(self, path) -> str:
         """Check a file exists and still matches any digest recorded for it."""
@@ -105,7 +92,9 @@ class RunManifest:
         if not path.exists():
             raise DataFileError(f"{path}: input file missing")
         digest = file_digest(path)
-        recorded = self.recorded_digest(self._key(path))
+        key = self._key(path)
+        recorded = next((st["outputs"][key] for st in self.stages.values()
+                         if key in st["outputs"]), None)
         if recorded is not None and recorded != digest:
             raise DataFileError(
                 f"{path}: digest mismatch (manifest has {recorded[:12]}..., "

@@ -76,6 +76,10 @@ class Classifier:
     @classmethod
     def from_dict(cls, obj: dict) -> "Classifier":
         model = cls(cls.params_cls(**obj["params"]), obj["seed"])
+        model.params.validate()
         model.classes_ = obj["classes"]
+        if not (isinstance(model.classes_, list)
+                and all(isinstance(c, (int, str)) for c in model.classes_)):
+            raise ValueError(f"classes must be a list of labels, got {model.classes_!r}")
         model._load_state(obj)
         return model

@@ -11,7 +11,7 @@ drawn from configured ranges so repeated slides are not carbon copies.
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from ..events import (
 )
 from ..features import FeatureConfig, features_array
 from ..seeding import derive_rng, derive_seed
-from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels
+from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels, specimen_by_id
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class LabeledDataset:
     def check_label_consistency(self) -> None:
         """Specimen id must determine pattern and depth, per the specimen table."""
         for i in range(self.n):
-            spec = SPECIMENS[int(self.specimen_ids[i]) - 1]
+            spec = specimen_by_id(int(self.specimen_ids[i]))
             if spec.pattern != self.patterns[i] or spec.depth_mm != self.depths[i]:
                 raise ConfigError(
                     f"sample {i}: label ({self.patterns[i]}, {self.depths[i]}) does not "
@@ -165,17 +165,8 @@ def _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
         speed = rng.uniform(*plan.speed_range)
         offset = rng.uniform(0.0, plan.offset_jitter_mm) if plan.offset_jitter_mm else 0.0
         sim_seed = derive_seed(root_seed, "slide-noise", sid, slide_i, attempt)
-        slide = SlideConfig(
-            speed_mm_s=speed,
-            direction_deg=plan.direction_deg,
-            path_mm=base_slide.path_mm,
-            fps=base_slide.fps,
-            seed=sim_seed,
-            noise_amp=base_slide.noise_amp,
-            start_offset_mm=offset,
-            lead_in_frames=base_slide.lead_in_frames,
-            lead_out_frames=base_slide.lead_out_frames,
-        )
+        slide = replace(base_slide, speed_mm_s=speed, direction_deg=plan.direction_deg,
+                        seed=sim_seed, start_offset_mm=offset)
         stream = features_array(simulate_taxels(texture, slide, array), feature_cfg)
         captures = capture_samples(stream, detector_cfg)
         if len(captures) == 1:
@@ -293,19 +284,16 @@ def split(
     return train, test
 
 
-def dataset_digest(path) -> str:
-    """Content hash of a dataset JSONL file."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def save_dataset(path, samples: Sequence[TactileSample]) -> None:
     save_samples_jsonl(path, samples)
 
 
 def load_dataset(path) -> LabeledDataset:
-    """Read a dataset JSONL; an empty, unlabeled or mixed-shape file raises DataFileError."""
+    """Read a dataset JSONL; an empty, unlabeled or mixed-shape file, or a label
+    that is not a specimen of the table, raises DataFileError."""
     try:
-        return LabeledDataset.from_samples(load_samples_jsonl(path))
-    except ConfigError as exc:
+        labeled = LabeledDataset.from_samples(load_samples_jsonl(path))
+        labeled.check_label_consistency()
+    except (ValueError, TypeError, OverflowError) as exc:  # ConfigError is a ValueError
         raise DataFileError(f"{path}: {exc}") from exc
+    return labeled

@@ -1,13 +1,12 @@
 """Training and evaluation across the three classification tasks."""
 
-import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ..artifacts import read_json, write_csv, write_text
 from ..errors import ConfigError, DataFileError
 from .boosting import BoostedTreesClassifier
 from .dataset import LabeledDataset
@@ -93,6 +92,9 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalReport":
+        """Rebuild a report; a bad key, type, task or model kind raises KeyError/TypeError/ValueError."""
+        if obj["task"] not in TASKS or obj["model_kind"] not in MODEL_KINDS:
+            raise ValueError(f"unknown task/model {obj['task']!r}/{obj['model_kind']!r}")
         return cls(
             task=obj["task"],
             model_kind=obj["model_kind"],
@@ -137,18 +139,17 @@ def save_model(path, model) -> None:
         "task": getattr(model, "task", None),
         "model": model.to_dict(),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFileError(f"{path}: cannot read model file ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    doc = read_json(path)
+    if doc.get("format") != MODEL_FORMAT:
         raise DataFileError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataFileError(f"{path}: unsupported model format version")
+    if doc.get("task") not in TASKS:
+        raise DataFileError(f"{path}: model carries no valid task tag")
     try:
         obj = doc["model"]
         kind = obj.get("kind")
@@ -157,7 +158,7 @@ def load_model(path):
         model = _MODEL_CLASSES[kind].from_dict(obj)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFileError(f"{path}: malformed model document ({exc!r})") from exc
-    model.task = doc.get("task")
+    model.task = doc["task"]
     return model
 
 
@@ -179,8 +180,7 @@ def render_report_markdown(reports: list[EvalReport]) -> str:
 
 
 def save_report_csv(path, reports: list[EvalReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "model", "accuracy", "n_test", "unknown_labels"])
-        for r in sorted(reports, key=lambda r: (TASKS.index(r.task), MODEL_KINDS.index(r.model_kind))):
-            writer.writerow([r.task, r.model_kind, repr(r.accuracy), r.n_test, r.unknown_label_count])
+    write_csv(path, ["task", "model", "accuracy", "n_test", "unknown_labels"],
+              ([r.task, r.model_kind, repr(r.accuracy), r.n_test, r.unknown_label_count]
+               for r in sorted(reports, key=lambda r: (TASKS.index(r.task),
+                                                       MODEL_KINDS.index(r.model_kind)))))

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DataFileError
 from .base import Classifier, check_params
 
 
@@ -59,8 +60,12 @@ class LinearMarginClassifier(Classifier):
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        Xs = (X - self.mean_) / self.scale_
-        return Xs @ self.weights_ + self.bias_
+        try:  # finite but huge loaded weights can overflow; fitted ones do not
+            with np.errstate(over="raise", invalid="raise"):
+                Xs = (X - self.mean_) / self.scale_
+                return Xs @ self.weights_ + self.bias_
+        except FloatingPointError as exc:
+            raise DataFileError(f"{self.kind} scores overflow ({exc})") from exc
 
     def _state_dict(self) -> dict:
         return {
@@ -71,11 +76,11 @@ class LinearMarginClassifier(Classifier):
         }
 
     def _load_state(self, obj: dict) -> None:
-        self.weights_ = np.array(obj["weights"])
-        self.bias_ = np.array(obj["bias"])
-        self.mean_ = np.array(obj["mean"])
-        self.scale_ = np.array(obj["scale"])
+        arrays = [np.array(obj[k], dtype=np.float64) for k in ("weights", "bias", "mean", "scale")]
+        self.weights_, self.bias_, self.mean_, self.scale_ = arrays
         self.n_features_ = d = len(self.mean_)
-        shapes = (self.weights_.shape, self.bias_.shape, self.mean_.shape, self.scale_.shape)
+        shapes = tuple(a.shape for a in arrays)
         if shapes != ((d, len(self.classes_)), (len(self.classes_),), (d,), (d,)):
             raise ValueError(f"weights, bias, mean and scale shapes {shapes} do not agree")
+        if not all(np.isfinite(a).all() for a in arrays) or not (self.scale_ > 0).all():
+            raise ValueError("weights, bias, mean and scale must be finite and scale positive")

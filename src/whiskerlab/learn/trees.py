@@ -201,8 +201,8 @@ class PackedTrees:
             right[t, :n][split] = np.asarray(tree.right)[split] + t * n_nodes
             leaves = np.flatnonzero(~split)
             leaf_values = np.array([tree.value[i] for i in leaves], dtype=np.float64)
-            if leaf_values.shape != (leaves.size, *leaf_shape):
-                raise ValueError(f"tree {t}: leaf values must each have shape {leaf_shape}")
+            if leaf_values.shape != (leaves.size, *leaf_shape) or not np.isfinite(leaf_values).all():
+                raise ValueError(f"tree {t}: leaf values must each be finite, of shape {leaf_shape}")
             value[t, leaves] = leaf_values.reshape(leaves.size, -1)
         return cls(feature, threshold, left, right, value)
 

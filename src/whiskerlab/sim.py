@@ -23,7 +23,6 @@ bitwise-identical streams; distinct slides are embarrassingly parallel
 since each owns its generator.
 """
 
-import json
 import csv
 import math
 from dataclasses import dataclass, asdict
@@ -31,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_csv, write_json
 from .errors import ConfigError, DataFileError
 from .taxel_grid import (
     TactileFrame,
@@ -340,33 +340,37 @@ def save_taxel_csv(path, stream) -> None:
     """Write a nonempty taxel stream as CSV: frame_index, o11..o{rows}{cols} (row-major)."""
     taxels = taxel_array(stream)
     frames, rows, cols = taxels.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["frame_index"] + [f"o{i + 1}{j + 1}" for i in range(rows) for j in range(cols)]
-        writer.writerow(header)
-        for m, values in zip(stream, taxels.reshape(frames, -1).tolist()):
-            writer.writerow([m.frame_index] + [repr(v) for v in values])
+    header = ["frame_index"] + [f"o{i + 1}{j + 1}" for i in range(rows) for j in range(cols)]
+    write_csv(path, header, ([m.frame_index] + [repr(v) for v in values]
+                             for m, values in zip(stream, taxels.reshape(frames, -1).tolist())))
 
 
 def load_taxel_csv(path) -> list[TaxelMatrix]:
     """Read a square-grid taxel stream written by :func:`save_taxel_csv`.
 
-    A missing or bad header, a row of the wrong length or a cell that is not
-    a number raises DataFileError.
+    A file that is not UTF-8 text, a missing or bad header, no frames, a row
+    of the wrong length, or a cell that is not a number in [0, 1] (the range
+    of a normalized intensity) raises DataFileError.
     """
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        side = math.isqrt(len(header) - 1) if header else 0
-        if not header or header[0] != "frame_index" or side < 1 or side**2 != len(header) - 1:
-            raise DataFileError(f"{path}: unexpected taxel CSV header {header!r}")
-        stream = []
-        for row in reader:
-            try:  # a row of the wrong length cannot take the (side, side) shape
-                values = np.array([float(v) for v in row[1:]]).reshape(side, side)
-                stream.append(TaxelMatrix(values, int(row[0])))
-            except ValueError as exc:
-                raise DataFileError(f"{path}:{reader.line_num}: bad taxel CSV row ({exc})") from exc
+    with open(Path(path), newline="", encoding="utf-8") as fh:
+        try:
+            header, *rows = list(csv.reader(fh)) or [None]  # an empty file has no header
+        except (ValueError, csv.Error) as exc:
+            raise DataFileError(f"{path}: unreadable taxel CSV ({exc})") from exc
+    side = math.isqrt(len(header) - 1) if header else 0
+    if not header or header[0] != "frame_index" or side < 1 or side**2 != len(header) - 1:
+        raise DataFileError(f"{path}: unexpected taxel CSV header {header!r}")
+    if not rows:
+        raise DataFileError(f"{path}: taxel CSV has no frames")
+    stream = []
+    for line, row in enumerate(rows, start=2):
+        try:  # a row of the wrong length cannot take the (side, side) shape
+            values = np.array([float(v) for v in row[1:]]).reshape(side, side)
+            if not ((values >= 0.0) & (values <= 1.0)).all():
+                raise ValueError("taxel values must lie in [0, 1]")
+            stream.append(TaxelMatrix(values, int(row[0])))
+        except ValueError as exc:
+            raise DataFileError(f"{path}:{line}: bad taxel CSV row ({exc})") from exc
     return stream
 
 
@@ -389,18 +393,21 @@ def load_frame_dir(dir_path) -> list[TactileFrame]:
 def save_slide_manifest(path, texture: TextureSpec, slide: SlideConfig,
                         array: WhiskerArraySpec) -> None:
     """Provenance record for one simulated slide: full config plus seed."""
-    doc = {
+    write_json(path, {
         "texture": asdict(texture),
         "slide": asdict(slide),
         "array": asdict(array),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def load_slide_manifest(path) -> tuple[TextureSpec, SlideConfig, WhiskerArraySpec]:
-    doc = json.loads(Path(path).read_text())
-    return (
-        TextureSpec(**doc["texture"]),
-        SlideConfig(**doc["slide"]),
-        WhiskerArraySpec(**doc["array"]),
-    )
+    """A :func:`save_slide_manifest` record; a missing, unknown or invalid field raises DataFileError."""
+    doc = read_json(path)
+    try:
+        specs = (TextureSpec(**doc["texture"]), SlideConfig(**doc["slide"]),
+                 WhiskerArraySpec(**doc["array"]))
+        for spec in specs:
+            spec.validate()
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DataFileError(f"{path}: bad slide record ({exc!r})") from exc
+    return specs

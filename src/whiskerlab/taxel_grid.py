@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_bytes
 from .errors import ConfigError, DataFileError
 
 CHANNELS = {"red": 0, "green": 1, "blue": 2}
@@ -235,7 +236,7 @@ def render_frame(
 def write_ppm(path, frame: TactileFrame) -> None:
     """Write a frame as a binary PPM (P6) file."""
     header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.to_rgb24())
+    write_bytes(path, header + frame.to_rgb24())
 
 
 def read_ppm(path) -> TactileFrame:

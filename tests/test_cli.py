@@ -1,17 +1,27 @@
+import copy
+import csv
+import io
 import json
+import random
+import shutil
+from functools import reduce
+from operator import getitem
 
 import numpy as np
+import pytest
 
-from whiskerlab.events import DetectorConfig
+from whiskerlab import artifacts, sim
+from whiskerlab.events import DetectorConfig, load_samples_jsonl, save_samples_jsonl
 from whiskerlab.harness.cli import main
 from whiskerlab.harness.config import ExperimentConfig, ModelParamsConfig, save_config
-from whiskerlab.harness.manifest import file_digest
+from whiskerlab.harness.manifest import RunManifest, file_digest
 from whiskerlab.learn.boosting import BoostParams
 from whiskerlab.learn.dataset import CollectionPlan
+from whiskerlab.learn.evaluate import EvalReport, load_model, save_model, save_report_csv
 from whiskerlab.learn.forest import ForestParams
 from whiskerlab.learn.linear import LinearParams
-from whiskerlab.sim import WhiskerArraySpec
-from whiskerlab.taxel_grid import TaxelGridConfig
+from whiskerlab.sim import SlideConfig, WhiskerArraySpec
+from whiskerlab.taxel_grid import TactileFrame, TaxelGridConfig, write_ppm
 
 
 def write_small_config(path, seed=0, slides_per_specimen=2):
@@ -274,7 +284,8 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
 
 
 def test_malformed_taxel_csv_is_data_error(tmp_path, capsys):
-    for text in ("frame_index,a,b\n0,1,2\n", "frame_index,o11\n0,abc\n", "frame_index,o11\n0\n"):
+    for text in ("frame_index,a,b\n0,1,2\n", "frame_index,o11\n0,abc\n", "frame_index,o11\n0\n",
+                 "frame_index,o11\n", "frame_index,o11\n0,-1\n"):
         stream_csv = tmp_path / "slide.csv"
         stream_csv.write_text(text)
         rc = main(["direction", "--input", str(stream_csv), "--out", str(tmp_path)])
@@ -359,3 +370,227 @@ def test_unrunnable_shapes_are_usage_errors(tmp_path, capsys):
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and problem in err["message"]
+
+
+def test_slide_start_offset_reaches_simulate(tmp_path):
+    argv = ["simulate", "--pattern", "sawtooth", "--depth", "3", "--speed", "150", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    cfg_path = tmp_path / "config.json"
+    save_config(cfg_path, ExperimentConfig(slide=SlideConfig(speed_mm_s=150.0, start_offset_mm=3.0)))
+    assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "offset")]) == 0
+    [default] = (tmp_path / "default").glob("slide_*.csv")
+    [offset] = (tmp_path / "offset").glob("slide_*.csv")
+    assert default.read_bytes() != offset.read_bytes()
+    assert json.loads(offset.with_suffix(".json").read_text())["slide"]["start_offset_mm"] == 3.0
+
+
+SWEEP_SPEEDS = ("100", "150", "200")
+MODEL = "model_patterns4_linear_margin.json"
+EVAL = "eval_patterns4_linear_margin.json"
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A run directory of real 4x4 artifacts: the config, a three-speed sweep
+    of taxel CSVs with their sidecars, the dataset, a linear model, its eval
+    report, the durations CSV, the speed fit and the manifest."""
+    run = tmp_path_factory.mktemp("small_run")
+    save_config(run / "config.json", small_shape_config())
+    data = str(run / "dataset.jsonl")
+    for argv in (["simulate", "--pattern", "sawtooth", "--depth", "3", "--speeds", *SWEEP_SPEEDS],
+                 ["dataset"],
+                 ["train", "--dataset", data, "--model", "linear_margin", "--task", "patterns4"],
+                 ["eval", "--dataset", data, "--model", str(run / MODEL)],
+                 ["fit-speed", "--sweep-dir", str(run)]):
+        assert main([*argv, "--config", str(run / "config.json"), "--out", str(run)]) == 0
+    return run
+
+
+def first_slide(run):
+    return sorted(run.glob("slide_*.csv"))[0]
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param(lambda run: {"d.jsonl": "[1, 2]\n"},
+                 lambda run, d: ["direction", "--input", str(d / "d.jsonl")], id="sample-not-object"),
+    pytest.param(lambda run: {EVAL: (run / EVAL).read_text()[:40]},
+                 lambda run, d: ["report"], id="truncated-eval"),
+    pytest.param(lambda run: {"manifest.json": "[]"},
+                 lambda run, d: ["direction", "--input", str(first_slide(run))], id="manifest-list"),
+    pytest.param(lambda run: {"durations.csv": "slide,speed_mm_s\nx.csv,100.0\n"},
+                 lambda run, d: ["plot", "--kind", "speed-fit", "--durations", str(d / "durations.csv"),
+                                 "--fit", str(run / "speed_fit.json")], id="no-duration-column"),
+    pytest.param(lambda run: {"durations.csv": "slide,speed_mm_s,duration_frames\na,100,-1e308\nb,200,1e308\n"},
+                 lambda run, d: ["plot", "--kind", "speed-fit", "--durations", str(d / "durations.csv"),
+                                 "--fit", str(run / "speed_fit.json")], id="durations-overflow-chart"),
+    pytest.param(lambda run: {"slide_a.csv": first_slide(run).read_text(),
+                              "slide_a.json": '{"texture": 1}'},
+                 lambda run, d: ["fit-speed", "--sweep-dir", str(d)], id="sidecar-texture-int"),
+])
+def test_malformed_artifacts_are_data_errors(files, argv, small_run, tmp_path, capsys):
+    for name, text in files(small_run).items():
+        (tmp_path / name).write_text(text)
+    rc = main([*argv(small_run, tmp_path), "--config", str(small_run / "config.json"),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
+
+
+def _cli_eval(target, run):
+    return main(["eval", "--config", str(run / "config.json"), "--dataset", str(run / "dataset.jsonl"),
+                 "--model", str(run / MODEL), "--out", str(target.parent)])
+
+
+WRITERS = {  # case -> (target file name, write(target, run))
+    "write_text": ("a.txt", lambda t, run: artifacts.write_text(t, "new\n")),
+    "write_bytes": ("a.bin", lambda t, run: artifacts.write_bytes(t, b"new\n")),
+    "write_json": ("a.json", lambda t, run: artifacts.write_json(t, {"new": 1})),
+    "write_csv": ("a.csv", lambda t, run: artifacts.write_csv(t, ["new"], [[1]])),
+    "manifest": ("manifest.json", lambda t, run: RunManifest(t.parent, "cfg").save()),
+    "save_config": ("config.json", lambda t, run: save_config(t, ExperimentConfig())),
+    "save_taxel_csv": ("s.csv", lambda t, run: sim.save_taxel_csv(
+        t, sim.load_taxel_csv(first_slide(run)))),
+    "save_slide_manifest": ("s.json", lambda t, run: sim.save_slide_manifest(
+        t, *sim.load_slide_manifest(first_slide(run).with_suffix(".json")))),
+    "write_ppm": ("f.ppm", lambda t, run: write_ppm(t, TactileFrame(np.zeros((2, 2, 3), np.uint8)))),
+    "save_samples_jsonl": ("d.jsonl", lambda t, run: save_samples_jsonl(
+        t, load_samples_jsonl(run / "dataset.jsonl"))),
+    "save_model": ("m.json", lambda t, run: save_model(t, load_model(run / MODEL))),
+    "save_report_csv": ("r.csv", lambda t, run: save_report_csv(
+        t, [EvalReport.from_dict(artifacts.read_json(run / EVAL))])),
+    "cli-eval": (EVAL, _cli_eval),
+}
+
+
+@pytest.mark.parametrize("name, write", WRITERS.values(), ids=list(WRITERS))
+def test_failed_write_keeps_the_previous_file(name, write, small_run, tmp_path, monkeypatch,
+                                              fail_writes_halfway, capsys):
+    target = tmp_path / name
+    target.write_bytes(b"previous\n")
+    fail_writes_halfway()
+    try:  # library writers raise; main exits 3 with the JSON error
+        rc = write(target, small_run)
+    except OSError as exc:
+        rc, message = 3, str(exc)
+    else:
+        message = json.loads(capsys.readouterr().err)["message"]
+    monkeypatch.undo()
+    assert (rc, message) == (3, "disk full")
+    assert target.read_bytes() == b"previous\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+FUZZ_SEED = 20261018
+FUZZ_ROUNDS = 3
+ODD_VALUES = (None, "x", [], {}, -1, 0.5, True, [1, 2], 1e308)
+ODD_CELLS = ("x", "", "nan", "-1", "1e400")
+
+
+def _json_paths(doc, prefix=()):
+    """Key paths into a JSON document; a list is entered through its first item."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = [(0, doc[0])]
+    else:
+        items = []
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _json_variants(doc, rng):
+    """Three copies retyped at a random path, two with a random key dropped, and a list."""
+    paths = list(_json_paths(doc))
+    keys = [p for p in paths if isinstance(p[-1], str)]
+    for chosen, drop in [(rng.choice(paths), False) for _ in range(3)] + \
+                        [(rng.choice(keys), True) for _ in range(2)]:
+        new = copy.deepcopy(doc)
+        *head, last = chosen
+        parent = reduce(getitem, head, new)
+        if drop:
+            del parent[last]
+        else:
+            parent[last] = rng.choice(ODD_VALUES)
+        yield new
+    yield [1, 2]
+
+
+def _csv_bytes(rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _mutants(data: bytes, kind: str, rng):
+    """Seeded corruptions of one artifact: truncated, byte-flipped, then with
+    keys retyped or dropped (JSON, or one line of JSONL) or with columns
+    dropped and cells retyped (CSV)."""
+    yield data[: rng.randrange(len(data))]
+    flipped = bytearray(data)
+    for i in rng.sample(range(len(data)), 3):
+        flipped[i] ^= 1 << rng.randrange(8)
+    yield bytes(flipped)
+    text = data.decode()
+    if kind == "json":
+        for doc in _json_variants(json.loads(text), rng):
+            yield json.dumps(doc).encode()
+    elif kind == "jsonl":
+        lines = text.splitlines()
+        i = rng.randrange(len(lines))
+        for doc in _json_variants(json.loads(lines[i]), rng):
+            yield "\n".join(lines[:i] + [json.dumps(doc)] + lines[i + 1:]).encode() + b"\n"
+    else:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        for _ in range(2):
+            col = rng.randrange(len(rows[0]))
+            yield _csv_bytes([row[:col] + row[col + 1:] for row in rows])
+        for _ in range(3):
+            new = [list(row) for row in rows]
+            row = new[rng.randrange(len(new))]
+            row[rng.randrange(len(row))] = rng.choice(ODD_CELLS)
+            yield _csv_bytes(new)
+
+
+def test_cli_survives_corrupt_artifacts(small_run, tmp_path, capsys):
+    """Every command exits 0, 2 or 3 on corrupt inputs, with the JSON error on stderr."""
+    rng = random.Random(FUZZ_SEED)
+    slide = first_slide(small_run).name
+    readers = {  # artifact -> (format, commands that read it from the case directory)
+        "config.json": ("json", [["direction", "--input", slide]]),
+        slide: ("csv", [["direction", "--input", slide], ["plot", "--kind", "stream", "--input", slide],
+                        ["fit-speed", "--sweep-dir", "."]]),
+        slide[:-4] + ".json": ("json", [["fit-speed", "--sweep-dir", "."]]),
+        "dataset.jsonl": ("jsonl", [["direction", "--input", "dataset.jsonl"],
+                                    ["train", "--dataset", "dataset.jsonl", "--model", "linear_margin",
+                                     "--task", "depths4"],
+                                    ["eval", "--dataset", "dataset.jsonl", "--model", MODEL]]),
+        MODEL: ("json", [["eval", "--dataset", "dataset.jsonl", "--model", MODEL]]),
+        EVAL: ("json", [["report"]]),
+        "durations.csv": ("csv", [["plot", "--kind", "speed-fit", "--durations", "durations.csv",
+                                   "--fit", "speed_fit.json"]]),
+        "speed_fit.json": ("json", [["plot", "--kind", "speed-fit", "--durations", "durations.csv",
+                                     "--fit", "speed_fit.json"]]),
+        "manifest.json": ("json", [["direction", "--input", slide]]),
+    }
+    inputs = [p for p in small_run.iterdir() if p.name != "manifest.json"]
+    outcomes = set()
+    for artifact, (kind, commands) in readers.items():
+        original = (small_run / artifact).read_bytes()
+        mutants = [m for _ in range(FUZZ_ROUNDS) for m in _mutants(original, kind, rng)]
+        for n, data in enumerate(mutants):
+            case = tmp_path / f"{artifact}-{n}"
+            case.mkdir()
+            for path in inputs:
+                shutil.copy(path, case)
+            (case / artifact).write_bytes(data)
+            for argv in commands:  # names of files in the case directory become paths
+                argv = [str(case / a) if (case / a).exists() else a for a in argv]
+                rc = main([*argv, "--config", str(case / "config.json"), "--out", str(case)])
+                err = capsys.readouterr().err
+                assert rc in (0, 2, 3), (artifact, n, argv)
+                if rc:
+                    doc = json.loads(err)
+                    assert set(doc) == {"error", "message"}, (artifact, n, argv, err)
+                outcomes.add(rc)
+    assert outcomes == {0, 2, 3}

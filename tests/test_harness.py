@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -68,6 +67,7 @@ def test_load_config_rejects_bad_files(tmp_path):
     {"collection": {"speed_range": ["a", 180.0]}},
     {"collection": {"speed_range": 150.0}},
     {"features": 1e-6},
+    {"slide": {"seed": 1}},
     [],
 ])
 def test_config_values_must_have_their_field_types(doc):
@@ -156,7 +156,8 @@ def test_manifest_resets_on_config_change(tmp_path):
     assert m2.stages == {}
 
 
-def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch,
+                                                           fail_writes_halfway):
     out = tmp_path / "run"
     out.mkdir()
     artifact = out / "a.txt"
@@ -165,12 +166,7 @@ def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch
     manifest.record_stage("stage-a", {}, [artifact], elapsed_s=0.5)
     before = (out / "manifest.json").read_bytes()
 
-    def write_half_then_fail(self, text, *args, **kwargs):
-        with open(self, "w") as fh:
-            fh.write(text[: len(text) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    fail_writes_halfway()
     with pytest.raises(OSError, match="disk full"):
         manifest.record_stage("stage-b", {}, [artifact], elapsed_s=0.1)
     monkeypatch.undo()
