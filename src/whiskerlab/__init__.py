@@ -9,7 +9,6 @@ end to end.
 
 from . import analysis, events, features, learn, sim, taxel_grid
 from .analysis import (
-    DirectionConfig,
     DurationConfig,
     RegressionFit,
     event_duration,

@@ -5,9 +5,10 @@ Duration counts frames whose total taxel sum clears a validity threshold
 an ordinary least-squares fit of duration against log10(speed); base 10 is
 deliberate - with the natural log the reference coefficients would predict
 negative durations at in-range speeds.  Direction falls out of activation
-order: channel activation times, rank-correlated against channel position
-separately for the row channels (the first half) and the column channels
-(the second half), pick the axis and the sign.
+order under one rule: a channel activates at the first frame where it
+reaches half of its min-to-max rise, and those times, rank-correlated
+against channel position separately for the row channels (the first half)
+and the column channels (the second half), pick the axis and the sign.
 """
 
 import math
@@ -90,73 +91,45 @@ def fit_log_regression(points: Sequence[tuple[float, float]]) -> RegressionFit:
     return RegressionFit(intercept=intercept, slope=slope, r2=r2, n=len(points))
 
 
-@dataclass(frozen=True)
-class DirectionConfig:
-    """method: "argmax" (default) or "first_crossing" activation timing.
-
-    first_crossing marks the first frame a channel reaches crossing_frac of
-    the way from its minimum to its maximum.
-    """
-
-    method: str = "argmax"
-    crossing_frac: float = 0.5
-
-    def validate(self) -> None:
-        if self.method not in ("argmax", "first_crossing"):
-            raise ConfigError(f"unknown activation method {self.method!r}")
-        if not 0 < self.crossing_frac <= 1:
-            raise ConfigError(f"crossing_frac must be in (0, 1], got {self.crossing_frac}")
-
-
-def activation_times(channels: np.ndarray, cfg: DirectionConfig = DirectionConfig()) -> np.ndarray:
-    """Activation frame per channel for a (channels, frames) array."""
-    cfg.validate()
-    if cfg.method == "argmax":
-        return channels.argmax(axis=1).astype(np.float64)
+def activation_times(channels: np.ndarray) -> np.ndarray:
+    """Activation frame per channel of a (channels, frames) array: the first
+    frame at which the channel reaches half of its min-to-max rise."""
     lo = channels.min(axis=1, keepdims=True)
     hi = channels.max(axis=1, keepdims=True)
-    level = lo + cfg.crossing_frac * (hi - lo)
-    return (channels >= level).argmax(axis=1).astype(np.float64)
+    return (channels >= lo + 0.5 * (hi - lo)).argmax(axis=1)
 
 
-def _rank(a: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean of their positions)."""
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a), dtype=np.float64)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _axis_correlations(times: np.ndarray) -> np.ndarray:
+    """Spearman correlation of activation times against channel position,
+    for the row channels (first half) and the column channels (second half).
+
+    Average ranks come from pairwise comparisons within each axis (a tie
+    group shares the mean of its positions); an axis whose ranks are all
+    equal scores 0.
+    """
+    t = times.reshape(2, -1)
+    half = t.shape[1]
+    before = t[:, None, :] < t[:, :, None]
+    ties = t[:, None, :] == t[:, :, None]
+    ranks = before.sum(axis=2) + 0.5 * ties.sum(axis=2) + 0.5
+    ranks -= 0.5 * (half + 1)  # every axis's ranks sum to half * (half + 1) / 2
+    pos = np.arange(half) - 0.5 * (half - 1)
+    spread = np.sqrt((ranks**2).sum(axis=1) * (pos @ pos))
+    return np.divide(ranks @ pos, spread, out=np.zeros(2), where=spread > 0)
 
 
-def _rank_correlation(times: np.ndarray) -> float:
-    """Spearman correlation of activation times against channel position."""
-    idx = np.arange(1.0, len(times) + 1.0)
-    rt = _rank(times)
-    if np.ptp(rt) == 0:
-        return 0.0
-    rt = rt - rt.mean()
-    ri = idx - idx.mean()
-    return float((rt * ri).sum() / math.sqrt((rt**2).sum() * (ri**2).sum()))
-
-
-def identify_direction(
-    source: Union[TactileSample, np.ndarray],
-    cfg: DirectionConfig = DirectionConfig(),
-) -> int:
+def identify_direction(source: Union[TactileSample, np.ndarray]) -> int:
     """Classify the slide direction from channel activation order.
 
     ``source`` is a capture or a transposed feature stream, (channels,
     frames); its first half of channels are rows, the second half columns.
-    Returns one of 0/90/180/270 degrees: columns activating in ascending
-    order mean 0, descending 180; rows descending mean 90, ascending 270.
-    The axis whose activation times correlate more strongly with channel
-    position decides; if neither axis carries any ordering the result is
-    indeterminate and raised as an error.
+    A channel activates at the first frame where it reaches half of its
+    min-to-max rise; that is the one rule.  Returns one of 0/90/180/270
+    degrees: columns activating in ascending order mean 0, descending 180;
+    rows descending mean 90, ascending 270.  The axis whose activation
+    times rank-correlate more strongly with channel position decides; if
+    neither axis carries any ordering the result is indeterminate and
+    raised as an error.
     """
     channels = source.values if isinstance(source, TactileSample) else np.asarray(source)
     if channels.ndim != 2 or channels.shape[0] < 2 or channels.shape[0] % 2:
@@ -164,10 +137,7 @@ def identify_direction(
     if channels.shape[1] < 1:
         raise ConfigError("direction identification needs at least one frame")
 
-    times = activation_times(channels, cfg)
-    half = channels.shape[0] // 2
-    row_corr = _rank_correlation(times[:half])
-    col_corr = _rank_correlation(times[half:])
+    row_corr, col_corr = _axis_correlations(activation_times(channels)).tolist()
     if row_corr == 0.0 and col_corr == 0.0:
         raise DirectionIndeterminateError("no activation ordering on either axis")
     if abs(col_corr) >= abs(row_corr):

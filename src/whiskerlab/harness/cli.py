@@ -15,7 +15,6 @@ file); an error prints one JSON ``{"error", "message"}`` line on stderr.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -222,7 +221,7 @@ def cmd_direction(args, cfg, out, manifest):
     else:
         raise ConfigError(f"{path}: expected a .jsonl sample file or .csv taxel stream")
 
-    direction = analysis.identify_direction(source, cfg.direction)
+    direction = analysis.identify_direction(source)
     doc = {"input": path.name, "index": args.index if path.suffix == ".jsonl" else None,
            "direction_deg": direction}
     out_path = out / "direction.json"
@@ -233,8 +232,9 @@ def cmd_direction(args, cfg, out, manifest):
 
 
 def _read_speed_fit(durations_path, fit_path):
-    """A durations CSV's (speed, duration) points and the fit's (intercept, slope);
-    a missing column, a non-finite value or a speed <= 0 raises DataFileError."""
+    """A durations CSV's (speed, duration) points and the fit's float (intercept,
+    slope); a missing column, a speed <= 0 or a coefficient that is not a
+    number a float holds raises DataFileError."""
     try:
         with open(durations_path, newline="", encoding="utf-8") as fh:
             points = [(float(row["speed_mm_s"]), float(row["duration_frames"]))
@@ -243,14 +243,16 @@ def _read_speed_fit(durations_path, fit_path):
         raise DataFileError(f"{durations_path}: bad durations CSV ({exc!r})") from exc
     if not points:
         raise DataFileError(f"{durations_path}: no usable duration rows")
-    if not all(x > 0 and math.isfinite(x) and math.isfinite(y) for x, y in points):
-        raise DataFileError(f"{durations_path}: speeds must be positive and values finite")
+    if not all(x > 0 for x, _ in points):
+        raise DataFileError(f"{durations_path}: speeds must be positive")
     fit_doc = read_json(fit_path)
     coef = (fit_doc.get("intercept"), fit_doc.get("slope"))
-    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
-               for c in coef):
-        raise DataFileError(f"{fit_path}: intercept and slope must be finite numbers")
-    return points, coef
+    try:
+        if all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coef):
+            return points, tuple(map(float, coef))
+    except OverflowError:  # an int too large for a float
+        pass
+    raise DataFileError(f"{fit_path}: intercept and slope must be numbers")
 
 
 def cmd_plot(args, cfg, out, manifest):
@@ -263,26 +265,19 @@ def cmd_plot(args, cfg, out, manifest):
         points, (intercept, slope) = _read_speed_fit(durations_path, fit_path)
         xs = sorted(p[0] for p in points)
         curve_x = [xs[0] + (xs[-1] - xs[0]) * i / 100 for i in range(101)]
-        try:  # finite inputs can still overflow the curve or the chart's ranges
-            with np.errstate(all="raise"):
-                curve_y = [intercept + slope * np.log10(x) for x in curve_x]
-                svg = xy_chart_svg(
-                    [
-                        {"x": [p[0] for p in points], "y": [p[1] for p in points],
-                         "mode": "points", "label": "slides"},
-                        {"x": curve_x, "y": curve_y, "mode": "line", "label": "log fit"},
-                    ],
-                    title="Event duration vs sliding speed",
-                    xlabel="speed (mm/s)", ylabel="duration (frames)",
-                )
-        except (FloatingPointError, OverflowError, ValueError) as exc:
-            raise DataFileError(f"{durations_path}, {fit_path}: cannot chart ({exc})") from exc
-        svg_path = out / "speed_fit.svg"
-        write_text(svg_path, svg)
-        twin_path = out / "speed_fit_points.csv"
-        write_csv(twin_path, ["series", "x", "y"],
-                  [["scatter", repr(x), repr(y)] for x, y in points]
-                  + [["fit", repr(x), repr(float(y))] for x, y in zip(curve_x, curve_y)])
+        with np.errstate(over="ignore", invalid="ignore"):  # the chart rejects what overflows
+            curve_y = [intercept + slope * np.log10(x) for x in curve_x]
+        series = [
+            {"x": [p[0] for p in points], "y": [p[1] for p in points],
+             "mode": "points", "label": "slides"},
+            {"x": curve_x, "y": curve_y, "mode": "line", "label": "log fit"},
+        ]
+        labels = dict(title="Event duration vs sliding speed",
+                      xlabel="speed (mm/s)", ylabel="duration (frames)")
+        svg_path, twin_path = out / "speed_fit.svg", out / "speed_fit_points.csv"
+        twin = (["series", "x", "y"],
+                [["scatter", repr(x), repr(y)] for x, y in points]
+                + [["fit", repr(x), repr(float(y))] for x, y in zip(curve_x, curve_y)])
     else:  # stream
         if not args.input:
             raise ConfigError("plot stream needs --input")
@@ -291,16 +286,17 @@ def cmd_plot(args, cfg, out, manifest):
         stream = sim.load_taxel_csv(path)
         totals = [m.total for m in stream]
         frames = [m.frame_index for m in stream]
-        svg = xy_chart_svg(
-            [{"x": frames, "y": totals, "mode": "line", "label": "taxel sum"}],
-            title=path.stem, xlabel="frame", ylabel="total taxel sum",
-        )
-        svg_path = out / f"{path.stem}_totals.svg"
-        write_text(svg_path, svg)
-        twin_path = out / f"{path.stem}_totals.csv"
-        write_csv(twin_path, ["frame_index", "taxel_sum"],
-                  ([f, repr(v)] for f, v in zip(frames, totals)))
+        series = [{"x": frames, "y": totals, "mode": "line", "label": "taxel sum"}]
+        labels = dict(title=path.stem, xlabel="frame", ylabel="total taxel sum")
+        svg_path, twin_path = out / f"{path.stem}_totals.svg", out / f"{path.stem}_totals.csv"
+        twin = (["frame_index", "taxel_sum"], [[f, repr(v)] for f, v in zip(frames, totals)])
 
+    try:
+        svg = xy_chart_svg(series, **labels)
+    except ValueError as exc:  # values the chart cannot draw
+        raise DataFileError(f"{', '.join(inputs)}: cannot chart ({exc})") from exc
+    write_text(svg_path, svg)
+    write_csv(twin_path, *twin)
     outputs = [svg_path, twin_path]
     print(f"wrote {', '.join(str(p) for p in outputs)}")
     return f"plot:{args.kind}", inputs, outputs

@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass, asdict, fields, is_dataclass
 
-from ..analysis import DirectionConfig, DurationConfig
+from ..analysis import DurationConfig
 from ..artifacts import read_json, write_json
 from ..errors import ConfigError
 from ..events import DetectorConfig
@@ -38,7 +38,6 @@ class ExperimentConfig:
     array: WhiskerArraySpec = WhiskerArraySpec()
     slide: SlideConfig = SlideConfig(speed_mm_s=150.0)
     duration: DurationConfig = DurationConfig()
-    direction: DirectionConfig = DirectionConfig()
     collection: CollectionPlan = CollectionPlan()
     models: ModelParamsConfig = ModelParamsConfig()
     seed: int = 0
@@ -57,7 +56,6 @@ class ExperimentConfig:
         self.array.validate()
         self.slide.validate()
         self.duration.validate()
-        self.direction.validate()
         self.collection.validate()
         for params in vars(self.models).values():
             params.validate()
@@ -82,23 +80,33 @@ _ACCEPTS = {
 }
 
 
-def _from_dict(cls, obj):
+# Key paths of earlier config versions: a document may still carry them, and
+# they are read and dropped.  Any other key the config lacks is a ConfigError.
+RETIRED_KEYS = frozenset({("direction",), ("duration", "basis")})
+
+
+def _from_dict(cls, obj, path=()):
     """Rebuild nested (frozen) dataclasses from plain dicts/lists.
 
     Each value must have its field's type: an int field takes an int (not a
     bool), a float field an int or a float, a str field a str and
     ``speed_range`` a list of two numbers; anything else is a ConfigError.
-    Keys the dataclass does not have are ignored.
+    So is a key the dataclass does not have, unless ``RETIRED_KEYS`` names it.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
+    names = {f.name for f in fields(cls)}
+    unknown = [k for k in obj if k not in names and path + (k,) not in RETIRED_KEYS]
+    if unknown:
+        where = ".".join(path) or "the config"
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
     kwargs = {}
     for f in fields(cls):
         if f.name not in obj:
             continue
         value = obj[f.name]
         if is_dataclass(f.type):
-            kwargs[f.name] = _from_dict(f.type, value)
+            kwargs[f.name] = _from_dict(f.type, value, path + (f.name,))
         elif f.name == "speed_range":
             if not (isinstance(value, (list, tuple)) and len(value) == 2
                     and all(map(_ACCEPTS[float], value))):

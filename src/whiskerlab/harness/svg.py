@@ -29,6 +29,23 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
+def _padded_range(values, pad_frac: float) -> tuple[float, float, float]:
+    """(lo - pad, hi + pad, pad) for the values' bounds lo and hi, with pad
+    pad_frac of hi - lo (of 1 when all values are equal).  ValueError unless
+    every value is a finite float and the padded span finite and positive."""
+    try:
+        if all(map(math.isfinite, values)):
+            lo, hi = min(values), max(values)
+            if hi == lo:
+                hi = lo + 1.0
+            pad = pad_frac * (hi - lo)
+            if 0 < (hi + pad) - (lo - pad) < math.inf:
+                return lo - pad, hi + pad, pad
+    except OverflowError:
+        pass
+    raise ValueError("chart values must be finite, with a finite nonzero range")
+
+
 def xy_chart_svg(
     series: list[dict],
     title: str = "",
@@ -40,22 +57,15 @@ def xy_chart_svg(
     """Render series to an SVG string.
 
     Each series is a dict with keys x (list), y (list), mode ("points",
-    "line", or "both"), and optional label.
+    "line", or "both"), and optional label.  Values that cannot be charted
+    (see ``_padded_range``) raise ValueError.
     """
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    x_pad = 0.04 * (x_hi - x_lo)
-    y_pad = 0.06 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi, x_pad = _padded_range(xs, 0.04)
+    y_lo, y_hi, y_pad = _padded_range(ys, 0.06)
 
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B

@@ -123,6 +123,58 @@ def duration_oracle(totals, threshold: float):
     return last - first
 
 
+def _activation_times_oracle(channels: np.ndarray) -> np.ndarray:
+    """First frame each channel reaches half of its min-to-max rise."""
+    lo = channels.min(axis=1, keepdims=True)
+    hi = channels.max(axis=1, keepdims=True)
+    level = lo + 0.5 * (hi - lo)
+    return (channels >= level).argmax(axis=1).astype(np.float64)
+
+
+def _rank_oracle(a: np.ndarray) -> np.ndarray:
+    """Average ranks (ties share the mean of their positions)."""
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(len(a), dtype=np.float64)
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _rank_correlation_oracle(times: np.ndarray) -> float:
+    """Spearman correlation of activation times against channel position."""
+    idx = np.arange(1.0, len(times) + 1.0)
+    rt = _rank_oracle(times)
+    if np.ptp(rt) == 0:
+        return 0.0
+    rt = rt - rt.mean()
+    ri = idx - idx.mean()
+    return float((rt * ri).sum() / math.sqrt((rt**2).sum() * (ri**2).sum()))
+
+
+def direction_correlations_oracle(channels: np.ndarray) -> tuple[float, float]:
+    """(row, column) rank correlations of a (channels, frames) array, one
+    sorted tie-group scan per axis."""
+    times = _activation_times_oracle(channels)
+    half = channels.shape[0] // 2
+    return _rank_correlation_oracle(times[:half]), _rank_correlation_oracle(times[half:])
+
+
+def identify_direction_oracle(channels: np.ndarray) -> Optional[int]:
+    """Degrees from the half-max activation order, or None when neither axis
+    carries any ordering (where the package raises)."""
+    row_corr, col_corr = direction_correlations_oracle(channels)
+    if row_corr == 0.0 and col_corr == 0.0:
+        return None
+    if abs(col_corr) >= abs(row_corr):
+        return 0 if col_corr > 0 else 180
+    return 90 if row_corr < 0 else 270
+
+
 def split_oracle(cnt, sums, n, totals, min_gain: float = 1e-12):
     """Loop over every (candidate, bin) split of a node's histograms.
 

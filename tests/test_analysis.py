@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from whiskerlab.analysis import (
-    DirectionConfig,
     DurationConfig,
     RegressionFit,
+    _axis_correlations,
     activation_times,
     event_duration,
     fit_log_regression,
@@ -17,13 +17,14 @@ from whiskerlab.errors import (
     DegenerateFitError,
     DirectionIndeterminateError,
 )
-from whiskerlab.events import capture_samples
-from whiskerlab.features import features_stream
-from whiskerlab.sim import SlideConfig, TextureSpec, simulate_slide
-from whiskerlab.sim import WhiskerArraySpec
+from whiskerlab.events import DetectorConfig, capture_samples
+from whiskerlab.features import features_array, features_stream
+from whiskerlab.seeding import derive_rng, derive_seed
+from whiskerlab.sim import DIRECTIONS_DEG, SPECIMENS, SlideConfig, TextureSpec, simulate_slide
+from whiskerlab.sim import WhiskerArraySpec, simulate_taxels
 from whiskerlab.taxel_grid import TaxelMatrix, TaxelStream
 
-from oracles import duration_oracle
+from oracles import direction_correlations_oracle, duration_oracle, identify_direction_oracle
 
 CFG = DurationConfig()
 
@@ -197,21 +198,74 @@ def test_direction_invariant_to_positive_scaling():
     assert identify_direction(values) == identify_direction(values * 7.5) == 0
 
 
-def test_first_crossing_mode():
+def test_half_max_crossing_rule():
     values = np.zeros((10, 40))
     for k, t in enumerate([5, 10, 15, 20, 25]):
-        values[5 + k, t:] = 1.0  # steps, not bumps: argmax would see ties at the step
-    cfg = DirectionConfig(method="first_crossing")
-    times = activation_times(values, cfg)
+        values[5 + k, t:] = 1.0  # steps, not bumps: a channel's maximum is a plateau
+    times = activation_times(values)
     assert times[5:].tolist() == [5, 10, 15, 20, 25]
-    assert identify_direction(values, cfg) == 0
+    assert identify_direction(values) == 0
 
 
-def test_direction_config_validation():
-    with pytest.raises(ConfigError):
-        DirectionConfig(method="wavelet").validate()
-    with pytest.raises(ConfigError):
-        DirectionConfig(crossing_frac=0.0).validate()
+def _check_against_oracle(channels):
+    want = identify_direction_oracle(channels)
+    if want is None:
+        with pytest.raises(DirectionIndeterminateError):
+            identify_direction(channels)
+    else:
+        assert identify_direction(channels) == want
+    got = _axis_correlations(activation_times(channels))
+    # Integer times give exact ranks and rank sums: the same bits, not just close.
+    assert got.tolist() == list(direction_correlations_oracle(channels))
+
+
+@pytest.mark.parametrize("half", range(2, 9))
+def test_direction_matches_oracle_on_random_arrays(half):
+    rng = np.random.default_rng(half)
+    for trial in range(60):
+        frames = int(rng.integers(1, 12))
+        kind = trial % 4
+        if kind == 0:  # continuous values: distinct times are likely
+            channels = rng.normal(size=(2 * half, frames))
+        elif kind == 1:  # few levels: tied times and plateaus at the maximum
+            channels = rng.integers(0, 3, size=(2 * half, frames)).astype(np.float64)
+        elif kind == 2:  # steps at random frames, so several channels share a time
+            channels = (np.arange(frames) >= rng.integers(0, frames, size=(2 * half, 1))) * 1.0
+        else:  # some channels constant
+            channels = rng.normal(size=(2 * half, frames))
+            channels[rng.random(2 * half) < 0.5] = rng.normal()
+        _check_against_oracle(channels)
+    _check_against_oracle(np.ones((2 * half, 5)))  # every channel constant: indeterminate
+
+
+def test_direction_matches_oracle_on_simulated_captures():
+    for seed in range(12):
+        for direction in DIRECTIONS_DEG:
+            sample = simulate_capture(direction, seed, pattern=("sinc", "sawtooth", "triangle")[seed % 3])
+            _check_against_oracle(sample.values)
+            _check_against_oracle(sample.values[:, ::-1])
+
+
+@pytest.mark.parametrize("side, sample_frames", [(4, 60), (5, 70)])
+def test_every_specimen_and_direction_is_identified(side, sample_frames):
+    """10 specimens x 4 directions x 2 slides at 100-200 mm/s and 0-8 mm phase
+    offsets: every capture and every whole stream reads its true direction."""
+    array = WhiskerArraySpec(rows=side, cols=side)
+    detector = DetectorConfig(sample_frames=sample_frames)
+    right_captures = right_streams = n_captures = 0
+    for sid, texture in enumerate(SPECIMENS, start=1):
+        for direction in DIRECTIONS_DEG:
+            for k in range(2):
+                rng = derive_rng(7, "direction", side, sid, direction, k)
+                slide = SlideConfig(speed_mm_s=rng.uniform(100.0, 200.0), direction_deg=direction,
+                                    start_offset_mm=rng.uniform(0.0, 8.0),
+                                    seed=derive_seed(7, "noise", side, sid, direction, k))
+                stream = features_array(simulate_taxels(texture, slide, array))
+                captures = capture_samples(stream, detector)
+                n_captures += len(captures)
+                right_captures += sum(identify_direction(c) == direction for c in captures)
+                right_streams += identify_direction(stream.T) == direction
+    assert (n_captures, right_captures, right_streams) == (80, 80, 80)
 
 
 def simulate_capture(direction, seed, pattern="sawtooth", depth=3):

@@ -1,8 +1,9 @@
 """The benchmark's stream and live workloads still run on the package API.
 
 ``bench/workloads.py`` calls the package the way the benchmark measures it;
-one untraced pass of each workload must finish with no failed item, so an
-API change that breaks the benchmark fails here first.
+one untraced pass of each workload must finish with no failed item and read
+every capture's direction right, so an API change that breaks the benchmark
+fails here first.
 """
 
 import sys
@@ -32,3 +33,5 @@ def test_one_pass_has_no_failed_item(bench, name):
     state, _ = workload.setup(1, tracer)
     res = workload.run_pass(state, tracer)
     assert res.slides > 0 and res.failed == 0, res.errors
+    assert res.counts["analysis.indeterminate"] == 0
+    assert res.counts["analysis.direction_right"] == res.counts["events.captures"] > 0

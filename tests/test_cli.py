@@ -283,6 +283,44 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for doc in ({"sed": 5}, {"collection": {"slides_per_specimn": 3}}):
+        config.write_text(json.dumps(doc))
+        rc = main(["dataset", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "unknown key" in err["message"]
+    assert not (tmp_path / "run" / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("durations, fit", [
+    ("a,100,inf\nb,200,20\n", {"intercept": 100.0, "slope": -30.0}),
+    ("a,100,nan\nb,200,20\n", {"intercept": 100.0, "slope": -30.0}),
+    ("a,100,-1e308\nb,200,1e308\n", {"intercept": 100.0, "slope": -30.0}),
+    ("a,100,30\nb,200,20\n", {"intercept": -1e308, "slope": 1e308}),  # the curve overflows
+    ("a,100,30\nb,200,20\n", {"intercept": 1.0, "slope": 10**400}),  # not a float
+])
+def test_plot_speed_fit_rejects_values_it_cannot_chart(tmp_path, capsys, durations, fit):
+    (tmp_path / "durations.csv").write_text("slide,speed_mm_s,duration_frames\n" + durations)
+    (tmp_path / "speed_fit.json").write_text(json.dumps(fit))
+    rc = main(["plot", "--kind", "speed-fit", "--durations", str(tmp_path / "durations.csv"),
+               "--fit", str(tmp_path / "speed_fit.json"), "--out", str(tmp_path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
+    assert not (tmp_path / "speed_fit.svg").exists()
+
+
+@pytest.mark.parametrize("frames", [(-10**308, 10**308), (10**400, 1), (10**17, 10**17)])
+def test_plot_stream_rejects_frames_it_cannot_chart(tmp_path, capsys, frames):
+    stream_csv = tmp_path / "slide.csv"
+    stream_csv.write_text("frame_index,o11\n" + "".join(f"{f},0.5\n" for f in frames))
+    rc = main(["plot", "--kind", "stream", "--input", str(stream_csv), "--out", str(tmp_path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
+    assert not list(tmp_path.glob("*.svg"))
+
+
 def test_malformed_taxel_csv_is_data_error(tmp_path, capsys):
     for text in ("frame_index,a,b\n0,1,2\n", "frame_index,o11\n0,abc\n", "frame_index,o11\n0\n",
                  "frame_index,o11\n", "frame_index,o11\n0,-1\n"):

@@ -77,13 +77,57 @@ def test_config_values_must_have_their_field_types(doc):
 
 def test_valid_configs_keep_their_digest(tmp_path):
     assert config_digest(ExperimentConfig()) == (
-        "c922f87c6d7fc777e2d1b5ac02b265687bb2548931a6ed5716e6308bb56a74b7")
+        "0ff67e77034bd884c1cf80b825213032f63701c43a133e71639fc7417f94dc6b")
     doc = ExperimentConfig().to_dict()
     doc["detector"]["trigger_multiplier"] = 2  # an int is a valid float
     doc["collection"]["speed_range"] = [100, 200.5]
     cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
     assert cfg.collection.speed_range == (100, 200.5)
     assert config_digest(cfg) == config_digest(ExperimentConfig.from_dict(cfg.to_dict()))
+
+
+# The default document of the config version that still had a `direction`
+# section (method, crossing_frac), as `init-config` wrote it.
+DIRECTION_ERA_DEFAULT = json.loads(
+    '{"grid": {"rows": 5, "cols": 5, "roi_side": 50, "image_side": 400, "channel": "green"}, '
+    '"features": {"epsilon": 1e-06}, "detector": {"window_frames": 5, "backtrack_frames": 10, '
+    '"trigger_multiplier": 1.2, "sample_frames": 70, "baseline_windows": 5, "mode": "shifted", '
+    '"epsilon": 1e-06}, "array": {"rows": 5, "cols": 5, "pitch_mm": 4.0, "whisker_len_mm": 5.0, '
+    '"whisker_width_mm": 1.0, "gain": 0.25, "decay_tau_frames": 2.0, "contact_engage_mm": 1.0, '
+    '"fatigue": 0.05, "substeps": 8}, "slide": {"speed_mm_s": 150.0, "direction_deg": 0, '
+    '"path_mm": 128.0, "fps": 30.0, "seed": 0, "noise_amp": 0.0015, "start_offset_mm": 0.0, '
+    '"lead_in_frames": 25, "lead_out_frames": 60}, "duration": {"valid_threshold": 0.0475}, '
+    '"direction": {"method": "argmax", "crossing_frac": 0.5}, "collection": '
+    '{"slides_per_specimen": 100, "speed_range": [120.0, 180.0], "direction_deg": 0, '
+    '"offset_jitter_mm": 8.0, "max_attempts": 10, "min_capture_rate": 0.95, "test_fraction": 0.1}, '
+    '"models": {"linear_margin": {"reg": 1.0, "epochs": 400, "learning_rate": 0.05}, '
+    '"bagged_trees": {"n_trees": 100, "max_bins": 256}, "boosted_trees": {"rounds": 100, '
+    '"max_depth": 3, "learning_rate": 0.1, "max_bins": 128}}, "seed": 0}')
+
+
+def test_retired_keys_load_and_are_dropped(tmp_path):
+    cfg = ExperimentConfig.from_dict(DIRECTION_ERA_DEFAULT)
+    assert cfg == ExperimentConfig()
+    assert config_digest(cfg) == config_digest(ExperimentConfig())
+    doc = ExperimentConfig().to_dict()
+    doc["duration"]["basis"] = "frames"
+    doc["direction"] = {"method": "first_crossing"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("doc", [
+    {"sed": 5},
+    {"collection": {"slides_per_specimn": 3}},
+    {"models": {"linear_margin": {"epoch": 3}}},
+    {"duration": {"basis": "frames", "valid_treshold": 0.1}},
+    {"slide": {"speed_mm_s": 150.0, "method": "argmax"}},  # retired only under `direction`
+    {"detector": {"basis": "frames"}},  # retired only under `duration`
+])
+def test_unknown_config_keys_are_rejected(doc):
+    with pytest.raises(ConfigError, match="unknown key"):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_feature_and_detector_epsilon_must_agree():
@@ -186,6 +230,21 @@ def test_svg_chart_is_deterministic_and_wellformed():
     assert a == b
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
     assert "circle" in a and "polyline" in a
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, float("inf")],
+    [float("-inf"), 1.0],
+    [float("nan"), 1.0],
+    [-1e308, 1e308],  # finite values whose range overflows
+    [1.7e308, 1.0],  # the padded range overflows
+    [10**400, 1],  # an int too large for a float
+])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_svg_rejects_values_it_cannot_chart(values, axis):
+    series = {"x": [1.0, 2.0], "y": [3.0, 4.0], "mode": "both", axis: values}
+    with pytest.raises(ValueError, match="finite"):
+        xy_chart_svg([series])
 
 
 def test_svg_handles_degenerate_ranges():
