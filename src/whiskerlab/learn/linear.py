@@ -3,7 +3,10 @@
 Features are standardized with statistics from the training set only.  Each
 class gets a linear score trained by full-batch subgradient descent on
 mean hinge loss plus an L2 penalty, for a fixed epoch budget; there is no
-sampling, so training is deterministic.
+sampling, so training is deterministic.  Each epoch walks the standardized
+rows in fixed blocks sized from the shape, small enough that the BLAS
+products do not depend on its thread count, and adds the block sums in a
+fixed order, so the weights do not depend on the thread count either.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,17 @@ import numpy as np
 
 from ..errors import DataFileError
 from .base import Classifier, check_params
+
+
+# Multiply-adds per block product.  Above roughly 256 x 700 x 10 of them per
+# product, the OpenBLAS bundled with numpy (0.3.31) returns sums that depend
+# on its thread count (ROADMAP item 2); 128 x 700 x 10 stays below that.
+_BLOCK_MULADDS = 128 * 700 * 10
+
+
+def _block_rows(d: int, n_classes: int) -> int:
+    """Rows per block of a fit on ``d`` features and ``n_classes`` classes."""
+    return max(1, _BLOCK_MULADDS // (d * n_classes))
 
 
 @dataclass(frozen=True)
@@ -45,14 +59,26 @@ class LinearMarginClassifier(Classifier):
         targets = np.full((n, n_classes), -1.0)
         targets[np.arange(n), yi] = 1.0
 
+        rows = _block_rows(d, n_classes)
+        blocks = [(Xs[s:s + rows], targets[s:s + rows]) for s in range(0, n, rows)]
         W = np.zeros((d, n_classes))
         b = np.zeros(n_classes)
         lr = self.params.learning_rate
         for _ in range(self.params.epochs):
-            margins = targets * (Xs @ W + b)
-            active = targets * (margins < 1.0)  # subgradient of hinge wrt score
-            grad_W = self.params.reg * W - Xs.T @ active / n
-            grad_b = -active.sum(axis=0) / n
+            # Each block's forward and backward products run while it is in
+            # cache, and the block sums are added in block order.  The first
+            # block's sums start the totals instead of being added to zeros,
+            # so a fit of one block does the unblocked arithmetic exactly.
+            for i, (xb, tb) in enumerate(blocks):
+                margins = tb * (xb @ W + b)
+                active = tb * (margins < 1.0)  # subgradient of hinge wrt score
+                if i == 0:
+                    xta, active_sum = xb.T @ active, active.sum(axis=0)
+                else:
+                    xta += xb.T @ active
+                    active_sum += active.sum(axis=0)
+            grad_W = self.params.reg * W - xta / n
+            grad_b = -active_sum / n
             W -= lr * grad_W
             b -= lr * grad_b
         self.weights_, self.bias_ = W, b

@@ -332,7 +332,8 @@ def _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts):
     """
     n = idx.size
     if feats is None:
-        k, codes = offset.shape[1], offset[idx]
+        # Only the root holds every row, and its idx is in order: no copy.
+        k, codes = offset.shape[1], (offset if n == offset.shape[0] else offset[idx])
     else:
         k = feats.size
         codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins

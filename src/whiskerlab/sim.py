@@ -336,21 +336,29 @@ def simulate_frames(
     return [render_frame(m, grid_cfg) for m in simulate_slide(texture, slide, array)]
 
 
+def _taxel_header(rows: int, cols: int) -> list[str]:
+    """frame_index, then one name per taxel in row-major order: o11..o{rows}{cols},
+    or o1_1..o{rows}_{cols} when rows or cols exceed 9 (o111 would be ambiguous)."""
+    sep = "_" if max(rows, cols) > 9 else ""
+    return ["frame_index"] + [f"o{i + 1}{sep}{j + 1}" for i in range(rows) for j in range(cols)]
+
+
 def save_taxel_csv(path, stream) -> None:
-    """Write a nonempty taxel stream as CSV: frame_index, o11..o{rows}{cols} (row-major)."""
+    """Write a nonempty taxel stream as CSV under :func:`_taxel_header`."""
     taxels = taxel_array(stream)
     frames, rows, cols = taxels.shape
-    header = ["frame_index"] + [f"o{i + 1}{j + 1}" for i in range(rows) for j in range(cols)]
-    write_csv(path, header, ([m.frame_index] + [repr(v) for v in values]
-                             for m, values in zip(stream, taxels.reshape(frames, -1).tolist())))
+    write_csv(path, _taxel_header(rows, cols),
+              ([m.frame_index] + [repr(v) for v in values]
+               for m, values in zip(stream, taxels.reshape(frames, -1).tolist())))
 
 
 def load_taxel_csv(path) -> list[TaxelMatrix]:
     """Read a square-grid taxel stream written by :func:`save_taxel_csv`.
 
-    A file that is not UTF-8 text, a missing or bad header, no frames, a row
-    of the wrong length, or a cell that is not a number in [0, 1] (the range
-    of a normalized intensity) raises DataFileError.
+    A file that is not UTF-8 text, a header other than the one
+    :func:`save_taxel_csv` writes for its square grid, no frames, a row of
+    the wrong length, or a cell that is not a number in [0, 1] (the range of
+    a normalized intensity) raises DataFileError.
     """
     with open(Path(path), newline="", encoding="utf-8") as fh:
         try:
@@ -358,7 +366,7 @@ def load_taxel_csv(path) -> list[TaxelMatrix]:
         except (ValueError, csv.Error) as exc:
             raise DataFileError(f"{path}: unreadable taxel CSV ({exc})") from exc
     side = math.isqrt(len(header) - 1) if header else 0
-    if not header or header[0] != "frame_index" or side < 1 or side**2 != len(header) - 1:
+    if not header or side < 1 or header != _taxel_header(side, side):
         raise DataFileError(f"{path}: unexpected taxel CSV header {header!r}")
     if not rows:
         raise DataFileError(f"{path}: taxel CSV has no frames")

@@ -402,3 +402,34 @@ def _best_split(cnt, sums, n, totals):
     if score[j, b] - float((totals**2).sum()) / n <= _MIN_GAIN:
         return None
     return j, b
+
+
+def linear_fit_oracle(X: np.ndarray, yi: np.ndarray, n_classes: int, reg: float,
+                      epochs: int, learning_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The linear classifier's weights and bias from its former epoch loop.
+
+    ``yi`` holds class indices below ``n_classes``.  This is the one-vs-rest
+    hinge fit as it ran before the epochs were split into row blocks, moved
+    here unchanged: each epoch multiplies the whole standardized matrix at
+    once.  With every row in one block, the package's fit must match it bit
+    for bit.
+    """
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    Xs = (X - mean) / np.where(std > 0, std, 1.0)
+
+    n, d = Xs.shape
+    targets = np.full((n, n_classes), -1.0)
+    targets[np.arange(n), yi] = 1.0
+
+    W = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+    lr = learning_rate
+    for _ in range(epochs):
+        margins = targets * (Xs @ W + b)
+        active = targets * (margins < 1.0)  # subgradient of hinge wrt score
+        grad_W = reg * W - Xs.T @ active / n
+        grad_b = -active.sum(axis=0) / n
+        W -= lr * grad_W
+        b -= lr * grad_b
+    return W, b

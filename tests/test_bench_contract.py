@@ -1,9 +1,11 @@
-"""The benchmark's stream and live workloads still run on the package API.
+"""The benchmark's workloads still run on the package API.
 
 ``bench/workloads.py`` calls the package the way the benchmark measures it;
-one untraced pass of each workload must finish with no failed item and read
-every capture's direction right, so an API change that breaks the benchmark
-fails here first.
+one untraced pass of each workload must finish with no failed item, so an
+API change that breaks the benchmark fails here first.  The stream and live
+passes must also read every capture's direction right, and the protocol
+pass (whose checks include that every reloaded model predicts as it did
+before saving) must test on 100 captures.
 """
 
 import sys
@@ -26,12 +28,15 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
-@pytest.mark.parametrize("name", ["Stream", "Live"])
-def test_one_pass_has_no_failed_item(bench, name):
+@pytest.mark.parametrize("name", ["Stream", "Live", "Protocol"])
+def test_one_pass_has_no_failed_item(bench, name, tmp_path):
     workloads, tracer = bench
-    workload = getattr(workloads, name)()
+    workload = workloads.Protocol(tmp_path) if name == "Protocol" else getattr(workloads, name)()
     state, _ = workload.setup(1, tracer)
     res = workload.run_pass(state, tracer)
     assert res.slides > 0 and res.failed == 0, res.errors
-    assert res.counts["analysis.indeterminate"] == 0
-    assert res.counts["analysis.direction_right"] == res.counts["events.captures"] > 0
+    if name == "Protocol":
+        assert res.counts["learn.dataset.n_test"] == 100
+    else:
+        assert res.counts["analysis.indeterminate"] == 0
+        assert res.counts["analysis.direction_right"] == res.counts["events.captures"] > 0

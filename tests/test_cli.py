@@ -323,7 +323,8 @@ def test_plot_stream_rejects_frames_it_cannot_chart(tmp_path, capsys, frames):
 
 def test_malformed_taxel_csv_is_data_error(tmp_path, capsys):
     for text in ("frame_index,a,b\n0,1,2\n", "frame_index,o11\n0,abc\n", "frame_index,o11\n0\n",
-                 "frame_index,o11\n", "frame_index,o11\n0,-1\n"):
+                 "frame_index,o11\n", "frame_index,o11\n0,-1\n",
+                 "frame_index,a,b,c,d\n0,0.1,0.2,0.3,0.4\n"):
         stream_csv = tmp_path / "slide.csv"
         stream_csv.write_text(text)
         rc = main(["direction", "--input", str(stream_csv), "--out", str(tmp_path)])

@@ -1,8 +1,16 @@
+import copy
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import whiskerlab
+from oracles import linear_fit_oracle
 from whiskerlab.errors import (
     ConfigError,
     DataFileError,
@@ -29,7 +37,7 @@ from whiskerlab.learn.evaluate import (
     train,
 )
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
-from whiskerlab.learn.linear import LinearMarginClassifier, LinearParams
+from whiskerlab.learn.linear import LinearMarginClassifier, LinearParams, _block_rows
 from whiskerlab.sim import SPECIMENS
 
 SMALL_PLAN = CollectionPlan(slides_per_specimen=3)
@@ -141,6 +149,66 @@ def test_linearly_separable_blobs_reach_full_train_accuracy():
     )
     preds = model.predict(data.features)
     assert np.mean(preds == task_labels(data, "specimens10")) == 1.0
+
+
+def noisy_classes(n, n_classes, seed, d=700):
+    """Random rows with class indices 0..n_classes-1, each class a shifted feature."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % n_classes
+    X = rng.normal(size=(n, d))
+    X[np.arange(n), y] += 3.0
+    return X, y
+
+
+def test_linear_block_rows_follow_the_shape():
+    assert _block_rows(700, 10) == 128
+    assert _block_rows(700, 4) == 320
+    assert _block_rows(10**6, 10) == 1
+
+
+def test_linear_fit_in_one_block_matches_the_full_batch_oracle_bit_for_bit():
+    X, y = noisy_classes(_block_rows(700, 10), 10, seed=8)
+    model = LinearMarginClassifier().fit(X, y)
+    W, b = linear_fit_oracle(X, y, 10, **asdict(LinearParams()))
+    assert model.weights_.tobytes() == W.tobytes()
+    assert model.bias_.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_classes", [10, 4])
+def test_linear_fit_in_many_blocks_stays_within_rounding_of_the_oracle(n_classes):
+    X, y = noisy_classes(1000, n_classes, seed=9)
+    train_X, train_y, held_out = X[:800], y[:800], X[800:]  # 7 or 3 blocks
+    model = LinearMarginClassifier().fit(train_X, train_y)
+    W, b = linear_fit_oracle(train_X, train_y, n_classes, **asdict(LinearParams()))
+    assert np.abs(model.weights_ - W).max() <= 1e-12 * np.abs(W).max()
+    assert np.abs(model.bias_ - b).max() <= 1e-12 * np.abs(b).max()
+    oracle = copy.copy(model)
+    oracle.weights_, oracle.bias_ = W, b
+    assert np.array_equal(model.predict(held_out), oracle.predict(held_out))
+
+
+_FIT_AND_SAVE = """
+import sys
+import numpy as np
+from whiskerlab.learn.evaluate import save_model
+from whiskerlab.learn.linear import LinearMarginClassifier
+X = np.random.default_rng(7).normal(size=(900, 700))
+for n_classes, path in zip((10, 4), sys.argv[1:]):
+    save_model(path, LinearMarginClassifier().fit(X, np.arange(900) % n_classes))
+"""
+
+
+def test_linear_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(whiskerlab.__file__).parents[1])
+    blobs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        paths = [tmp_path / f"linear{n_classes}_threads{threads}.json" for n_classes in (10, 4)]
+        subprocess.run([sys.executable, "-c", _FIT_AND_SAVE, *map(str, paths)],
+                       env=env, check=True, timeout=300)
+        blobs[threads] = [p.read_bytes() for p in paths]
+    assert blobs["1"] == blobs["2"]
 
 
 def test_pure_noise_features_score_at_chance():

@@ -181,11 +181,26 @@ def test_taxel_csv_round_trip(tmp_path):
     stream = simulate_slide(TextureSpec("triangle", 2), slide)
     path = tmp_path / "slide.csv"
     save_taxel_csv(path, stream)
+    names = [f"o{i}{j}" for i in range(1, 6) for j in range(1, 6)]
+    assert path.read_text().splitlines()[0] == ",".join(["frame_index"] + names)
     again = load_taxel_csv(path)
     assert len(again) == len(stream)
     for a, b in zip(again, stream):
         assert a.frame_index == b.frame_index
         assert np.array_equal(a.values, b.values)
+
+
+def test_taxel_csv_round_trip_past_nine_rows_keeps_every_taxel(tmp_path):
+    slide = SlideConfig(speed_mm_s=150.0, seed=4, lead_in_frames=2, lead_out_frames=2)
+    stream = simulate_slide(TextureSpec("sinc", 4), slide, WhiskerArraySpec(rows=12, cols=12))
+    path = tmp_path / "slide.csv"
+    save_taxel_csv(path, stream)
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[:3] == ["frame_index", "o1_1", "o1_2"] and header[-1] == "o12_12"
+    assert len(set(header)) == 1 + 12 * 12
+    again = load_taxel_csv(path)
+    assert [m.frame_index for m in again] == [m.frame_index for m in stream]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(again, stream))
 
 
 def test_slide_manifest_round_trip(tmp_path):
@@ -220,6 +235,10 @@ def test_array_core_matches_per_frame_oracle_bit_for_bit(noise_amp):
     "",  # no header
     "frame_index,o11,o12\n0,0.1,0.2\n",  # 2 taxels: not a square grid
     "index,o11\n0,0.1\n",
+    "frame_index,a,b,c,d\n0,0.1,0.2,0.3,0.4\n",  # 2x2 by count, but not its names
+    "frame_index,o11,o12,o21,o23\n0,0.1,0.2,0.3,0.4\n",
+    ",".join(["frame_index"] + [f"o{i}{j}" for i in range(1, 11) for j in range(1, 11)])
+    + "\n0" + ",0.1" * 100 + "\n",  # 10x10 without "_"
     "frame_index,o11\n0\n",  # short row
     "frame_index,o11\n0,0.1,0.2\n",  # long row
     "frame_index,o11\n0,abc\n",  # non-numeric cell
