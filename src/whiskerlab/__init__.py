@@ -26,23 +26,19 @@ from .errors import (
     WhiskerlabError,
 )
 from .events import (
-    Baseline,
-    Detector,
     DetectorConfig,
     SampleLabel,
     TactileSample,
-    calibrate,
     capture_samples,
-    detect,
+    scan,
 )
-from .features import FeatureConfig, features_array, features_stream
+from .features import EPSILON, features_array, features_stream
 from .sim import (
     SPECIMENS,
     SlideConfig,
     TextureSpec,
     WhiskerArraySpec,
     height_profile,
-    simulate_frames,
     simulate_slide,
 )
 from .taxel_grid import (

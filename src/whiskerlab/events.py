@@ -1,7 +1,7 @@
 """Event-driven capture of fixed-length tactile samples.
 
 The input is a (frames, channels) feature stream and a capture is a
-(channels, sample_frames) slice of it.  A detector first calibrates
+(channels, sample_frames) slice of it.  :func:`scan` first calibrates
 per-channel baselines from the pre-contact portion of the stream (the
 average windowed sum over the first five windows), then slides a window
 forward and fires when any channel's window sum exceeds its baseline times
@@ -12,10 +12,10 @@ Because features are logs of small sums, baselines are usually negative and
 the verbatim trigger comparison turns the multiplier upside down (a multiple
 of a negative baseline is *easier* to exceed).  Default "shifted" mode
 therefore compares quantities shifted to be nonnegative: both the window sum
-and the baseline have ``window_frames * log(epsilon)`` (the analytic minimum
-of a window sum) subtracted before the comparison.  "literal" mode keeps the
-textbook comparison for fidelity testing; when the configured floor has log
-zero (epsilon = 1), the two modes coincide.
+and the baseline have ``window_frames * log(EPSILON)`` (the analytic minimum
+of a window sum over the feature floor :data:`features.EPSILON`) subtracted
+before the comparison.  "literal" mode keeps the textbook comparison for
+fidelity testing.
 """
 
 import json
@@ -28,7 +28,7 @@ import numpy as np
 
 from .artifacts import atomic_open
 from .errors import CalibrationUnderrunError, ConfigError, DataFileError
-from .features import stream_to_array
+from .features import EPSILON, stream_to_array
 
 MODES = ("literal", "shifted")
 
@@ -43,8 +43,6 @@ class DetectorConfig:
     sample_frames: fixed length of every captured sample.
     baseline_windows: how many consecutive windows the calibration averages.
     mode: "shifted" (default) or "literal"; see module docstring.
-    epsilon: feature floor used to shift sums in shifted mode; must match
-        the floor the feature stage used.
     """
 
     window_frames: int = 5
@@ -53,7 +51,6 @@ class DetectorConfig:
     sample_frames: int = 70
     baseline_windows: int = 5
     mode: str = "shifted"
-    epsilon: float = 1e-6
 
     def validate(self) -> None:
         if self.window_frames < 1:
@@ -77,27 +74,10 @@ class DetectorConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
     @property
     def calibration_frames(self) -> int:
         return self.baseline_windows * self.window_frames
-
-
-@dataclass
-class Baseline:
-    """Per-channel calibration level (average window sum) and where it ended."""
-
-    levels: np.ndarray
-    calibration_end: int
-
-    def __post_init__(self):
-        self.levels = np.asarray(self.levels, dtype=np.float64)
-        if self.levels.ndim != 1:
-            raise ConfigError(f"baseline levels must be one per channel, got shape {self.levels.shape}")
-        if not np.all(np.isfinite(self.levels)):
-            raise ConfigError("baseline levels must be finite")
 
 
 @dataclass(frozen=True)
@@ -136,93 +116,57 @@ class TactileSample:
         return self.values.ravel()
 
 
-class Detector:
-    """Single-consumer state machine: one ordered stream per instance."""
+def scan(
+    stream: np.ndarray, cfg: DetectorConfig = DetectorConfig()
+) -> tuple[list[TactileSample], int]:
+    """Calibrate on the stream's prefix, then scan the whole stream for events.
 
-    def __init__(self, cfg: DetectorConfig = DetectorConfig()):
-        cfg.validate()
-        self.cfg = cfg
-        self.discarded_partial = 0  # triggers too close to stream end to capture
+    The baseline of each channel is its average window sum over the first
+    ``baseline_windows * window_frames`` frames, which must be recorded
+    before contact.  The scan starts where calibration ends; at each scan
+    position every channel's window sum is tested in ascending channel
+    order and the first hit wins.  After a trigger the scan skips a full
+    sample length; otherwise it advances by one window.  Returns the
+    captures and how many triggers came too close to the stream's end for a
+    full capture and were discarded.
+    """
+    cfg.validate()
+    arr = stream_to_array(stream)
+    n = arr.shape[0]
+    t = cfg.calibration_frames
+    if n < t:
+        raise CalibrationUnderrunError(f"calibration needs {t} frames, stream has {n}")
+    levels = arr[:t].sum(axis=0) / cfg.baseline_windows
+    if not np.all(np.isfinite(levels)):
+        raise ConfigError("baseline levels must be finite")
+    shift = cfg.window_frames * math.log(EPSILON) if cfg.mode == "shifted" else 0.0
+    thresholds = cfg.trigger_multiplier * (levels - shift)
 
-    def calibrate(self, stream: np.ndarray) -> Baseline:
-        """Average window-sum per channel over the calibration prefix.
-
-        Consumes exactly ``baseline_windows * window_frames`` leading frames,
-        which must be recorded before contact.
-        """
-        cfg = self.cfg
-        need = cfg.calibration_frames
-        arr = stream_to_array(stream)
-        if arr.shape[0] < need:
-            raise CalibrationUnderrunError(
-                f"calibration needs {need} frames, stream has {arr.shape[0]}"
-            )
-        levels = arr[:need].sum(axis=0) / cfg.baseline_windows
-        return Baseline(levels, calibration_end=need)
-
-    def detect(
-        self, stream: np.ndarray, baseline: Baseline
-    ) -> list[TactileSample]:
-        """Scan the stream (including its calibration prefix) for events.
-
-        At each scan position every channel's window sum is tested in
-        ascending channel order; the first hit wins.  After a trigger the
-        scan skips a full sample length; otherwise it advances by one window.
-        Triggers with too few frames left for a full capture are discarded
-        and counted in ``discarded_partial``.
-        """
-        cfg = self.cfg
-        if baseline.calibration_end < cfg.backtrack_frames:
-            raise ConfigError(
-                f"baseline calibrated over {baseline.calibration_end} frames cannot "
-                f"cover a backtrack of {cfg.backtrack_frames}; was it produced with "
-                f"this configuration?"
-            )
-        arr = stream_to_array(stream)
-        if baseline.levels.shape[0] != arr.shape[1]:
-            raise ConfigError(f"{baseline.levels.shape[0]} baseline levels for {arr.shape[1]} channels")
-        n = arr.shape[0]
-        shift = cfg.window_frames * math.log(cfg.epsilon) if cfg.mode == "shifted" else 0.0
-        thresholds = cfg.trigger_multiplier * (baseline.levels - shift)
-
-        samples = []
-        t = baseline.calibration_end
-        while t + cfg.window_frames <= n:
-            window = arr[t : t + cfg.window_frames].sum(axis=0) - shift
-            hits = np.nonzero(window > thresholds)[0]
-            if hits.size:
-                channel = int(hits[0]) + 1
-                start = t - cfg.backtrack_frames
-                end = start + cfg.sample_frames
-                if end <= n:
-                    samples.append(
-                        TactileSample(arr[start:end].T.copy(), trigger_frame=t, trigger_channel=channel)
-                    )
-                else:
-                    self.discarded_partial += 1
-                t += cfg.sample_frames
+    samples, discarded = [], 0
+    while t + cfg.window_frames <= n:
+        window = arr[t : t + cfg.window_frames].sum(axis=0) - shift
+        hits = np.nonzero(window > thresholds)[0]
+        if hits.size:
+            start = t - cfg.backtrack_frames
+            end = start + cfg.sample_frames
+            if end <= n:
+                samples.append(
+                    TactileSample(arr[start:end].T.copy(), trigger_frame=t,
+                                  trigger_channel=int(hits[0]) + 1)
+                )
             else:
-                t += cfg.window_frames
-        return samples
-
-
-def calibrate(stream: np.ndarray, cfg: DetectorConfig = DetectorConfig()) -> Baseline:
-    return Detector(cfg).calibrate(stream)
-
-
-def detect(
-    stream: np.ndarray, baseline: Baseline, cfg: DetectorConfig = DetectorConfig()
-) -> list[TactileSample]:
-    return Detector(cfg).detect(stream, baseline)
+                discarded += 1
+            t += cfg.sample_frames
+        else:
+            t += cfg.window_frames
+    return samples, discarded
 
 
 def capture_samples(
     stream: np.ndarray, cfg: DetectorConfig = DetectorConfig()
 ) -> list[TactileSample]:
-    """Calibrate on the stream's prefix, then detect over the whole stream."""
-    detector = Detector(cfg)
-    baseline = detector.calibrate(stream)
-    return detector.detect(stream, baseline)
+    """The captures of :func:`scan`."""
+    return scan(stream, cfg)[0]
 
 
 def sample_to_dict(sample: TactileSample) -> dict:

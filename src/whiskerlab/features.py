@@ -4,8 +4,9 @@ A rows x cols taxel matrix collapses to rows + cols channels: the log of
 each row sum, then the log of each column sum (on the paper's 5x5 array,
 channels 1-5 and 6-10).  Row/column sums preserve the sliding-direction
 information while cutting the channel count from rows*cols to rows+cols.
-Sums are floored at a small epsilon before the log so dark frames stay
-finite.
+Sums are floored at :data:`EPSILON` before the log so dark frames stay
+finite; the event detector's shifted mode takes its shift from the same
+floor.
 
 A feature stream is one (frames, rows + cols) float64 array.
 :func:`features_array` maps a (frames, rows, cols) taxel array to it in
@@ -14,40 +15,28 @@ stream, read through ``taxel_array``: the simulator's ``TaxelStream`` with
 no copy, or a list of per-frame ``TaxelMatrix`` objects (the camera's unit).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .taxel_grid import taxel_array
 
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """epsilon: positive floor applied to each sum before the logarithm."""
-
-    epsilon: float = 1e-6
-
-    def validate(self) -> None:
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+EPSILON = 1e-6  # floor of every row and column sum before the log
 
 
-def features_array(taxels: np.ndarray, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+def features_array(taxels: np.ndarray) -> np.ndarray:
     """Features of a (frames, rows, cols) taxel array, shape (frames, rows + cols).
 
-    Row sums come first, then column sums; each is floored at epsilon
+    Row sums come first, then column sums; each is floored at EPSILON
     before the log.
     """
-    cfg.validate()
     v = np.asarray(taxels, dtype=np.float64)
     sums = np.concatenate([v.sum(axis=2), v.sum(axis=1)], axis=1)
-    return np.log(np.maximum(sums, cfg.epsilon))
+    return np.log(np.maximum(sums, EPSILON))
 
 
-def features_stream(stream, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+def features_stream(stream) -> np.ndarray:
     """:func:`features_array` over a nonempty taxel stream, in frame order."""
-    return features_array(taxel_array(stream), cfg)
+    return features_array(taxel_array(stream))
 
 
 def stream_to_array(stream) -> np.ndarray:

@@ -95,7 +95,6 @@ def cmd_dataset(args, cfg, out, manifest):
         base_slide=cfg.slide,
         array=cfg.array,
         detector_cfg=cfg.detector,
-        feature_cfg=cfg.features,
         seed=cfg.seed,
     )
     data_path = out / "dataset.jsonl"
@@ -217,7 +216,7 @@ def cmd_direction(args, cfg, out, manifest):
         source = samples[args.index]
     elif path.suffix == ".csv":
         stream = sim.load_taxel_csv(path)
-        source = features_stream(stream, cfg.features).T
+        source = features_stream(stream).T
     else:
         raise ConfigError(f"{path}: expected a .jsonl sample file or .csv taxel stream")
 

@@ -14,7 +14,7 @@ from ..analysis import DurationConfig
 from ..artifacts import read_json, write_json
 from ..errors import ConfigError
 from ..events import DetectorConfig
-from ..features import FeatureConfig
+from ..features import EPSILON
 from ..learn.boosting import BoostParams
 from ..learn.dataset import CollectionPlan
 from ..learn.forest import ForestParams
@@ -33,7 +33,6 @@ class ModelParamsConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid: TaxelGridConfig = TaxelGridConfig()
-    features: FeatureConfig = FeatureConfig()
     detector: DetectorConfig = DetectorConfig()
     array: WhiskerArraySpec = WhiskerArraySpec()
     slide: SlideConfig = SlideConfig(speed_mm_s=150.0)
@@ -51,7 +50,6 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.grid.validate()
-        self.features.validate()
         self.detector.validate()
         self.array.validate()
         self.slide.validate()
@@ -64,12 +62,6 @@ class ExperimentConfig:
             raise ConfigError(f"the whisker array must be square, got {shape}")
         if (self.grid.rows, self.grid.cols) != shape:
             raise ConfigError(f"grid {(self.grid.rows, self.grid.cols)} must match the array {shape}")
-        if self.features.epsilon != self.detector.epsilon:
-            raise ConfigError(
-                f"features.epsilon {self.features.epsilon} and detector.epsilon "
-                f"{self.detector.epsilon} must agree: shifted-mode triggering "
-                f"subtracts the floor the features were taken with"
-            )
 
 
 # What a JSON value must be to fill a field of each scalar type.
@@ -81,8 +73,15 @@ _ACCEPTS = {
 
 
 # Key paths of earlier config versions: a document may still carry them, and
-# they are read and dropped.  Any other key the config lacks is a ConfigError.
-RETIRED_KEYS = frozenset({("direction",), ("duration", "basis")})
+# they are read and dropped.  A path that maps to a value may hold only that
+# value, the one its stage now fixes (the feature floor); one that maps to None
+# may hold anything.  Any other key the config lacks is a ConfigError.
+RETIRED_KEYS = {
+    ("direction",): None,
+    ("duration", "basis"): None,
+    ("features",): {"epsilon": EPSILON},
+    ("detector", "epsilon"): EPSILON,
+}
 
 
 def _from_dict(cls, obj, path=()):
@@ -91,15 +90,22 @@ def _from_dict(cls, obj, path=()):
     Each value must have its field's type: an int field takes an int (not a
     bool), a float field an int or a float, a str field a str and
     ``speed_range`` a list of two numbers; anything else is a ConfigError.
-    So is a key the dataclass does not have, unless ``RETIRED_KEYS`` names it.
+    So is a key the dataclass does not have, unless ``RETIRED_KEYS`` names it,
+    and a retired key that holds another value than the one it is fixed at.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
     names = {f.name for f in fields(cls)}
-    unknown = [k for k in obj if k not in names and path + (k,) not in RETIRED_KEYS]
+    extra = [k for k in obj if k not in names]
+    unknown = [k for k in extra if path + (k,) not in RETIRED_KEYS]
     if unknown:
         where = ".".join(path) or "the config"
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    for k in extra:
+        fixed = RETIRED_KEYS[path + (k,)]
+        if fixed is not None and obj[k] != fixed:
+            raise ConfigError(f"retired key {'.'.join(path + (k,))} must be {fixed!r} "
+                              f"if present, got {obj[k]!r}")
     kwargs = {}
     for f in fields(cls):
         if f.name not in obj:

@@ -16,11 +16,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import __version__
 from ..artifacts import file_digest, read_json, write_json
 from ..errors import DataFileError
 
 MANIFEST_NAME = "manifest.json"
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass
@@ -79,7 +79,7 @@ class RunManifest:
 
     def save(self) -> None:
         doc = {
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "config_digest": self.config_digest,
             "stages": {k: self.stages[k] for k in sorted(self.stages)},
             "digest": self.digest(),

@@ -25,7 +25,7 @@ from ..events import (
     load_samples_jsonl,
     save_samples_jsonl,
 )
-from ..features import FeatureConfig, features_array
+from ..features import features_array
 from ..seeding import derive_rng, derive_seed
 from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels, specimen_by_id
 
@@ -72,8 +72,6 @@ class LabeledDataset:
     speeds: np.ndarray  # (n,) float, mm/s
     directions: np.ndarray  # (n,) int, degrees
     seeds: np.ndarray  # (n,) per-slide simulation seeds
-    split_seed: Optional[int] = None
-
     samples: Optional[list] = None  # original TactileSamples, kept for serialization
 
     def __post_init__(self):
@@ -93,7 +91,6 @@ class LabeledDataset:
             speeds=self.speeds[idx],
             directions=self.directions[idx],
             seeds=self.seeds[idx],
-            split_seed=self.split_seed,
             samples=[self.samples[i] for i in idx] if self.samples is not None else None,
         )
 
@@ -141,12 +138,10 @@ class BuildDiagnostics:
 
 
 def plan_digest(plan: CollectionPlan, detector_cfg: DetectorConfig,
-                feature_cfg: FeatureConfig, slide: SlideConfig,
-                array: WhiskerArraySpec) -> str:
+                slide: SlideConfig, array: WhiskerArraySpec) -> str:
     doc = {
         "plan": asdict(plan),
         "detector": asdict(detector_cfg),
-        "features": asdict(feature_cfg),
         "slide": asdict(slide),
         "array": asdict(array),
     }
@@ -154,7 +149,7 @@ def plan_digest(plan: CollectionPlan, detector_cfg: DetectorConfig,
 
 
 def _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
-                 feature_cfg, digest, root_seed):
+                 digest, root_seed):
     """Simulate one labeled capture, retrying with derived seeds as needed.
 
     Returns (sample, attempts_used, retries) or raises DatasetBuildError.
@@ -167,7 +162,7 @@ def _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
         sim_seed = derive_seed(root_seed, "slide-noise", sid, slide_i, attempt)
         slide = replace(base_slide, speed_mm_s=speed, direction_deg=plan.direction_deg,
                         seed=sim_seed, start_offset_mm=offset)
-        stream = features_array(simulate_taxels(texture, slide, array), feature_cfg)
+        stream = features_array(simulate_taxels(texture, slide, array))
         captures = capture_samples(stream, detector_cfg)
         if len(captures) == 1:
             sample = captures[0]
@@ -192,7 +187,6 @@ def build_dataset(
     base_slide: SlideConfig = SlideConfig(speed_mm_s=150.0),
     array: WhiskerArraySpec = WhiskerArraySpec(),
     detector_cfg: DetectorConfig = DetectorConfig(),
-    feature_cfg: FeatureConfig = FeatureConfig(),
     seed: int = 0,
 ) -> tuple[LabeledDataset, BuildDiagnostics]:
     """Run the full collection protocol over all ten specimens.
@@ -201,14 +195,14 @@ def build_dataset(
     seed, so each slide's result does not depend on the others.
     """
     plan.validate()
-    digest = plan_digest(plan, detector_cfg, feature_cfg, base_slide, array)
+    digest = plan_digest(plan, detector_cfg, base_slide, array)
     diagnostics = BuildDiagnostics()
     samples = []
     for sid, texture in enumerate(SPECIMENS, start=1):
         for slide_i in range(plan.slides_per_specimen):
             sample, attempts, retries = _collect_one(
                 texture, sid, slide_i, plan, base_slide, array,
-                detector_cfg, feature_cfg, digest, seed,
+                detector_cfg, digest, seed,
             )
             samples.append(sample)
             diagnostics.attempts[sid] = diagnostics.attempts.get(sid, 0) + attempts
@@ -280,7 +274,6 @@ def split(
     test_mask[test_idx.astype(int)] = True
     train = dataset.subset(np.nonzero(~test_mask)[0])
     test = dataset.subset(np.nonzero(test_mask)[0])
-    train.split_seed = test.split_seed = seed
     return train, test
 
 

@@ -34,11 +34,8 @@ from .artifacts import read_json, write_csv, write_json
 from .errors import ConfigError, DataFileError
 from .taxel_grid import (
     TactileFrame,
-    TaxelGridConfig,
     TaxelMatrix,
     TaxelStream,
-    read_ppm,
-    render_frame,
     taxel_array,
     write_ppm,
 )
@@ -326,16 +323,6 @@ def simulate_slide(
     return TaxelStream(simulate_taxels(texture, slide, array))
 
 
-def simulate_frames(
-    texture: TextureSpec,
-    slide: SlideConfig,
-    array: WhiskerArraySpec = WhiskerArraySpec(),
-    grid_cfg: TaxelGridConfig = TaxelGridConfig(),
-) -> list[TactileFrame]:
-    """Render each simulated taxel matrix as a synthetic camera frame."""
-    return [render_frame(m, grid_cfg) for m in simulate_slide(texture, slide, array)]
-
-
 def _taxel_header(rows: int, cols: int) -> list[str]:
     """frame_index, then one name per taxel in row-major order: o11..o{rows}{cols},
     or o1_1..o{rows}_{cols} when rows or cols exceed 9 (o111 would be ambiguous)."""
@@ -392,10 +379,6 @@ def save_frame_dir(dir_path, frames: list[TactileFrame]) -> list[Path]:
         write_ppm(p, frame)
         paths.append(p)
     return paths
-
-
-def load_frame_dir(dir_path) -> list[TactileFrame]:
-    return [read_ppm(p) for p in sorted(Path(dir_path).glob("frame_*.ppm"))]
 
 
 def save_slide_manifest(path, texture: TextureSpec, slide: SlideConfig,

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from whiskerlab.analysis import event_duration, fit_log_regression, identify_direction
-from whiskerlab.events import Detector, DetectorConfig, capture_samples
-from whiskerlab.features import FeatureConfig, features_array, features_stream
+from whiskerlab.events import DetectorConfig, capture_samples, scan
+from whiskerlab.features import EPSILON, features_array, features_stream
 from whiskerlab.harness.cli import main as cli_main
 from whiskerlab.harness.config import ExperimentConfig, save_config
 from whiskerlab.learn.dataset import CollectionPlan, build_dataset, split
@@ -53,14 +53,13 @@ def classification_setup():
 def test_criterion_1_feature_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
-    cfg = FeatureConfig()
     worst = 0.0
     for _ in range(1000):
         values = rng.uniform(0.0, 1.0, size=(5, 5))
-        got = features_array(values[None], cfg)[0]
-        expected = np.array(feature_oracle(values, cfg.epsilon))
+        got = features_array(values[None])[0]
+        expected = np.array(feature_oracle(values, EPSILON))
         worst = max(worst, float(np.max(np.abs(got - expected))))
-        swapped = features_array(values.T[None], cfg)[0]
+        swapped = features_array(values.T[None])[0]
         assert np.array_equal(swapped, np.concatenate([got[5:], got[:5]]))
     elapsed = time.perf_counter() - started
     report(
@@ -78,8 +77,7 @@ def test_criterion_2_capture_trace_fidelity():
     values[10:14, 0] = 2.5
     cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
                          sample_frames=4, mode="literal")
-    detector = Detector(cfg)
-    samples = detector.detect(values, detector.calibrate(values))
+    samples, _ = scan(values, cfg)
     ok = (len(samples) == 1 and samples[0].trigger_frame == 10
           and samples[0].trigger_channel == 1
           and np.array_equal(samples[0].values[0], [1.0, 2.5, 2.5, 2.5]))
@@ -101,10 +99,9 @@ def test_criterion_2_capture_trace_fidelity():
             vals[s : s + w, int(rng.integers(0, 10))] = rng.uniform(2.0, 4.0)
         dcfg = DetectorConfig(window_frames=m, backtrack_frames=c, trigger_multiplier=b,
                               sample_frames=length, mode="literal")
-        det = Detector(dcfg)
-        got = det.detect(vals, det.calibrate(vals))
+        got, discards = scan(vals, dcfg)
         exp, exp_discards = capture_reference(vals, m, c, b, length)
-        if len(got) != len(exp) or det.discarded_partial != exp_discards:
+        if len(got) != len(exp) or discards != exp_discards:
             mismatches += 1
             continue
         for g, (t, k, mat) in zip(got, exp):

@@ -96,10 +96,10 @@ def test_simulate_frames_flag_writes_ppm_directory(tmp_path):
     assert rc == 0
     frame_dirs = [p for p in tmp_path.iterdir() if p.is_dir() and p.name.endswith("_frames")]
     assert len(frame_dirs) == 1
-    from whiskerlab.sim import load_frame_dir, load_taxel_csv
-    from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels
+    from whiskerlab.sim import load_taxel_csv
+    from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels, read_ppm
 
-    frames = load_frame_dir(frame_dirs[0])
+    frames = [read_ppm(p) for p in sorted(frame_dirs[0].glob("frame_*.ppm"))]
     stream = load_taxel_csv(next(tmp_path.glob("slide_*.csv")))
     assert len(frames) == len(stream)
     recovered = extract_taxels(frames[30], TaxelGridConfig()).values
@@ -291,6 +291,17 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and "unknown key" in err["message"]
+    assert not (tmp_path / "run" / "dataset.jsonl").exists()
+
+
+def test_retired_floor_of_another_value_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for doc in ({"features": {"epsilon": 1e-3}}, {"detector": {"epsilon": 1e-3}}):
+        config.write_text(json.dumps(doc))
+        rc = main(["dataset", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "epsilon" in err["message"]
     assert not (tmp_path / "run" / "dataset.jsonl").exists()
 
 

@@ -5,18 +5,16 @@ import pytest
 
 from whiskerlab.errors import CalibrationUnderrunError, ConfigError
 from whiskerlab.events import (
-    Baseline,
-    Detector,
     DetectorConfig,
     SampleLabel,
     TactileSample,
-    calibrate,
     capture_samples,
-    detect,
     load_samples_jsonl,
     sample_to_dict,
     save_samples_jsonl,
+    scan,
 )
+from whiskerlab.features import EPSILON, features_array
 
 from oracles import capture_reference
 
@@ -33,39 +31,58 @@ def hand_trace_stream():
 
 
 def test_calibrate_constant_stream():
-    cfg = DetectorConfig(window_frames=2, sample_frames=4, backtrack_frames=1)
-    baseline = calibrate(constant_stream(1.0, 10), cfg)
-    assert np.all(baseline.levels == 2.0)
-    assert baseline.calibration_end == 10
+    # Ten frames at 1.0 calibrate every channel to a window sum of 2.0, so in
+    # literal mode at multiplier 2.0 a window sum of exactly 4.0 does not
+    # fire and one a hair above it does.
+    cfg = DetectorConfig(window_frames=2, sample_frames=4, backtrack_frames=1,
+                         trigger_multiplier=2.0, mode="literal")
+    values = constant_stream(1.0, 20)
+    values[12:14, 3] = 2.0
+    assert scan(values, cfg) == ([], 0)
+    values[12:14, 3] = np.nextafter(2.0, 3.0)
+    samples, discarded = scan(values, cfg)
+    assert [(s.trigger_frame, s.trigger_channel) for s in samples] == [(12, 4)]
+    assert discarded == 0
 
 
 def test_calibrate_zero_stream():
-    cfg = DetectorConfig(window_frames=5)
-    baseline = calibrate(constant_stream(0.0, 25), cfg)
-    assert np.all(baseline.levels == 0.0)
+    # A zero prefix calibrates to 0.0: zeros never fire, any positive window does.
+    cfg = DetectorConfig(window_frames=5, mode="literal")
+    assert scan(constant_stream(0.0, 100), cfg) == ([], 0)
+    values = constant_stream(0.0, 100)
+    values[30, 9] = 1e-300
+    samples, _ = scan(values, cfg)
+    assert [(s.trigger_frame, s.trigger_channel) for s in samples] == [(30, 10)]
 
 
 def test_calibrate_ramp():
-    cfg = DetectorConfig(window_frames=2, sample_frames=4, backtrack_frames=1)
+    # Frames 0.1..1.0 average to a window sum of 5.5 / 5 = 1.1 per channel.
+    cfg = DetectorConfig(window_frames=2, sample_frames=4, backtrack_frames=1,
+                         trigger_multiplier=2.0, mode="literal")
     values = np.tile(np.linspace(0.1, 1.0, 10)[:, None], (1, 10))
-    baseline = calibrate(values, cfg)
-    assert np.allclose(baseline.levels, 5.5 / 5, atol=1e-12)
+    values = np.concatenate([values, constant_stream(0.5, 10)])
+    values[14:16, 0] = 1.1 - 1e-9
+    assert scan(values, cfg) == ([], 0)
+    values[14:16, 0] = 1.1 + 1e-9
+    samples, _ = scan(values, cfg)
+    assert [(s.trigger_frame, s.trigger_channel) for s in samples] == [(14, 1)]
 
 
 def test_calibration_underrun():
     cfg = DetectorConfig(window_frames=2, sample_frames=4, backtrack_frames=1)
     with pytest.raises(CalibrationUnderrunError):
-        calibrate(constant_stream(1.0, 9), cfg)
+        scan(constant_stream(1.0, 9), cfg)
+    values = constant_stream(1.0, 20)
+    values[3, 5] = np.inf
+    with pytest.raises(ConfigError, match="finite"):
+        scan(values, cfg)
 
 
 def test_hand_trace_literal_mode():
     cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
                          sample_frames=4, mode="literal")
-    stream = hand_trace_stream()
-    baseline = calibrate(stream, cfg)
-    assert np.all(baseline.levels == 2.0)
-    samples = detect(stream, baseline, cfg)
-    assert len(samples) == 1
+    samples, discarded = scan(hand_trace_stream(), cfg)
+    assert len(samples) == 1 and discarded == 0
     sample = samples[0]
     assert sample.trigger_frame == 10
     assert sample.trigger_channel == 1
@@ -74,23 +91,26 @@ def test_hand_trace_literal_mode():
     assert np.all(sample.values[1:] == 1.0)
 
 
-def test_hand_trace_shifted_mode_with_unit_floor_matches_literal():
-    stream = hand_trace_stream()
-    literal = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
-                             sample_frames=4, mode="literal")
-    shifted = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
-                             sample_frames=4, mode="shifted", epsilon=1.0)
-    got_literal = capture_samples(stream, literal)
-    got_shifted = capture_samples(stream, shifted)
-    assert len(got_literal) == len(got_shifted) == 1
-    assert got_literal[0].trigger_frame == got_shifted[0].trigger_frame
-    assert np.array_equal(got_literal[0].values, got_shifted[0].values)
-
-
 def test_constant_stream_never_triggers_in_shifted_mode():
     cfg = DetectorConfig(mode="shifted")
     samples = capture_samples(constant_stream(-3.0, 400), cfg)
     assert samples == []
+
+
+def test_the_feature_floor_is_the_detector_shift():
+    # Dark frames sit on the floor, so in shifted mode their window sums and
+    # baselines both shift to exactly zero and only light above the floor
+    # fires.  A shift taken from a larger floor would put every dark window
+    # above its threshold and fire at once on dark frames; one from a smaller
+    # floor would raise every threshold by (multiplier - 1) times the gap.
+    # So the detector takes its shift from the one floor the features use.
+    taxels = np.zeros((200, 5, 5))
+    assert np.all(features_array(taxels) == np.log(EPSILON))
+    assert scan(features_array(taxels)) == ([], 0)
+    taxels[60:66, 2] = 0.3
+    samples, discarded = scan(features_array(taxels))
+    assert [(s.trigger_frame, s.trigger_channel) for s in samples] == [(60, 3)]
+    assert discarded == 0
 
 
 def test_literal_mode_negative_baseline_degeneracy():
@@ -101,25 +121,6 @@ def test_literal_mode_negative_baseline_degeneracy():
     assert len(samples) > 0
 
 
-def test_modes_coincide_on_nonnegative_streams_with_unit_floor():
-    # With a floor whose log is zero, the shift vanishes and the two modes
-    # are the same comparison on any nonnegative stream.
-    rng = np.random.default_rng(55)
-    for _ in range(20):
-        values = rng.uniform(0.0, 1.0, size=(50, 10))
-        values[20:23, int(rng.integers(0, 10))] = rng.uniform(2.0, 5.0)
-        stream = values
-        kwargs = dict(window_frames=2, backtrack_frames=2, trigger_multiplier=1.5,
-                      sample_frames=6)
-        lit = capture_samples(stream, DetectorConfig(mode="literal", **kwargs))
-        shf = capture_samples(stream, DetectorConfig(mode="shifted", epsilon=1.0, **kwargs))
-        assert len(lit) == len(shf)
-        for a, b in zip(lit, shf):
-            assert a.trigger_frame == b.trigger_frame
-            assert a.trigger_channel == b.trigger_channel
-            assert np.array_equal(a.values, b.values)
-
-
 def test_burst_separation_controls_sample_count():
     cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
                          sample_frames=6, mode="literal")
@@ -128,8 +129,7 @@ def test_burst_separation_controls_sample_count():
         values = np.ones((60, 10))
         values[20:22, 2] = 5.0
         values[second_start : second_start + 2, 2] = 5.0
-        return detect(values,
-                      calibrate(values, cfg), cfg)
+        return capture_samples(values, cfg)
 
     far = run(second_start=30)  # bursts a full sample length apart
     assert len(far) == 2
@@ -156,9 +156,7 @@ def test_captures_match_reference_interpreter_on_random_streams():
 
         cfg = DetectorConfig(window_frames=m, backtrack_frames=c, trigger_multiplier=b,
                              sample_frames=l, mode="literal")
-        detector = Detector(cfg)
-        stream = values
-        samples = detector.detect(stream, detector.calibrate(stream))
+        samples, discarded = scan(values, cfg)
         expected, expected_discards = capture_reference(values, m, c, b, l)
 
         assert len(samples) == len(expected), f"case {case}"
@@ -166,7 +164,7 @@ def test_captures_match_reference_interpreter_on_random_streams():
             assert sample.trigger_frame == t
             assert sample.trigger_channel == k
             assert np.array_equal(sample.values, matrix)
-        assert detector.discarded_partial == expected_discards
+        assert discarded == expected_discards
 
 
 def test_capture_is_exact_slice_of_stream():
@@ -187,11 +185,7 @@ def test_trigger_near_stream_end_is_discarded():
                          sample_frames=10, mode="literal")
     values = np.ones((14, 10))
     values[12:14, 0] = 9.0  # fires at t=12 but only 2 frames remain
-    detector = Detector(cfg)
-    stream = values
-    samples = detector.detect(stream, detector.calibrate(stream))
-    assert samples == []
-    assert detector.discarded_partial == 1
+    assert scan(values, cfg) == ([], 1)
 
 
 def test_ascending_channel_wins_simultaneous_trigger():
@@ -210,14 +204,6 @@ def test_backtrack_must_fit_in_calibration_prefix():
         DetectorConfig(window_frames=1, backtrack_frames=6, sample_frames=10).validate()
 
 
-def test_detect_rejects_mismatched_baseline():
-    short = calibrate(constant_stream(1.0, 10),
-                      DetectorConfig(window_frames=2, backtrack_frames=1, sample_frames=4))
-    cfg = DetectorConfig(window_frames=5, backtrack_frames=20, sample_frames=70)
-    with pytest.raises(ConfigError):
-        detect(constant_stream(1.0, 200), short, cfg)
-
-
 def test_shapes_follow_the_stream_width():
     cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
                          sample_frames=4, mode="literal")
@@ -226,10 +212,6 @@ def test_shapes_follow_the_stream_width():
     samples = capture_samples(values, cfg)
     assert len(samples) == 1 and samples[0].trigger_channel == 7
     assert samples[0].values.shape == (8, 4)
-    with pytest.raises(ConfigError):
-        detect(np.ones((18, 10)), calibrate(values, cfg), cfg)
-    with pytest.raises(ConfigError):
-        Baseline(np.ones((2, 8)), calibration_end=10)
     for bad in (np.ones(8), np.ones((2, 2, 2))):
         with pytest.raises(ConfigError):
             TactileSample(bad, trigger_frame=0, trigger_channel=1)

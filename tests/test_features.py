@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from whiskerlab.errors import ConfigError
-from whiskerlab.features import FeatureConfig, features_array, features_stream, stream_to_array
+from whiskerlab.features import EPSILON, features_array, features_stream, stream_to_array
 from whiskerlab.taxel_grid import TaxelMatrix, TaxelStream
 
 from oracles import feature_oracle
 
-CFG = FeatureConfig()
-
 
 def test_uniform_fifth_gives_zero_features():
-    fv = features_array(np.full((1, 5, 5), 0.2), CFG)[0]
+    fv = features_array(np.full((1, 5, 5), 0.2))[0]
     assert np.all(fv == 0.0)
 
 
 def test_all_zero_hits_floor():
-    fv = features_array(np.zeros((1, 5, 5)), CFG)[0]
+    fv = features_array(np.zeros((1, 5, 5)))[0]
     assert np.all(fv == math.log(1e-6))
     assert fv[0] == pytest.approx(-13.8155, abs=1e-4)
 
@@ -26,7 +24,7 @@ def test_all_zero_hits_floor():
 def test_single_taxel_half():
     values = np.zeros((5, 5))
     values[0, 0] = 0.5
-    fv = features_array(values[None], CFG)[0]
+    fv = features_array(values[None])[0]
     expected = feature_oracle(values, 1e-6)
     assert np.allclose(fv, expected, atol=0, rtol=0)
     assert fv[0] == pytest.approx(math.log(0.5), abs=1e-15)
@@ -40,8 +38,8 @@ def test_matches_loop_oracle_on_random_matrices():
     rng = np.random.default_rng(21)
     for _ in range(200):
         values = rng.uniform(0.0, 1.0, size=(5, 5))
-        got = features_array(values[None], CFG)[0]
-        expected = np.array(feature_oracle(values, CFG.epsilon))
+        got = features_array(values[None])[0]
+        expected = np.array(feature_oracle(values, EPSILON))
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -49,8 +47,8 @@ def test_bounds_hold_for_any_input():
     rng = np.random.default_rng(2)
     for _ in range(50):
         values = rng.uniform(0.0, 1.0, size=(5, 5))
-        got = features_array(values[None], CFG)[0]
-        assert np.all(got >= math.log(CFG.epsilon))
+        got = features_array(values[None])[0]
+        assert np.all(got >= math.log(EPSILON))
         assert np.all(got <= math.log(5.0) + 1e-12)
 
 
@@ -58,8 +56,8 @@ def test_transpose_swaps_row_and_column_channels():
     rng = np.random.default_rng(13)
     for _ in range(50):
         values = rng.uniform(0.0, 1.0, size=(5, 5))
-        plain = features_array(values[None], CFG)[0]
-        swapped = features_array(values.T[None], CFG)[0]
+        plain = features_array(values[None])[0]
+        swapped = features_array(values.T[None])[0]
         assert np.array_equal(swapped[:5], plain[5:])
         assert np.array_equal(swapped[5:], plain[:5])
 
@@ -67,10 +65,10 @@ def test_transpose_swaps_row_and_column_channels():
 def test_within_row_permutation_leaves_row_features_alone():
     rng = np.random.default_rng(17)
     values = rng.uniform(0.0, 1.0, size=(5, 5))
-    base = features_array(values[None], CFG)[0]
+    base = features_array(values[None])[0]
     shuffled = values.copy()
     shuffled[2] = shuffled[2][[4, 2, 0, 1, 3]]
-    got = features_array(shuffled[None], CFG)[0]
+    got = features_array(shuffled[None])[0]
     # summation order may differ in the last ulp
     assert np.allclose(got[:5], base[:5], rtol=0, atol=1e-12)
 
@@ -79,8 +77,8 @@ def test_column_permutation_permutes_column_features():
     rng = np.random.default_rng(19)
     values = rng.uniform(0.0, 1.0, size=(5, 5))
     perm = [3, 0, 4, 1, 2]
-    base = features_array(values[None], CFG)[0]
-    got = features_array(values[:, perm][None], CFG)[0]
+    base = features_array(values[None])[0]
+    got = features_array(values[:, perm][None])[0]
     assert np.array_equal(got[5:], base[5:][perm])
     assert np.allclose(got[:5], base[:5], rtol=0, atol=1e-12)
 
@@ -88,10 +86,10 @@ def test_column_permutation_permutes_column_features():
 def test_monotone_in_each_taxel():
     rng = np.random.default_rng(23)
     values = rng.uniform(0.1, 0.9, size=(5, 5))
-    base = features_array(values[None], CFG)[0]
+    base = features_array(values[None])[0]
     bumped_values = values.copy()
     bumped_values[1, 3] += 0.05
-    bumped = features_array(bumped_values[None], CFG)[0]
+    bumped = features_array(bumped_values[None])[0]
     assert bumped[1] > base[1]
     assert bumped[5 + 3] > base[5 + 3]
     untouched = [k for k in range(10) if k not in (1, 8)]
@@ -99,40 +97,35 @@ def test_monotone_in_each_taxel():
 
 
 def test_channel_count_is_ten():
-    assert features_array(np.zeros((1, 5, 5)), CFG).shape == (1, 10)
+    assert features_array(np.zeros((1, 5, 5))).shape == (1, 10)
     # Other grids give rows + cols channels, rows first.
     values = np.zeros((2, 4, 4))
     values[:, 1, 2] = 0.5
-    got = features_array(values, CFG)
+    got = features_array(values)
     assert got.shape == (2, 8)
     assert np.array_equal(got[0], got[1])
     assert got[0, 1] == got[0, 4 + 2] == math.log(0.5)
-    assert features_array(np.zeros((3, 3, 6)), CFG).shape == (3, 9)
+    assert features_array(np.zeros((3, 3, 6))).shape == (3, 9)
 
 
 def test_stream_empty_and_single():
     for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((3, 5, 5)))[3:]):
         with pytest.raises(ConfigError):
-            features_stream(empty, CFG)
+            features_stream(empty)
     one = TaxelMatrix(np.full((5, 5), 0.2), frame_index=4)
-    stream = features_stream([one], CFG)
+    stream = features_stream([one])
     assert stream.shape == (1, 10)
-    assert np.array_equal(stream[0], features_array(one.values[None], CFG)[0])
+    assert np.array_equal(stream[0], features_array(one.values[None])[0])
 
 
 def test_stream_preserves_order_on_simulated_slide():
     from whiskerlab.sim import SlideConfig, TextureSpec, simulate_slide
 
     frames = simulate_slide(TextureSpec("sawtooth", 2), SlideConfig(150.0, seed=3))[:70]
-    stream = features_stream(frames, CFG)
+    stream = features_stream(frames)
     assert stream.shape == (70, 10)
     for fv, m in zip(stream, frames):
-        assert np.array_equal(fv, features_array(m.values[None], CFG)[0])
-
-
-def test_epsilon_must_be_positive():
-    with pytest.raises(ConfigError):
-        FeatureConfig(epsilon=0.0).validate()
+        assert np.array_equal(fv, features_array(m.values[None])[0])
 
 
 def test_features_array_matches_per_frame_features_bit_for_bit():
@@ -140,17 +133,11 @@ def test_features_array_matches_per_frame_features_bit_for_bit():
     taxels = rng.uniform(0.0, 0.3, size=(120, 5, 5))
     taxels[:10] = 0.0  # dark frames hit the floor
     taxels[10:20] *= 1e-8
-    for cfg in (CFG, FeatureConfig(epsilon=1e-3)):
-        got = features_array(taxels, cfg)
-        want = np.stack([features_array(v[None], cfg)[0] for v in taxels])
-        assert got.shape == (120, 10) and got.tobytes() == want.tobytes()
-        stream = features_stream([TaxelMatrix(v, t + 3) for t, v in enumerate(taxels)], cfg)
-        assert stream.tobytes() == got.tobytes()
-
-
-def test_features_array_validates_config():
-    with pytest.raises(ConfigError):
-        features_array(np.zeros((3, 5, 5)), FeatureConfig(epsilon=0.0))
+    got = features_array(taxels)
+    want = np.stack([features_array(v[None])[0] for v in taxels])
+    assert got.shape == (120, 10) and got.tobytes() == want.tobytes()
+    stream = features_stream([TaxelMatrix(v, t + 3) for t, v in enumerate(taxels)])
+    assert stream.tobytes() == got.tobytes()
 
 
 def test_stream_to_array_passes_a_feature_array_through():
@@ -169,7 +156,7 @@ def test_features_stream_of_taxel_stream_matches_matrix_list_bitwise(side):
     for seed, speed in ((1, 90.0), (2, 210.0)):
         stream = simulate_slide(TextureSpec("triangle", 3), SlideConfig(speed, 90, seed=seed), array)
         by_hand = [TaxelMatrix(m.values.copy(), m.frame_index) for m in stream]
-        got = features_stream(stream, CFG)
+        got = features_stream(stream)
         assert got.shape == (len(stream), 2 * side)
-        assert got.tobytes() == features_stream(by_hand, CFG).tobytes()
-        assert features_stream(stream[10:50], CFG).tobytes() == got[10:50].tobytes()
+        assert got.tobytes() == features_stream(by_hand).tobytes()
+        assert features_stream(stream[10:50]).tobytes() == got[10:50].tobytes()

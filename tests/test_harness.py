@@ -12,8 +12,6 @@ from whiskerlab.harness.config import (
 )
 from whiskerlab.harness.manifest import RunManifest, file_digest
 from whiskerlab.harness.svg import xy_chart_svg
-from whiskerlab.events import DetectorConfig
-from whiskerlab.features import FeatureConfig
 from whiskerlab.learn.dataset import CollectionPlan
 from whiskerlab.learn.forest import ForestParams
 from whiskerlab.learn.linear import LinearParams
@@ -67,6 +65,10 @@ def test_load_config_rejects_bad_files(tmp_path):
     {"collection": {"speed_range": ["a", 180.0]}},
     {"collection": {"speed_range": 150.0}},
     {"features": 1e-6},
+    {"features": {"epsilon": 1e-3}},  # a retired key holds only the value now fixed
+    {"features": {"epsilon": 1e-6, "scale": 1.0}},
+    {"detector": {"epsilon": 1e-3}},
+    {"detector": {"epsilon": "1e-06"}},
     {"slide": {"seed": 1}},
     [],
 ])
@@ -77,7 +79,7 @@ def test_config_values_must_have_their_field_types(doc):
 
 def test_valid_configs_keep_their_digest(tmp_path):
     assert config_digest(ExperimentConfig()) == (
-        "0ff67e77034bd884c1cf80b825213032f63701c43a133e71639fc7417f94dc6b")
+        "3a18367c45d8bd70d799db80e50b2c1b7a12ae136e769fe7c9fd0c51f681b235")
     doc = ExperimentConfig().to_dict()
     doc["detector"]["trigger_multiplier"] = 2  # an int is a valid float
     doc["collection"]["speed_range"] = [100, 200.5]
@@ -87,7 +89,8 @@ def test_valid_configs_keep_their_digest(tmp_path):
 
 
 # The default document of the config version that still had a `direction`
-# section (method, crossing_frac), as `init-config` wrote it.
+# section (method, crossing_frac) and the feature floor as two knobs
+# (`features.epsilon`, `detector.epsilon`), as `init-config` wrote it.
 DIRECTION_ERA_DEFAULT = json.loads(
     '{"grid": {"rows": 5, "cols": 5, "roi_side": 50, "image_side": 400, "channel": "green"}, '
     '"features": {"epsilon": 1e-06}, "detector": {"window_frames": 5, "backtrack_frames": 10, '
@@ -128,13 +131,6 @@ def test_retired_keys_load_and_are_dropped(tmp_path):
 def test_unknown_config_keys_are_rejected(doc):
     with pytest.raises(ConfigError, match="unknown key"):
         ExperimentConfig.from_dict(doc)
-
-
-def test_feature_and_detector_epsilon_must_agree():
-    ExperimentConfig(features=FeatureConfig(epsilon=1e-3),
-                     detector=DetectorConfig(epsilon=1e-3)).validate()
-    with pytest.raises(ConfigError, match="epsilon"):
-        ExperimentConfig(features=FeatureConfig(epsilon=1e-3)).validate()
 
 
 def test_config_validation_checks_shapes_and_model_params():

@@ -14,13 +14,12 @@ from whiskerlab.sim import (
     load_taxel_csv,
     save_slide_manifest,
     save_taxel_csv,
-    simulate_frames,
     simulate_slide,
     simulate_taxels,
     specimen_by_id,
     specimen_id,
 )
-from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels
+from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels, render_frame
 
 
 def test_flat_profile_is_zero_everywhere():
@@ -158,7 +157,7 @@ def test_simulate_frames_round_trips_through_rendering():
     grid = TaxelGridConfig()
     slide = SlideConfig(speed_mm_s=180.0, seed=11, lead_in_frames=2, lead_out_frames=2)
     taxels = simulate_slide(TextureSpec("sinc", 2), slide)
-    frames = simulate_frames(TextureSpec("sinc", 2), slide, WhiskerArraySpec(), grid)
+    frames = [render_frame(m, grid) for m in taxels]
     assert len(frames) == len(taxels)
     for frame, expected in zip(frames[:6], taxels[:6]):
         recovered = extract_taxels(frame, grid).values
