@@ -17,13 +17,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitError, DirectionIndeterminateError
+from .errors import ConfigError, DegenerateFitError, DirectionIndeterminateError, Validated
 from .events import TactileSample
 from .taxel_grid import taxel_array
 
 
 @dataclass(frozen=True)
-class DurationConfig:
+class DurationConfig(Validated):
     """valid_threshold: per-frame total taxel sum a frame must exceed."""
 
     valid_threshold: float = 0.0475
@@ -54,7 +54,6 @@ def event_duration(stream, cfg: DurationConfig = DurationConfig()) -> Optional[i
     through ``taxel_array``; each frame's total is the same sum as its
     ``TaxelMatrix.total``.
     """
-    cfg.validate()
     taxels = taxel_array(stream)
     totals = taxels.reshape(len(taxels), -1).sum(axis=1)
     valid = np.nonzero((totals > cfg.valid_threshold) & (totals != 0.0))[0]

@@ -9,6 +9,14 @@ class ConfigError(WhiskerlabError, ValueError):
     """A configuration object or argument violates its invariants."""
 
 
+class Validated:
+    """Base of the frozen config dataclasses: ``validate()`` runs when one is
+    built (``dataclasses.replace`` included), so an invalid one cannot exist."""
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+
 class CalibrationUnderrunError(WhiskerlabError):
     """The stream ended before enough frames were seen to calibrate."""
 

@@ -27,14 +27,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import atomic_open
-from .errors import CalibrationUnderrunError, ConfigError, DataFileError
+from .errors import CalibrationUnderrunError, ConfigError, DataFileError, Validated
 from .features import EPSILON, stream_to_array
 
 MODES = ("literal", "shifted")
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Validated):
     """Parameters of the event-driven capture loop.
 
     window_frames: width of the sliding window, in frames.
@@ -130,7 +130,6 @@ def scan(
     captures and how many triggers came too close to the stream's end for a
     full capture and were discarded.
     """
-    cfg.validate()
     arr = stream_to_array(stream)
     n = arr.shape[0]
     t = cfg.calibration_frames

@@ -58,7 +58,6 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args, cfg, out, manifest):
     texture = sim.TextureSpec(args.pattern, args.depth)
-    texture.validate()
     speeds = args.speeds or [args.speed]
     if not speeds or any(s is None for s in speeds):
         raise ConfigError("pass --speed or --speeds")
@@ -378,7 +377,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        cfg.validate()
         out = _out_dir(args)
         started = time.perf_counter()
         manifest = RunManifest.load_or_create(out, config_digest(cfg))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict, fields, is_dataclass
 
 from ..analysis import DurationConfig
 from ..artifacts import read_json, write_json
-from ..errors import ConfigError
+from ..errors import ConfigError, Validated
 from ..events import DetectorConfig
 from ..features import EPSILON
 from ..learn.boosting import BoostParams
@@ -31,7 +31,7 @@ class ModelParamsConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Validated):
     grid: TaxelGridConfig = TaxelGridConfig()
     detector: DetectorConfig = DetectorConfig()
     array: WhiskerArraySpec = WhiskerArraySpec()
@@ -49,19 +49,15 @@ class ExperimentConfig:
         return _from_dict(cls, obj)
 
     def validate(self) -> None:
-        self.grid.validate()
-        self.detector.validate()
-        self.array.validate()
-        self.slide.validate()
-        self.duration.validate()
-        self.collection.validate()
-        for params in vars(self.models).values():
-            params.validate()
+        """The checks across sections; each section checked itself when built."""
         shape = (self.array.rows, self.array.cols)
         if shape[0] != shape[1]:  # taxel CSV streams and the direction rule assume it
             raise ConfigError(f"the whisker array must be square, got {shape}")
         if (self.grid.rows, self.grid.cols) != shape:
             raise ConfigError(f"grid {(self.grid.rows, self.grid.cols)} must match the array {shape}")
+        if self.slide.lead_in_frames < self.detector.calibration_frames:
+            raise ConfigError(f"slide.lead_in_frames {self.slide.lead_in_frames} must cover the "
+                              f"{self.detector.calibration_frames}-frame detector calibration prefix")
 
 
 # What a JSON value must be to fill a field of each scalar type.

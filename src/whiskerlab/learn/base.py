@@ -76,7 +76,6 @@ class Classifier:
     @classmethod
     def from_dict(cls, obj: dict) -> "Classifier":
         model = cls(cls.params_cls(**obj["params"]), obj["seed"])
-        model.params.validate()
         model.classes_ = obj["classes"]
         if not (isinstance(model.classes_, list)
                 and all(isinstance(c, (int, str)) for c in model.classes_)):

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import Validated
 from .base import Classifier, check_params
 from .trees import (PackedTrees, Tree, cumulative_counts, grow_tree, offset_bins, quantile_bin_edges,
                     running_sum)
 
 
 @dataclass(frozen=True)
-class BoostParams:
+class BoostParams(Validated):
     rounds: int = 100
     max_depth: int = 3
     learning_rate: float = 0.1

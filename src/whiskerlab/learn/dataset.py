@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, DataFileError, DatasetBuildError
+from ..errors import ConfigError, DataFileError, DatasetBuildError, Validated
 from ..events import (
     DetectorConfig,
     SampleLabel,
@@ -31,7 +31,7 @@ from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels, spe
 
 
 @dataclass(frozen=True)
-class CollectionPlan:
+class CollectionPlan(Validated):
     """How slides are drawn when building a dataset.
 
     Speeds are sampled uniformly from speed_range and the texture phase is
@@ -194,7 +194,6 @@ def build_dataset(
     Every (specimen, slide) task derives its own randomness from the root
     seed, so each slide's result does not depend on the others.
     """
-    plan.validate()
     digest = plan_digest(plan, detector_cfg, base_slide, array)
     diagnostics = BuildDiagnostics()
     samples = []
@@ -249,20 +248,14 @@ def split(
         take[c] = min(int(round(test_fraction * idx.size)), max(idx.size - 1, 0))
 
     target = int(round(test_fraction * dataset.n))
-    # Top up (or trim) to the global target, preferring classes with the
-    # most training samples left; ties broken by class id for determinism.
-    # Classes keep at least one training sample unless no class can spare one.
+    # Top up to the global target from the class with the most training
+    # samples left (lowest id on ties) while any has one left, so a class
+    # gives up its last one only when no class can spare one; then trim.
     while sum(take.values()) < target:
-        by_train_left = sorted(classes.tolist(),
-                               key=lambda c: (-(per_class_order[c].size - take[c]), c))
-        spare = [c for c in by_train_left if per_class_order[c].size - take[c] > 1]
-        exhaustible = [c for c in by_train_left if per_class_order[c].size - take[c] > 0]
-        if spare:
-            take[spare[0]] += 1
-        elif exhaustible:
-            take[exhaustible[0]] += 1
-        else:
+        c = min(classes.tolist(), key=lambda k: (take[k] - per_class_order[k].size, k))
+        if take[c] == per_class_order[c].size:
             break
+        take[c] += 1
     while sum(take.values()) > target:
         by_take = sorted(classes.tolist(), key=lambda c: (-take[c], c))
         if take[by_take[0]] == 0:

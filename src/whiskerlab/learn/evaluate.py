@@ -37,9 +37,7 @@ class ModelSpec:
         model_cls = _MODEL_CLASSES[self.kind]
         if self.params is not None and not isinstance(self.params, model_cls.params_cls):
             raise ConfigError(f"{self.kind} expects {model_cls.params_cls.__name__} parameters")
-        model = model_cls(self.params, seed=self.train_seed)
-        model.params.validate()
-        return model
+        return model_cls(self.params, seed=self.train_seed)
 
 
 def task_labels(dataset: LabeledDataset, task: str) -> np.ndarray:

@@ -6,12 +6,13 @@ from functools import partial
 
 import numpy as np
 
+from ..errors import Validated
 from .base import Classifier, check_params
 from .trees import PackedTrees, Tree, grow_tree, offset_bins, quantile_bin_edges, running_sum
 
 
 @dataclass(frozen=True)
-class ForestParams:
+class ForestParams(Validated):
     n_trees: int = 100
     max_bins: int = 256
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataFileError
+from ..errors import DataFileError, Validated
 from .base import Classifier, check_params
 
 
@@ -29,7 +29,7 @@ def _block_rows(d: int, n_classes: int) -> int:
 
 
 @dataclass(frozen=True)
-class LinearParams:
+class LinearParams(Validated):
     reg: float = 1.0  # L2 penalty weight
     epochs: int = 400
     learning_rate: float = 0.05

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_json, write_csv, write_json
-from .errors import ConfigError, DataFileError
+from .errors import ConfigError, DataFileError, Validated
 from .taxel_grid import (
     TactileFrame,
     TaxelMatrix,
@@ -46,7 +46,7 @@ DIRECTIONS_DEG = (0, 90, 180, 270)
 
 
 @dataclass(frozen=True)
-class TextureSpec:
+class TextureSpec(Validated):
     """A specimen surface: waveform pattern and texture depth.
 
     The period is twice the depth, so depth alone fixes the spatial
@@ -87,14 +87,6 @@ SPECIMENS: tuple[TextureSpec, ...] = (
 )
 
 
-def specimen_id(texture: TextureSpec) -> int:
-    """1-based id of a texture in the canonical specimen list."""
-    try:
-        return SPECIMENS.index(texture) + 1
-    except ValueError:
-        raise ConfigError(f"{texture} is not one of the canonical specimens") from None
-
-
 def specimen_by_id(sid: int) -> TextureSpec:
     if not 1 <= sid <= len(SPECIMENS):
         raise ConfigError(f"specimen id must be 1..{len(SPECIMENS)}, got {sid}")
@@ -102,12 +94,13 @@ def specimen_by_id(sid: int) -> TextureSpec:
 
 
 @dataclass(frozen=True)
-class SlideConfig:
+class SlideConfig(Validated):
     """One pass of the array over a specimen.
 
     start_offset_mm shifts the texture phase under the array (placement
     jitter).  Lead-in dark frames must cover the detector's calibration
-    prefix; lead-out frames let the afterglow decay and leave room for the
+    prefix (``ExperimentConfig`` checks it; a lone SlideConfig may have any
+    lead-in); lead-out frames let the afterglow decay and leave room for the
     fixed-length capture to complete.
     """
 
@@ -139,7 +132,7 @@ class SlideConfig:
 
 
 @dataclass(frozen=True)
-class WhiskerArraySpec:
+class WhiskerArraySpec(Validated):
     """Geometry and luminescence response of the whisker array (5x5 in the paper).
 
     gain converts accumulated positive strain-rate into normalized intensity;
@@ -189,7 +182,6 @@ def height_profile(texture: TextureSpec, x) -> np.ndarray:
     sinc is depth * |sinc(2u/period)| within each period, sawtooth ramps
     0 -> depth and resets, triangle rises to its apex at half period.
     """
-    texture.validate()
     x = np.asarray(x, dtype=np.float64)
     if texture.pattern == "flat":
         return np.zeros_like(x)
@@ -272,10 +264,6 @@ def simulate_taxels(
     whole stream (bitwise the same numbers as one draw per frame), and gain,
     noise and clip apply to all frames at once.
     """
-    texture.validate()
-    slide.validate()
-    array.validate()
-
     n_active = active_frame_count(slide)
     n_total = slide.lead_in_frames + n_active + slide.lead_out_frames
     offsets = _axis_offsets(slide.direction_deg, array)
@@ -397,8 +385,6 @@ def load_slide_manifest(path) -> tuple[TextureSpec, SlideConfig, WhiskerArraySpe
     try:
         specs = (TextureSpec(**doc["texture"]), SlideConfig(**doc["slide"]),
                  WhiskerArraySpec(**doc["array"]))
-        for spec in specs:
-            spec.validate()
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataFileError(f"{path}: bad slide record ({exc!r})") from exc
     return specs

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_bytes
-from .errors import ConfigError, DataFileError
+from .errors import ConfigError, DataFileError, Validated
 
 CHANNELS = {"red": 0, "green": 1, "blue": 2}
 
 
 @dataclass(frozen=True)
-class TaxelGridConfig:
+class TaxelGridConfig(Validated):
     """Geometry of the taxel grid inside a frame.
 
     The image is split into ``rows x cols`` cells (integer division); each
@@ -204,7 +204,6 @@ def extract_taxels(
     normalized by 255.  The mean is computed by exact integer accumulation
     followed by a single division so results are platform-deterministic.
     """
-    cfg.validate()
     if frame.width != cfg.image_side or frame.height != cfg.image_side:
         raise ConfigError(
             f"frame is {frame.width}x{frame.height}, config expects "
@@ -221,7 +220,6 @@ def render_frame(
     taxels: TaxelMatrix, cfg: TaxelGridConfig = TaxelGridConfig()
 ) -> TactileFrame:
     """Render a synthetic frame: each ROI filled with green = round(255 * value)."""
-    cfg.validate()
     vals = taxels.values
     if vals.shape != (cfg.rows, cfg.cols):
         raise ConfigError(f"taxel matrix is {vals.shape}, config expects {(cfg.rows, cfg.cols)}")

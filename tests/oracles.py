@@ -433,3 +433,34 @@ def linear_fit_oracle(X: np.ndarray, yi: np.ndarray, n_classes: int, reg: float,
         W -= lr * grad_W
         b -= lr * grad_b
     return W, b
+
+
+def split_test_counts_oracle(class_sizes: dict, test_fraction: float) -> dict:
+    """Per-class test counts of a stratified split, by the former top-up loop.
+
+    Each class starts at round(fraction * size), keeping one training row;
+    the total is topped up to round(fraction * n), one row at a time, from
+    the class with the most training rows left among those that keep one
+    after giving (else among those with any left), ties to the lowest id,
+    then trimmed from the class with the most test rows.
+    """
+    classes = sorted(class_sizes)
+    take = {c: min(int(round(test_fraction * class_sizes[c])), max(class_sizes[c] - 1, 0))
+            for c in classes}
+    target = int(round(test_fraction * sum(class_sizes.values())))
+    while sum(take.values()) < target:
+        by_train_left = sorted(classes, key=lambda c: (-(class_sizes[c] - take[c]), c))
+        spare = [c for c in by_train_left if class_sizes[c] - take[c] > 1]
+        exhaustible = [c for c in by_train_left if class_sizes[c] - take[c] > 0]
+        if spare:
+            take[spare[0]] += 1
+        elif exhaustible:
+            take[exhaustible[0]] += 1
+        else:
+            break
+    while sum(take.values()) > target:
+        by_take = sorted(classes, key=lambda c: (-take[c], c))
+        if take[by_take[0]] == 0:
+            break
+        take[by_take[0]] -= 1
+    return take

@@ -343,11 +343,11 @@ def test_malformed_taxel_csv_is_data_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
 
 
-def small_shape_config(rows=4, cols=4, grid=None):
+def small_shape_config():
     """A 4x4 array with 60-frame captures, 3 slides per specimen and small models."""
     return ExperimentConfig(
-        grid=grid or TaxelGridConfig(rows=rows, cols=cols),
-        array=WhiskerArraySpec(rows=rows, cols=cols),
+        grid=TaxelGridConfig(rows=4, cols=4),
+        array=WhiskerArraySpec(rows=4, cols=4),
         detector=DetectorConfig(sample_frames=60),
         collection=CollectionPlan(slides_per_specimen=3),
         models=ModelParamsConfig(linear_margin=LinearParams(epochs=20),
@@ -413,13 +413,28 @@ def test_non_default_shape_runs_end_to_end(tmp_path, capsys):
 
 def test_unrunnable_shapes_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    for cfg, problem in ((small_shape_config(rows=4, cols=5), "square"),
-                         (small_shape_config(grid=TaxelGridConfig()), "grid")):
-        save_config(cfg_path, cfg)
+    not_square = small_shape_config().to_dict()
+    not_square["grid"]["cols"] = not_square["array"]["cols"] = 5
+    off_grid = small_shape_config().to_dict()
+    off_grid["grid"]["rows"] = off_grid["grid"]["cols"] = 5
+    for doc, problem in ((not_square, "square"), (off_grid, "grid")):
+        cfg_path.write_text(json.dumps(doc))
         rc = main(["dataset", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage" and problem in err["message"]
+
+
+@pytest.mark.parametrize("lead_in", [0, 24])
+def test_lead_in_must_cover_the_calibration_prefix(tmp_path, capsys, lead_in):
+    doc = small_shape_config().to_dict()
+    doc["slide"]["lead_in_frames"] = lead_in  # the detector calibrates on 5 windows of 5 frames
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["dataset", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "slide.lead_in_frames" in err["message"]
+    assert not (tmp_path / "run" / "dataset.jsonl").exists()
 
 
 def test_slide_start_offset_reaches_simulate(tmp_path):

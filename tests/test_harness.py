@@ -134,23 +134,26 @@ def test_unknown_config_keys_are_rejected(doc):
 
 
 def test_config_validation_checks_shapes_and_model_params():
-    four = dict(grid=TaxelGridConfig(rows=4, cols=4), array=WhiskerArraySpec(rows=4, cols=4))
-    ExperimentConfig(**four).validate()
-    for bad, match in (
-        (dict(grid=TaxelGridConfig(rows=4, cols=6), array=WhiskerArraySpec(rows=4, cols=6)), "square"),
-        (dict(array=WhiskerArraySpec(rows=4, cols=4)), "grid"),
-        (dict(grid=TaxelGridConfig(rows=4, cols=4)), "grid"),
-        (dict(models=ModelParamsConfig(bagged_trees=ForestParams(n_trees=0))), "n_trees"),
-        (dict(models=ModelParamsConfig(linear_margin=LinearParams(reg=-1.0))), "reg"),
+    ExperimentConfig(grid=TaxelGridConfig(rows=4, cols=4), array=WhiskerArraySpec(rows=4, cols=4))
+    for build, match in (
+        (lambda: ExperimentConfig(grid=TaxelGridConfig(rows=4, cols=6),
+                                  array=WhiskerArraySpec(rows=4, cols=6)), "square"),
+        (lambda: ExperimentConfig(array=WhiskerArraySpec(rows=4, cols=4)), "grid"),
+        (lambda: ExperimentConfig(grid=TaxelGridConfig(rows=4, cols=4)), "grid"),
+        (lambda: ExperimentConfig(models=ModelParamsConfig(bagged_trees=ForestParams(n_trees=0))),
+         "n_trees"),
+        (lambda: ExperimentConfig(models=ModelParamsConfig(linear_margin=LinearParams(reg=-1.0))),
+         "reg"),
     ):
         with pytest.raises(ConfigError, match=match):
-            ExperimentConfig(**bad).validate()
+            build()
 
 
 def test_config_validation_propagates():
-    cfg = ExperimentConfig(slide=SlideConfig(speed_mm_s=-1.0))
     with pytest.raises(ConfigError):
-        cfg.validate()
+        ExperimentConfig(slide=SlideConfig(speed_mm_s=-1.0))
+    with pytest.raises(ConfigError, match="speed"):
+        ExperimentConfig.from_dict({"slide": {"speed_mm_s": -1.0}})
 
 
 def test_manifest_records_and_verifies(tmp_path):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import whiskerlab
-from oracles import linear_fit_oracle
+from oracles import linear_fit_oracle, split_test_counts_oracle
 from whiskerlab.errors import (
     ConfigError,
     DataFileError,
@@ -140,6 +141,24 @@ def test_split_degenerate_one_sample_per_class_warns():
     with pytest.warns(UserWarning):
         train_set, test_set = split(labeled, 0.1, seed=1)
     assert train_set.n == 9 and test_set.n == 1
+
+
+def test_split_test_counts_match_the_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        sizes = {c: int(rng.integers(1, 15)) for c in range(1, int(rng.integers(1, 8)) + 1)}
+        ids = np.repeat(list(sizes), list(sizes.values()))
+        data = LabeledDataset(features=np.zeros((ids.size, 1)), specimen_ids=ids,
+                              patterns=["flat"] * ids.size, depths=np.zeros(ids.size),
+                              speeds=np.zeros(ids.size), directions=np.zeros(ids.size, dtype=np.int64),
+                              seeds=np.arange(ids.size))
+        fraction = float(rng.uniform(0.01, 0.99))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # every class here is under 15 rows
+            _, test_set = split(data, fraction, seed=1)
+        counts = np.bincount(test_set.specimen_ids, minlength=len(sizes) + 1)[1:]
+        expected = split_test_counts_oracle(sizes, fraction)
+        assert counts.tolist() == [expected[c] for c in sizes], (sizes, fraction)
 
 
 def test_linearly_separable_blobs_reach_full_train_accuracy():
@@ -293,24 +312,32 @@ def test_model_spec_builds_and_validates():
 
 
 BAD_PARAMS = [
-    ("bagged_trees", ForestParams(n_trees=0)),
-    ("bagged_trees", ForestParams(max_bins=1)),
-    ("boosted_trees", BoostParams(rounds=0)),
-    ("boosted_trees", BoostParams(max_depth=0)),
-    ("boosted_trees", BoostParams(learning_rate=0.0)),
-    ("boosted_trees", BoostParams(max_bins=1)),
-    ("linear_margin", LinearParams(epochs=0)),
-    ("linear_margin", LinearParams(reg=-0.5)),
-    ("linear_margin", LinearParams(learning_rate=-0.05)),
+    ("bagged_trees", {"n_trees": 0}),
+    ("bagged_trees", {"max_bins": 1}),
+    ("boosted_trees", {"rounds": 0}),
+    ("boosted_trees", {"max_depth": 0}),
+    ("boosted_trees", {"learning_rate": 0.0}),
+    ("boosted_trees", {"max_bins": 1}),
+    ("linear_margin", {"epochs": 0}),
+    ("linear_margin", {"reg": -0.5}),
+    ("linear_margin", {"learning_rate": -0.05}),
 ]
 
 
 @pytest.mark.parametrize("kind, params", BAD_PARAMS)
-def test_model_params_are_validated(kind, params):
+def test_model_params_are_validated(kind, params, tmp_path):
+    model = ModelSpec(kind).build()
     with pytest.raises(ConfigError):
-        params.validate()
-    with pytest.raises(ConfigError):
-        ModelSpec(kind, params=params).build()
+        model.params_cls(**params)
+    # a model file carrying them is a data error (exit 3)
+    model.fit(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1], dtype=object))
+    model.task = "patterns4"
+    save_model(tmp_path / "model.json", model)
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["model"]["params"].update(params)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with pytest.raises(DataFileError, match=next(iter(params))):
+        load_model(tmp_path / "model.json")
 
 
 def test_predict_rejects_input_of_another_width(tmp_path):

@@ -17,7 +17,6 @@ from whiskerlab.sim import (
     simulate_slide,
     simulate_taxels,
     specimen_by_id,
-    specimen_id,
 )
 from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels, render_frame
 
@@ -70,8 +69,7 @@ def test_texture_validation():
 def test_specimen_table():
     assert len(SPECIMENS) == 10
     assert SPECIMENS[0] == TextureSpec("flat", 0)
-    for sid in range(1, 11):
-        assert specimen_id(specimen_by_id(sid)) == sid
+    assert [specimen_by_id(sid) for sid in range(1, 11)] == list(SPECIMENS)
     depths = sorted({t.depth_mm for t in SPECIMENS})
     assert depths == [0, 2, 3, 4]
 
