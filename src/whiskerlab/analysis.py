@@ -28,9 +28,7 @@ class DurationConfig(Validated):
 
     valid_threshold: float = 0.0475
 
-    def validate(self) -> None:
-        if not self.valid_threshold > 0:
-            raise ConfigError(f"valid_threshold must be positive, got {self.valid_threshold}")
+    BOUNDS = {"valid_threshold": "(0, inf)"}
 
 
 @dataclass(frozen=True)

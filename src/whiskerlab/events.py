@@ -52,20 +52,14 @@ class DetectorConfig(Validated):
     baseline_windows: int = 5
     mode: str = "shifted"
 
+    BOUNDS = {"window_frames": "[1, inf)", "backtrack_frames": "[0, inf)",
+              "trigger_multiplier": "(0, inf)", "sample_frames": "[1, inf)",
+              "baseline_windows": "[1, inf)"}
+
     def validate(self) -> None:
-        if self.window_frames < 1:
-            raise ConfigError(f"window_frames must be >= 1, got {self.window_frames}")
-        if not 0 <= self.backtrack_frames < self.sample_frames:
-            raise ConfigError(
-                f"backtrack_frames must lie in [0, sample_frames), got "
-                f"{self.backtrack_frames} with sample_frames {self.sample_frames}"
-            )
-        if not self.trigger_multiplier > 0:
-            raise ConfigError(f"trigger_multiplier must be positive, got {self.trigger_multiplier}")
-        if self.sample_frames < 1:
-            raise ConfigError(f"sample_frames must be >= 1, got {self.sample_frames}")
-        if self.baseline_windows < 1:
-            raise ConfigError(f"baseline_windows must be >= 1, got {self.baseline_windows}")
+        if self.backtrack_frames >= self.sample_frames:
+            raise ConfigError(f"backtrack_frames {self.backtrack_frames} must be below "
+                              f"sample_frames {self.sample_frames}")
         if self.backtrack_frames > self.calibration_frames:
             raise ConfigError(
                 f"backtrack_frames {self.backtrack_frames} exceeds the "

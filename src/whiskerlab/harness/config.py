@@ -8,7 +8,7 @@ experiment run in two places produces the same digests.
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict, fields, is_dataclass
+from dataclasses import dataclass, asdict, fields, is_dataclass, replace
 
 from ..analysis import DurationConfig
 from ..artifacts import read_json, write_json
@@ -19,12 +19,12 @@ from ..learn.boosting import BoostParams
 from ..learn.dataset import CollectionPlan
 from ..learn.forest import ForestParams
 from ..learn.linear import LinearParams
-from ..sim import SlideConfig, WhiskerArraySpec
+from ..sim import SlideConfig, WhiskerArraySpec, active_frame_count
 from ..taxel_grid import TaxelGridConfig
 
 
 @dataclass(frozen=True)
-class ModelParamsConfig:
+class ModelParamsConfig(Validated):
     linear_margin: LinearParams = LinearParams()
     bagged_trees: ForestParams = ForestParams()
     boosted_trees: BoostParams = BoostParams()
@@ -58,14 +58,15 @@ class ExperimentConfig(Validated):
         if self.slide.lead_in_frames < self.detector.calibration_frames:
             raise ConfigError(f"slide.lead_in_frames {self.slide.lead_in_frames} must cover the "
                               f"{self.detector.calibration_frames}-frame detector calibration prefix")
-
-
-# What a JSON value must be to fill a field of each scalar type.
-_ACCEPTS = {
-    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    str: lambda v: isinstance(v, str),
-}
+        # A capture must fit in the shortest slide the plan draws, at its top speed;
+        # otherwise the fast draws are retried away and the speed range narrows.
+        fastest = replace(self.slide, speed_mm_s=self.collection.speed_range[1])
+        room = (fastest.lead_in_frames + active_frame_count(fastest) + fastest.lead_out_frames
+                - self.detector.calibration_frames)
+        if self.detector.sample_frames - self.detector.backtrack_frames > room:
+            raise ConfigError(f"detector.sample_frames - backtrack_frames must fit in the {room} "
+                              f"frames past calibration of the fastest slide (see "
+                              f"collection.speed_range, slide.path_mm, fps, lead_out_frames)")
 
 
 # Key paths of earlier config versions: a document may still carry them, and
@@ -83,11 +84,9 @@ RETIRED_KEYS = {
 def _from_dict(cls, obj, path=()):
     """Rebuild nested (frozen) dataclasses from plain dicts/lists.
 
-    Each value must have its field's type: an int field takes an int (not a
-    bool), a float field an int or a float, a str field a str and
-    ``speed_range`` a list of two numbers; anything else is a ConfigError.
-    So is a key the dataclass does not have, unless ``RETIRED_KEYS`` names it,
-    and a retired key that holds another value than the one it is fixed at.
+    Only the structure is read here; each config checks its values when built.
+    A key the dataclass does not have is a ConfigError, unless ``RETIRED_KEYS``
+    names it, and so is a retired key that holds another value than its own.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
@@ -108,20 +107,14 @@ def _from_dict(cls, obj, path=()):
             continue
         value = obj[f.name]
         if is_dataclass(f.type):
-            kwargs[f.name] = _from_dict(f.type, value, path + (f.name,))
-        elif f.name == "speed_range":
-            if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(map(_ACCEPTS[float], value))):
-                raise ConfigError(f"speed_range must be a list of two numbers, got {value!r}")
-            kwargs[f.name] = tuple(value)
-        elif _ACCEPTS[f.type](value):
-            kwargs[f.name] = value
-        else:
-            raise ConfigError(f"{cls.__name__}.{f.name} must be {f.type.__name__}, got {value!r}")
-    try:
+            value = _from_dict(f.type, value, path + (f.name,))
+        elif isinstance(value, list):  # JSON has no tuples
+            value = tuple(value)
+        kwargs[f.name] = value
+    try:  # a TypeError: a field without a default (slide.speed_mm_s) is missing
         return cls(**kwargs)
-    except TypeError as exc:  # a field without a default (slide.speed_mm_s) is missing
-        raise ConfigError(f"{cls.__name__}: {exc}") from exc
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{'.'.join(path) or 'config'}: {exc}") from exc
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

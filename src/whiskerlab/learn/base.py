@@ -12,17 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError, DataFileError, DegenerateModelError
-
-
-def check_params(params, at_least: dict, positive: tuple = ()) -> None:
-    """ConfigError unless each ``at_least`` field reaches its bound and each ``positive`` one exceeds 0."""
-    for name, low in at_least.items():
-        if not getattr(params, name) >= low:
-            raise ConfigError(f"{name} must be >= {low}, got {getattr(params, name)}")
-    for name in positive:
-        if not getattr(params, name) > 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(params, name)}")
+from ..errors import DataFileError, DegenerateModelError
 
 
 class Classifier:

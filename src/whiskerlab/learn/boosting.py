@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import Validated
-from .base import Classifier, check_params
+from .base import Classifier
 from .trees import (PackedTrees, Tree, cumulative_counts, grow_tree, offset_bins, quantile_bin_edges,
                     running_sum)
 
@@ -24,8 +24,8 @@ class BoostParams(Validated):
     learning_rate: float = 0.1
     max_bins: int = 128
 
-    def validate(self) -> None:
-        check_params(self, {"rounds": 1, "max_depth": 1, "max_bins": 2}, positive=("learning_rate",))
+    BOUNDS = {"rounds": "[1, inf)", "max_depth": "[1, inf)", "learning_rate": "(0, inf)",
+              "max_bins": "[2, inf)"}
 
 
 class BoostedTreesClassifier(Classifier):

@@ -27,7 +27,8 @@ from ..events import (
 )
 from ..features import features_array
 from ..seeding import derive_rng, derive_seed
-from ..sim import SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels, specimen_by_id
+from ..sim import (DIRECTIONS_DEG, SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels,
+                   specimen_by_id)
 
 
 @dataclass(frozen=True)
@@ -47,18 +48,16 @@ class CollectionPlan(Validated):
     min_capture_rate: float = 0.95
     test_fraction: float = 0.1
 
+    BOUNDS = {"slides_per_specimen": "[1, inf)", "speed_range": "(0, inf)",
+              "offset_jitter_mm": "[0, inf)", "max_attempts": "[1, inf)",
+              "min_capture_rate": "(0, 1]", "test_fraction": "(0, 1)"}
+
     def validate(self) -> None:
-        if self.slides_per_specimen < 1:
-            raise ConfigError("slides_per_specimen must be >= 1")
         lo, hi = self.speed_range
-        if not (0 < lo <= hi):
-            raise ConfigError(f"bad speed range {self.speed_range}")
-        if self.offset_jitter_mm < 0:
-            raise ConfigError("offset jitter must be >= 0")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if not 0 < self.test_fraction < 1:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if lo > hi:
+            raise ConfigError(f"speed_range must run from low to high, got {self.speed_range}")
+        if self.direction_deg not in DIRECTIONS_DEG:
+            raise ConfigError(f"direction_deg {self.direction_deg} is not one of {DIRECTIONS_DEG}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import Validated
-from .base import Classifier, check_params
+from .base import Classifier
 from .trees import PackedTrees, Tree, grow_tree, offset_bins, quantile_bin_edges, running_sum
 
 
@@ -16,8 +16,7 @@ class ForestParams(Validated):
     n_trees: int = 100
     max_bins: int = 256
 
-    def validate(self) -> None:
-        check_params(self, {"n_trees": 1, "max_bins": 2})
+    BOUNDS = {"n_trees": "[1, inf)", "max_bins": "[2, inf)"}
 
 
 class BaggedTreesClassifier(Classifier):

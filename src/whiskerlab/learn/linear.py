@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataFileError, Validated
-from .base import Classifier, check_params
+from .base import Classifier
 
 
 # Multiply-adds per block product.  Above roughly 256 x 700 x 10 of them per
@@ -34,8 +34,7 @@ class LinearParams(Validated):
     epochs: int = 400
     learning_rate: float = 0.05
 
-    def validate(self) -> None:
-        check_params(self, {"reg": 0, "epochs": 1}, positive=("learning_rate",))
+    BOUNDS = {"reg": "[0, inf)", "epochs": "[1, inf)", "learning_rate": "(0, inf)"}
 
 
 class LinearMarginClassifier(Classifier):

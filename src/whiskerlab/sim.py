@@ -59,13 +59,9 @@ class TextureSpec(Validated):
     def validate(self) -> None:
         if self.pattern not in PATTERNS:
             raise ConfigError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
-        if self.depth_mm not in DEPTHS_MM:
-            raise ConfigError(f"depth_mm must be one of {DEPTHS_MM}, got {self.depth_mm}")
-        if (self.depth_mm == 0) != (self.pattern == "flat"):
-            raise ConfigError(
-                f"depth 0 and the flat pattern imply each other, got "
-                f"({self.pattern!r}, {self.depth_mm})"
-            )
+        depths = DEPTHS_MM[:1] if self.pattern == "flat" else DEPTHS_MM[1:]  # depth 0 is flat
+        if self.depth_mm not in depths:
+            raise ConfigError(f"{self.pattern} depth_mm must be in {depths}, got {self.depth_mm}")
 
     @property
     def period_mm(self) -> float:
@@ -114,21 +110,12 @@ class SlideConfig(Validated):
     lead_in_frames: int = 25
     lead_out_frames: int = 60
 
+    BOUNDS = {"speed_mm_s": "(0, inf)", "path_mm": "(0, inf)", "fps": "(0, inf)",
+              "noise_amp": "[0, inf)", "lead_in_frames": "[0, inf)", "lead_out_frames": "[0, inf)"}
+
     def validate(self) -> None:
-        if not self.speed_mm_s > 0:
-            raise ConfigError(f"speed must be positive, got {self.speed_mm_s}")
         if self.direction_deg not in DIRECTIONS_DEG:
-            raise ConfigError(
-                f"direction must be one of {DIRECTIONS_DEG}, got {self.direction_deg}"
-            )
-        if not self.path_mm > 0:
-            raise ConfigError(f"path length must be positive, got {self.path_mm}")
-        if not self.fps > 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
-        if self.noise_amp < 0:
-            raise ConfigError(f"noise amplitude must be >= 0, got {self.noise_amp}")
-        if self.lead_in_frames < 0 or self.lead_out_frames < 0:
-            raise ConfigError("lead frame counts must be >= 0")
+            raise ConfigError(f"direction_deg {self.direction_deg} is not one of {DIRECTIONS_DEG}")
 
 
 @dataclass(frozen=True)
@@ -157,17 +144,10 @@ class WhiskerArraySpec(Validated):
     fatigue: float = 0.05
     substeps: int = 8
 
-    def validate(self) -> None:
-        for name in ("pitch_mm", "whisker_len_mm", "whisker_width_mm", "gain",
-                     "decay_tau_frames", "contact_engage_mm"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.fatigue < 0:
-            raise ConfigError(f"fatigue must be >= 0, got {self.fatigue}")
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError("array must have at least one whisker")
-        if self.substeps < 1:
-            raise ConfigError(f"substeps must be >= 1, got {self.substeps}")
+    BOUNDS = {"rows": "[1, inf)", "cols": "[1, inf)", "pitch_mm": "(0, inf)",
+              "whisker_len_mm": "(0, inf)", "whisker_width_mm": "(0, inf)", "gain": "(0, inf)",
+              "decay_tau_frames": "(0, inf)", "contact_engage_mm": "(0, inf)",
+              "fatigue": "[0, inf)", "substeps": "[1, inf)"}
 
     @property
     def span_mm(self) -> float:

@@ -10,10 +10,8 @@ strided (rows, roi_side, cols, roi_side) view of the selected channel, so
 each is one array operation per frame.
 """
 
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,13 +35,10 @@ class TaxelGridConfig(Validated):
     image_side: int = 400
     channel: str = "green"
 
+    BOUNDS = {"rows": "[1, inf)", "cols": "[1, inf)", "roi_side": "[1, inf)",
+              "image_side": "[1, inf)"}
+
     def validate(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.roi_side < 1:
-            raise ConfigError(f"roi_side must be positive, got {self.roi_side}")
-        if self.image_side < 1:
-            raise ConfigError(f"image_side must be positive, got {self.image_side}")
         if self.roi_side > min(self.cell_height, self.cell_width):
             raise ConfigError(
                 f"roi_side {self.roi_side} does not fit in a "
@@ -98,16 +93,6 @@ class TactileFrame:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    @classmethod
-    def from_rgb24(cls, data: bytes, width: int, height: int) -> "TactileFrame":
-        """Build a frame from a raw RGB24 byte stream (row-major, top-left origin)."""
-        if len(data) != width * height * 3:
-            raise ConfigError(
-                f"raw stream has {len(data)} bytes, expected {width * height * 3}"
-            )
-        pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-        return cls(pixels.copy())
 
     def to_rgb24(self) -> bytes:
         """Serialize as a raw RGB24 byte stream (row-major, top-left origin)."""
@@ -235,13 +220,3 @@ def write_ppm(path, frame: TactileFrame) -> None:
     """Write a frame as a binary PPM (P6) file."""
     header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
     write_bytes(path, header + frame.to_rgb24())
-
-
-def read_ppm(path) -> TactileFrame:
-    """Read a binary PPM (P6) file written by :func:`write_ppm`."""
-    data = Path(path).read_bytes()
-    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", data)
-    if not m:
-        raise ConfigError(f"{path}: not a supported P6 PPM file")
-    width, height = int(m.group(1)), int(m.group(2))
-    return TactileFrame.from_rgb24(data[m.end() : m.end() + width * height * 3], width, height)

@@ -6,6 +6,8 @@ bug would have to appear twice (and identically) to slip through.
 """
 
 import math
+import re
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +21,24 @@ from whiskerlab.sim import (
     _strain_grid,
     active_frame_count,
 )
-from whiskerlab.taxel_grid import TaxelMatrix
+from whiskerlab.taxel_grid import TactileFrame, TaxelMatrix
+
+
+def frame_from_rgb24(data: bytes, width: int, height: int) -> TactileFrame:
+    """A frame from a raw RGB24 byte stream (row-major, top-left origin)."""
+    if len(data) != width * height * 3:
+        raise ValueError(f"raw stream has {len(data)} bytes, expected {width * height * 3}")
+    return TactileFrame(np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3).copy())
+
+
+def read_ppm(path) -> TactileFrame:
+    """A binary PPM (P6) file, as ``taxel_grid.write_ppm`` writes it."""
+    data = Path(path).read_bytes()
+    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", data)
+    if not m:
+        raise ValueError(f"{path}: not a supported P6 PPM file")
+    width, height = int(m.group(1)), int(m.group(2))
+    return frame_from_rgb24(data[m.end():m.end() + width * height * 3], width, height)
 
 
 def roi_mean_oracle(pixels: np.ndarray, rows: int, cols: int, roi_side: int,

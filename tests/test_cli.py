@@ -97,7 +97,8 @@ def test_simulate_frames_flag_writes_ppm_directory(tmp_path):
     frame_dirs = [p for p in tmp_path.iterdir() if p.is_dir() and p.name.endswith("_frames")]
     assert len(frame_dirs) == 1
     from whiskerlab.sim import load_taxel_csv
-    from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels, read_ppm
+    from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels
+    from oracles import read_ppm
 
     frames = [read_ppm(p) for p in sorted(frame_dirs[0].glob("frame_*.ppm"))]
     stream = load_taxel_csv(next(tmp_path.glob("slide_*.csv")))
@@ -434,6 +435,44 @@ def test_lead_in_must_cover_the_calibration_prefix(tmp_path, capsys, lead_in):
     assert main(["dataset", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage" and "slide.lead_in_frames" in err["message"]
+    assert not (tmp_path / "run" / "dataset.jsonl").exists()
+
+
+# Default configs with one value edited that loaded and then crashed, failed
+# after the retries or ran with a check switched off; each must be refused at load.
+UNRUNNABLE_VALUES = [
+    ("slide.noise_amp", float("nan")),
+    ("collection.offset_jitter_mm", float("nan")),
+    ("collection.speed_range", [100.0, float("inf")]),
+    ("slide.path_mm", float("inf")),
+    ("array.gain", float("inf")),
+    ("array.fatigue", float("nan")),
+    ("detector.trigger_multiplier", float("inf")),
+    ("collection.min_capture_rate", float("nan")),
+    ("duration.valid_threshold", float("inf")),
+    # Values the build cannot satisfy: a capture rate above 1, a direction the
+    # simulator lacks, and captures that cannot fit in the shortest slide.
+    ("collection.min_capture_rate", 2.0),
+    ("collection.direction_deg", 45),
+    ("detector.sample_frames", 100),
+    ("slide.lead_out_frames", 0),
+]
+
+
+@pytest.mark.parametrize("key, value", UNRUNNABLE_VALUES,
+                         ids=[f"{key}={value}" for key, value in UNRUNNABLE_VALUES])
+def test_unrunnable_values_are_usage_errors_at_load(tmp_path, capsys, key, value):
+    doc = ExperimentConfig().to_dict()
+    doc["collection"]["slides_per_specimen"] = 2
+    section, name = key.split(".")
+    doc[section][name] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    assert main(["dataset", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "usage" and name in doc["message"] and section in doc["message"]
     assert not (tmp_path / "run" / "dataset.jsonl").exists()
 
 

@@ -1,16 +1,17 @@
-"""Every config dataclass checks its invariants once, when it is built."""
+"""Every config dataclass checks its invariants once, when it is built, by one rule."""
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
 
 import whiskerlab
 from whiskerlab.analysis import DurationConfig
-from whiskerlab.errors import ConfigError, Validated
+from whiskerlab.errors import ConfigError, Validated, _interval
 from whiskerlab.events import DetectorConfig
-from whiskerlab.harness.config import ExperimentConfig
+from whiskerlab.harness.config import ExperimentConfig, ModelParamsConfig
 from whiskerlab.learn.boosting import BoostParams
 from whiskerlab.learn.dataset import CollectionPlan
 from whiskerlab.learn.forest import ForestParams
@@ -30,6 +31,7 @@ INVALID_CHANGES = [
     (ForestParams(), {"n_trees": 0}),
     (BoostParams(), {"max_depth": 0}),
     (LinearParams(), {"epochs": 0}),
+    (ModelParamsConfig(), {"bagged_trees": BoostParams()}),
     (ExperimentConfig(), {"slide": SlideConfig(speed_mm_s=150.0, lead_in_frames=24)}),
 ]
 
@@ -44,8 +46,81 @@ def test_an_invalid_config_cannot_be_built(valid, change):
         dataclasses.replace(valid, **change)
 
 
+each_class = pytest.mark.parametrize("valid", [valid for valid, _ in INVALID_CHANGES],
+                                     ids=[type(valid).__name__ for valid, _ in INVALID_CHANGES])
+
+
 def test_every_config_class_is_covered():
     assert set(Validated.__subclasses__()) == {type(valid) for valid, _ in INVALID_CHANGES}
+
+
+# Values each field type refuses, whatever the field's bounds.
+REFUSED = {
+    int: [True, 1.5, 2.0, "1", None],
+    float: [float("nan"), float("inf"), -float("inf"), 10**400, True, "1.0", None],
+    str: [1, None, b"green"],
+    tuple[float, float]: [(float("nan"), 150.0), (100.0, float("inf")), (100.0,), [100.0, 150.0],
+                          (True, 150.0), ("100", 150.0)],
+}
+FIELD_CASES = [
+    (valid, f.name, value)
+    for valid, _ in INVALID_CHANGES
+    for f in dataclasses.fields(valid)
+    for value in REFUSED.get(f.type, [None, 0, TextureSpec("flat", 0)])  # a section
+]
+
+
+@pytest.mark.parametrize("valid, name, value", FIELD_CASES,
+                         ids=[f"{type(valid).__name__}.{name}={value!r}"
+                              for valid, name, value in FIELD_CASES])
+def test_every_field_refuses_values_of_another_type_or_not_finite(valid, name, value):
+    kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    with pytest.raises(ConfigError, match=name):
+        type(valid)(**{**kwargs, name: value})
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(valid, **{name: value})
+
+
+def test_values_are_checked_not_converted():
+    cfg = dataclasses.replace(LinearParams(), reg=2, learning_rate=1)
+    assert type(cfg.reg) is int and type(cfg.learning_rate) is int
+    plan = CollectionPlan(speed_range=(100, 200.5))
+    assert plan.speed_range == (100, 200.5) and type(plan.speed_range[0]) is int
+
+
+@each_class
+def test_bound_tables_name_numeric_fields(valid):
+    """Each bound names a numeric field of its class, and the valid instance lies in it."""
+    types = {f.name: f.type for f in dataclasses.fields(valid)}
+    for name, text in type(valid).BOUNDS.items():
+        assert types.get(name) in (int, float, tuple[float, float]), name
+        value = getattr(valid, name)
+        assert all(map(_interval(text), value if isinstance(value, tuple) else (value,))), name
+
+
+@each_class
+def test_each_bound_refuses_the_values_just_outside_it(valid):
+    types = {f.name: f.type for f in dataclasses.fields(valid)}
+    for name, text in type(valid).BOUNDS.items():
+        step = 1 if types[name] is int else 1e-9
+        lo, hi = (float(end) for end in text[1:-1].split(","))
+        for x in (lo if text[0] == "(" else lo - step, hi if text[-1] == ")" else hi + step):
+            if math.isinf(x):
+                continue
+            x = int(x) if types[name] is int else x
+            with pytest.raises(ConfigError, match=f"{name} must lie in"):
+                dataclasses.replace(valid, **{name: (x, x) if name == "speed_range" else x})
+
+
+@pytest.mark.parametrize("text, inside, outside", [
+    ("[1, inf)", [1, 2, 10**400], [0, 0.999]),
+    ("(0, inf)", [1e-300, 5], [0, -1e-300]),
+    ("(0, 1]", [1e-9, 1], [0, 1 + 1e-9]),
+    ("(0, 1)", [0.5], [0, 1]),
+])
+def test_bound_intervals(text, inside, outside):
+    contains = _interval(text)
+    assert all(map(contains, inside)) and not any(map(contains, outside))
 
 
 def validate_calls(source: str) -> list[int]:
@@ -84,3 +159,58 @@ def test_configs_are_validated_only_when_built():
         if (lines := validate_calls(path.read_text()))
     }
     assert offenders == {}, f"a config checks itself when built; drop these calls: {offenders}"
+
+
+def _reads_a_field(node) -> bool:
+    """``self.x``, ``self.x.y`` or ``getattr(self, ...)``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+        node = node.args[0] if node.args else node
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _is_number_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def literal_bounds(source: str) -> list[int]:
+    """Line numbers of comparisons of a field with a number inside a ``validate()`` body."""
+    return [node.lineno
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef) and fn.name == "validate"
+            for node in ast.walk(fn) if isinstance(node, ast.Compare)
+            if any(map(_reads_a_field, [node.left, *node.comparators]))
+            and any(map(_is_number_literal, [node.left, *node.comparators]))]
+
+
+@pytest.mark.parametrize("source, bound", [
+    ("def validate(self):\n    if self.rows < 1: pass", True),
+    ("def validate(self):\n    if not 0 < self.rate <= 1: pass", True),
+    ("def validate(self):\n    if self.x > -1.5: pass", True),
+    ("def validate(self):\n    if self.depth_mm == 0: pass", True),
+    ("def validate(self):\n    if self.grid.rows >= 2: pass", True),
+    ("def validate(self):\n    if getattr(self, name) > 0: pass", True),
+    ("def validate(self):\n    ok = [self.a > 0 for _ in 'x']", True),
+    ("def validate(self):\n    if self.lo > self.hi: pass", False),
+    ("def validate(self):\n    if self.direction not in (0, 90): pass", False),
+    ("def validate(self):\n    if self.mode == 'literal': pass", False),
+    ("def validate(self):\n    if self.flag is True: pass", False),
+    ("def validate(self):\n    if lo > 0: pass", False),
+    ("def check(self):\n    if self.rows < 1: pass", False),
+])
+def test_literal_bound_detector(source, bound):
+    assert bool(literal_bounds(source)) == bound
+
+
+def test_single_field_bounds_live_in_the_bound_tables():
+    package = Path(whiskerlab.__file__).parent
+    offenders = {
+        str(path.relative_to(package)): lines
+        for path in sorted(package.rglob("*.py"))
+        if (lines := literal_bounds(path.read_text()))
+    }
+    assert offenders == {}, f"move these bounds into their class's BOUNDS table: {offenders}"
