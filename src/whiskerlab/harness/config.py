@@ -23,6 +23,13 @@ from ..sim import SlideConfig, WhiskerArraySpec, active_frame_count
 from ..taxel_grid import TaxelGridConfig
 
 
+# Substep positions one slide may simulate: its active frames times
+# array.substeps, at the slowest speed the plan draws.  The simulator holds a
+# few float64 arrays of one value per position and whisker, about 20 MB each
+# at this bound on the 5x5 array; a default slide has 256 positions.
+MAX_SLIDE_POSITIONS = 100_000
+
+
 @dataclass(frozen=True)
 class ModelParamsConfig(Validated):
     linear_margin: LinearParams = LinearParams()
@@ -58,6 +65,14 @@ class ExperimentConfig(Validated):
         if self.slide.lead_in_frames < self.detector.calibration_frames:
             raise ConfigError(f"slide.lead_in_frames {self.slide.lead_in_frames} must cover the "
                               f"{self.detector.calibration_frames}-frame detector calibration prefix")
+        # In float arithmetic, which overflows to inf where the frame count cannot be
+        # an int; the slowest draw simulates the most positions.
+        positions = (self.slide.path_mm / self.collection.speed_range[0] * self.slide.fps
+                     * self.array.substeps)
+        if positions > MAX_SLIDE_POSITIONS:
+            raise ConfigError(f"slide.path_mm / collection.speed_range[0] * slide.fps * "
+                              f"array.substeps gives {positions:.3g} simulated positions per "
+                              f"slide, above {MAX_SLIDE_POSITIONS}")
         # A capture must fit in the shortest slide the plan draws, at its top speed;
         # otherwise the fast draws are retried away and the speed range narrows.
         fastest = replace(self.slide, speed_mm_s=self.collection.speed_range[1])

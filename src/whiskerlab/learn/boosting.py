@@ -5,16 +5,28 @@ target under squared error: every round fits one depth-limited regression
 tree per class to the current residuals and nudges the scores by the
 learning rate.  Prediction takes the argmax of the class scores.  Training
 involves no sampling, so it is deterministic regardless of seed.
+
+A class's scores change only through its own trees, so a fit is one
+independent chain of rounds per class.  The chains run on one worker per
+usable core (at most one per class): the calling thread takes a share and
+helper threads, joined before ``fit`` returns, take the rest, each chain
+whole, in the order the workers come free.  A chain runs the same
+operations on whichever worker takes it, so the trees do not depend on the
+worker count, bit for bit.  The workers share the training matrix's
+:class:`BlockedCodes` and root counts, read only, and each reuses its own
+:class:`SplitBuffers`, allocated by the calling thread.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import Validated
 from .base import Classifier
-from .trees import (PackedTrees, Tree, cumulative_counts, grow_tree, offset_bins, quantile_bin_edges,
-                    running_sum)
+from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, grow_tree, offset_bins,
+                    quantile_bin_edges, running_sum)
 
 
 @dataclass(frozen=True)
@@ -37,24 +49,45 @@ class BoostedTreesClassifier(Classifier):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreesClassifier":
         yi = self._encode_labels(y)
-        onehot = np.zeros((X.shape[0], len(self.classes_)))
-        onehot[np.arange(X.shape[0]), yi] = 1.0
-
+        n_classes, rounds = len(self.classes_), self.params.rounds
         edges = quantile_bin_edges(X, self.params.max_bins)
-        offset, max_bins = offset_bins(X, edges)
-        root_counts = cumulative_counts(offset, max_bins)  # every tree's root holds every row
+        codes = BlockedCodes(*offset_bins(X, edges))
+        root_counts = codes.cumulate()  # every tree's root holds every row
 
-        scores = np.zeros_like(onehot)
-        self.trees_ = []
-        for _ in range(self.params.rounds):
-            round_trees = []
-            for c in range(len(self.classes_)):
-                residual = onehot[:, c] - scores[:, c]
-                tree, fitted = grow_tree(offset, residual, None, edges, max_bins,
-                                         max_depth=self.params.max_depth, root_counts=root_counts)
-                scores[:, c] += self.params.learning_rate * fitted[:, 0]
-                round_trees.append(tree)
-            self.trees_.append(round_trees)
+        trees = [[None] * n_classes for _ in range(rounds)]
+        chains, lock = iter(range(n_classes)), threading.Lock()
+
+        def run_chains(work: SplitBuffers) -> None:
+            try:
+                while (c := _take(chains, lock)) is not None:
+                    target = (yi == c).astype(np.float64)
+                    scores = np.zeros(X.shape[0])
+                    for r in range(rounds):
+                        trees[r][c], fitted = grow_tree(
+                            codes, target - scores, None, edges, codes.max_bins,
+                            max_depth=self.params.max_depth, root_counts=root_counts, work=work)
+                        scores += self.params.learning_rate * fitted[:, 0]
+            except BaseException:
+                with lock:  # the other workers stop after their current chain
+                    for _ in chains:
+                        pass
+                raise
+
+        buffers = [SplitBuffers(codes, self.params.max_depth) for _ in range(_workers(n_classes))]
+        errors = []
+        helpers = [threading.Thread(target=_run_share, args=(run_chains, work, errors))
+                   for work in buffers[1:]]
+        try:
+            for helper in helpers:
+                helper.start()
+            run_chains(buffers[0])
+        finally:
+            for helper in helpers:
+                if helper.ident is not None:  # started
+                    helper.join()
+        if errors:
+            raise errors[0]
+        self.trees_ = trees
         self._pack()
         return self
 
@@ -75,3 +108,25 @@ class BoostedTreesClassifier(Classifier):
         if not self.trees_ or any(len(row) != len(self.classes_) for row in self.trees_):
             raise ValueError("a boosted-trees model needs rounds of one tree per class")
         self._pack()
+
+
+def _workers(n_classes: int) -> int:
+    """Threads for a fit's class chains: one per core this process may run on,
+    at most one per chain."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, n_classes))
+
+
+def _take(chains, lock: threading.Lock):
+    """The next class whose chain no worker has taken, or None."""
+    with lock:
+        return next(chains, None)
+
+
+def _run_share(run_chains, work: SplitBuffers, errors: list) -> None:
+    """A helper thread's share of the chains; an error goes to ``errors`` for
+    the calling thread to raise."""
+    try:
+        run_chains(work)
+    except BaseException as exc:  # raised again by fit, in the calling thread
+        errors.append(exc)

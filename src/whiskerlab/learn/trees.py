@@ -15,9 +15,16 @@ the one a full histogram per node gives, bit for bit.  One scorer,
 :func:`_best_split`, takes a node's cumulative row counts and statistic sums
 at its candidate split positions, however they were formed:
 
-* Histogram: one ``bincount`` of the node's (row, candidate) codes, which
+* Histogram: a ``bincount`` of the node's (row, candidate) codes, which
   are ``intp`` so that ``bincount`` does not cast them, then a cumsum over
-  bins.  Each bin's residual sum accumulates in row order.
+  bins.  Gini takes one over every candidate.  Squared error takes one
+  weighted ``bincount`` per block of ``_HIST_BLOCK`` feature columns, on
+  :class:`BlockedCodes`, whose blocks are contiguous, so a node's rows of a
+  block gather into a reused buffer and the block's histogram stays in
+  cache; its rows' targets are broadcast into one reused weights buffer
+  per node, not repeated per feature.  Each bin's sum accumulates its rows
+  in row order either way, and the cumsum runs along each feature's bins,
+  so blocking changes no float.
 * Count reuse (squared error): row counts are exact integers, and the
   cumsum of a difference is the difference of the cumsums.  So the root's
   cumulative counts are computed once per fit, and each split counts only
@@ -47,6 +54,10 @@ from typing import Callable, Optional
 import numpy as np
 
 _MIN_GAIN = 1e-12
+# Columns per block of a squared-error histogram: one block's histogram, 100
+# columns of up to 128 bins in 100 KB, stays in cache while the node's rows
+# are added to it, where one over 700 columns does not.
+_HIST_BLOCK = 100
 # Columns per block in quantile_bin_edges: keeps each (max_bins, block)
 # interpolation temporary small, so the edges need little more memory than
 # the per-column copies np.quantile makes.
@@ -101,6 +112,87 @@ def offset_bins(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int
     for f, e in enumerate(edges):
         offset[:, f] = np.searchsorted(e, X[:, f], side="right") + f * max_bins
     return offset, max_bins
+
+
+class BlockedCodes:
+    """An offset bin matrix (see :func:`offset_bins`) stored as contiguous
+    blocks of ``_HIST_BLOCK`` columns: the squared-error grower's layout.
+
+    A block holds its columns' codes less the block's first code, so the
+    codes of a node's rows of one block, gathered into a buffer, are one
+    ``bincount`` away from that block's histogram.
+    """
+
+    def __init__(self, offset: np.ndarray, max_bins: int):
+        self.shape = offset.shape
+        self.max_bins = max_bins
+        self.starts = range(0, offset.shape[1], _HIST_BLOCK)
+        self.blocks = [offset[:, j:j + _HIST_BLOCK] - j * max_bins for j in self.starts]
+
+    def at_or_below(self, rows: np.ndarray, f: int, b: int) -> np.ndarray:
+        """Whether each of ``rows`` has column ``f`` in bin ``b`` or below."""
+        block, column = divmod(f, _HIST_BLOCK)
+        return self.blocks[block][rows, column] <= column * self.max_bins + b
+
+    def cumulate(self, rows=None, weights=None, out=None, work=None) -> np.ndarray:
+        """Per-column cumulative bin totals over ``rows``, shape (columns, max_bins).
+
+        The totals count the rows, or sum ``weights`` (one per row of
+        ``rows``) when given, and are float64; each bin adds its rows in row
+        order, so they equal one flat ``bincount`` per node cumulated over
+        bins, bit for bit.  ``rows`` None means every row, in order, and
+        needs no gather; otherwise ``work`` (see :class:`SplitBuffers`)
+        holds the gathered codes and broadcast weights.
+        """
+        if out is None:
+            out = np.empty((self.shape[1], self.max_bins))
+        m = self.shape[0] if rows is None else rows.size
+        filled = 0  # width of the weight matrix in work.weights
+        for j, codes in zip(self.starts, self.blocks):
+            width = codes.shape[1]
+            if rows is not None:
+                codes = np.take(codes, rows, axis=0, out=work.codes[:m * width].reshape(m, width))
+            w = None
+            if weights is not None:
+                w = work.weights[:m * width]
+                if filled != width:
+                    w.reshape(m, width)[...] = weights[:, None]
+                    filled = width
+            hist = np.bincount(codes.ravel(), w, minlength=width * self.max_bins)
+            np.cumsum(hist.reshape(width, self.max_bins), axis=1, dtype=np.float64,
+                      out=out[j:j + width])
+        return out
+
+
+class SplitBuffers:
+    """One worker's buffers for growing squared-error trees on one :class:`BlockedCodes`.
+
+    A node's gathered block codes and its rows' targets broadcast to the
+    block's width; its cumulative target sums, (columns, max_bins), and two
+    (columns, max_bins - 1) grids, in which :func:`_best_split` computes the
+    score in place with them; and a pair of cumulative count
+    grids per tree level below the root, for the two children of the node
+    split last at the level above (depth-first growth has finished with the
+    previous pair by then).  They are allocated once, by the thread that
+    starts the fit, so a helper thread's per-node allocations stay small:
+    glibc keeps what a thread frees in that thread's own arena, where it
+    adds to the process's peak resident memory.
+    """
+
+    def __init__(self, codes: BlockedCodes, max_depth: Optional[int] = None):
+        rows, columns = codes.shape
+        size = rows * min(columns, _HIST_BLOCK)
+        self.codes = np.empty(size, dtype=np.intp)
+        self.weights = np.empty(size)
+        self.sums = np.empty((columns, codes.max_bins))
+        self.score = np.empty((2, columns, codes.max_bins - 1))
+        self._counts = [np.empty((2, columns, codes.max_bins)) for _ in range(1, max_depth or 1)]
+
+    def child_counts(self, depth: int) -> np.ndarray:
+        """The pair of count grids for children at ``depth`` (1 or deeper)."""
+        while len(self._counts) < depth:  # beyond the max_depth given: allocated on first use
+            self._counts.append(np.empty((2, *self.sums.shape)))
+        return self._counts[depth - 1]
 
 
 @dataclass
@@ -234,18 +326,8 @@ def running_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([start, terms]), axis=0)[-1]
 
 
-def cumulative_counts(codes: np.ndarray, max_bins: int) -> np.ndarray:
-    """Rows at or below each bin of each column of offset ``codes``, shape (columns, max_bins).
-
-    The counts are integers held as float64 (exact below 2**53), so sums and
-    differences of them stay exact and the scorer divides by them uncast.
-    """
-    counts = np.bincount(codes.ravel(), minlength=codes.shape[1] * max_bins)
-    return np.cumsum(counts.reshape(-1, max_bins), axis=1, dtype=np.float64)
-
-
 def grow_tree(
-    offset: np.ndarray,
+    offset: "np.ndarray | BlockedCodes",
     y: np.ndarray,
     n_classes: Optional[int],
     edges: list[np.ndarray],
@@ -253,6 +335,7 @@ def grow_tree(
     max_depth: Optional[int] = None,
     sample_features: Optional[Callable[[], np.ndarray]] = None,
     root_counts: Optional[np.ndarray] = None,
+    work: Optional[SplitBuffers] = None,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree over an offset bin matrix (see :func:`offset_bins`).
 
@@ -263,10 +346,13 @@ def grow_tree(
     where no split gains.  ``sample_features`` draws the candidate features
     of each split; without it every feature is a candidate.
 
-    Squared error carries each node's cumulative row counts of every
-    feature down the tree: the root's are ``root_counts``, which must be
-    ``cumulative_counts(offset, max_bins)`` (computed here when None; a
-    caller growing many trees on one matrix passes it once), and a split
+    Squared error reads the matrix as :class:`BlockedCodes`: ``offset`` may
+    be one already (a caller growing many trees on one matrix converts it
+    once), and is converted here otherwise.  ``work`` holds the buffers a
+    node's split search reuses (allocated here when None; a caller passes
+    one per thread).  Each node's cumulative row counts of every feature
+    are carried down the tree: the root's are ``root_counts``, which must
+    be the codes' ``cumulate()`` (computed here when None), and a split
     counts its smaller child's rows and gives the larger child the parent's
     counts minus those.
 
@@ -275,8 +361,13 @@ def grow_tree(
     tree = Tree()
     leaf_values = np.empty((offset.shape[0], n_classes or 1))
     reuse_counts = n_classes is None
-    if reuse_counts and root_counts is None:
-        root_counts = cumulative_counts(offset, max_bins)
+    if reuse_counts:
+        if not isinstance(offset, BlockedCodes):
+            offset = BlockedCodes(offset, max_bins)
+        if root_counts is None:
+            root_counts = offset.cumulate()
+        if work is None:
+            work = SplitBuffers(offset, max_depth)
     # (indices, depth, parent, side, cumulative counts or None)
     stack = [(np.arange(offset.shape[0]), 0, None, None, root_counts)]
     while stack:
@@ -291,20 +382,22 @@ def grow_tree(
         node = None
         if n >= 2 and splittable and (max_depth is None or depth < max_depth):
             feats = sample_features() if sample_features is not None else None
-            best = _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts)
+            best = _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts, work)
             if best is not None:
                 f, b = best
                 node = tree.add_split(f, edges[f][b])
-                go_left = offset[idx, f] <= f * max_bins + b
+                if reuse_counts:
+                    go_left = offset.at_or_below(idx, f, b)
+                else:
+                    go_left = offset[idx, f] <= f * max_bins + b
                 left, right = idx[go_left], idx[~go_left]
                 left_counts = right_counts = None
                 if reuse_counts and (max_depth is None or depth + 1 < max_depth):
-                    if left.size <= right.size:
-                        left_counts = cumulative_counts(offset[left], max_bins)
-                        right_counts = counts - left_counts
-                    else:
-                        right_counts = cumulative_counts(offset[right], max_bins)
-                        left_counts = counts - right_counts
+                    small, large = work.child_counts(depth + 1)
+                    left_smaller = left.size <= right.size
+                    offset.cumulate(left if left_smaller else right, out=small, work=work)
+                    np.subtract(counts, small, out=large)
+                    left_counts, right_counts = (small, large) if left_smaller else (large, small)
                 # Push right first so left is processed first (cosmetic only).
                 stack.append((right, depth + 1, node, "right", right_counts))
                 stack.append((left, depth + 1, node, "left", left_counts))
@@ -320,56 +413,58 @@ def grow_tree(
     return tree, leaf_values
 
 
-def _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts):
+def _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts, work=None):
     """A node's best split as (feature, bin), or None when none gains.
 
     Candidates are all features when ``feats`` is None, else the sampled
-    ``feats``, whose columns are re-offset by their position among them, so
-    candidate j's codes are j * max_bins + bin.  A gini node with fewer rows
-    than bins is scored from its sorted codes, any other node from its
-    histograms; ``counts`` are the node's cumulative counts of every feature
-    under squared error (see :func:`grow_tree`), else None.
+    ``feats``.  A gini node reads the offset matrix: its sampled columns are
+    re-offset by their position among them, so candidate j's codes are
+    j * max_bins + bin, and it is scored from its sorted codes when it has
+    fewer rows than bins, else from its histograms.  A squared-error node
+    reads :class:`BlockedCodes` and ``work`` (see :func:`grow_tree`): it
+    sums its targets over every feature's bins, block by block, and takes
+    the candidates' rows of those sums and of its cumulative ``counts``.
     """
     n = idx.size
-    if feats is None:
-        # Only the root holds every row, and its idx is in order: no copy.
-        k, codes = offset.shape[1], (offset if n == offset.shape[0] else offset[idx])
+    if not n_classes:
+        # Only the root holds every row, and its idx is in order: no gather.
+        offset.cumulate(None if n == offset.shape[0] else idx, y[idx], work.sums, work)
+        n_left, s_left = counts[:, :-1], work.sums[:, :-1]
+        if feats is not None:
+            n_left, s_left = n_left[feats], s_left[feats]
+        best = _best_split(n_left, s_left[None], n, totals, out=work.score[:, :n_left.shape[0]])
     else:
-        k = feats.size
-        codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
-    if n_classes and n < max_bins:
-        # Sort each candidate's rows by (code, label), one key, and cumulate
-        # class counts down them.  A split can fall only after the last row
-        # of an occupied bin, where these counts equal the histogram's
-        # cumulative counts at that bin, whatever the order inside the bin.
-        keys = np.sort((codes * n_classes + y[idx, None]).T, axis=1)
-        sorted_codes = keys // n_classes
-        labels = keys - sorted_codes * n_classes
-        s_left = np.cumsum(labels == np.arange(n_classes)[:, None, None], axis=2)[:, :, :-1]
-        valid = sorted_codes[:, :-1] != sorted_codes[:, 1:]
-        best = _best_split(np.arange(1, n), s_left, n, totals, valid)
-        if best is None:
-            return None
-        j, row = best
-        b = int(sorted_codes[j, row]) - j * max_bins
-    else:
-        if n_classes:
+        if feats is None:
+            k, codes = offset.shape[1], (offset if n == offset.shape[0] else offset[idx])
+        else:
+            k = feats.size
+            codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
+        if n < max_bins:
+            # Sort each candidate's rows by (code, label), one key, and cumulate
+            # class counts down them.  A split can fall only after the last row
+            # of an occupied bin, where these counts equal the histogram's
+            # cumulative counts at that bin, whatever the order inside the bin.
+            keys = np.sort((codes * n_classes + y[idx, None]).T, axis=1)
+            sorted_codes = keys // n_classes
+            labels = keys - sorted_codes * n_classes
+            s_left = np.cumsum(labels == np.arange(n_classes)[:, None, None], axis=2)[:, :, :-1]
+            valid = sorted_codes[:, :-1] != sorted_codes[:, 1:]
+            best = _best_split(np.arange(1, n), s_left, n, totals, valid)
+            if best is not None:
+                j, row = best
+                best = j, int(sorted_codes[j, row]) - j * max_bins
+        else:
             sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
                                minlength=n_classes * k * max_bins)
             s_left = np.cumsum(sums.reshape(n_classes, k, max_bins), axis=2)[:, :, :-1]
-            n_left = s_left.sum(axis=0)
-        else:
-            sums = np.bincount(codes.ravel(), weights=np.repeat(y[idx], k), minlength=k * max_bins)
-            s_left = np.cumsum(sums.reshape(1, k, max_bins), axis=2)[:, :, :-1]
-            n_left = (counts if feats is None else counts[feats])[:, :-1]
-        best = _best_split(n_left, s_left, n, totals)
-        if best is None:
-            return None
-        j, b = best
+            best = _best_split(s_left.sum(axis=0), s_left, n, totals)
+    if best is None:
+        return None
+    j, b = best
     return (j if feats is None else int(feats[j])), b
 
 
-def _best_split(n_left, s_left, n, totals, valid=None):
+def _best_split(n_left, s_left, n, totals, valid=None, out=None):
     """Best (candidate, position) split of a node, or None when none gains.
 
     ``n_left`` (candidates, positions) counts the rows left of each split
@@ -379,17 +474,22 @@ def _best_split(n_left, s_left, n, totals, valid=None):
     sum(S_left**2) / n_left + sum(S_right**2) / n_right is maximised, with
     ties going to the first candidate, then the first position; the winner
     must beat the unsplit node's sum(totals**2) / n by more than _MIN_GAIN.
+
+    With one statistic the score is computed in place: in ``out``, two
+    float64 buffers shaped like ``n_left`` for the score and n_right
+    (allocated when None), and in ``s_left``, which it overwrites.
     """
-    n_right = n - n_left
+    score, n_right = out if out is not None else (None, None)
+    n_right = np.subtract(n, n_left, out=n_right)
     if valid is None:
         valid = (n_left > 0) & (n_right > 0)
     if not valid.any():
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
         if totals.size == 1:  # one statistic: square and divide in place
-            score = np.square(s_left[0])
+            score = np.square(s_left[0], out=score)
             score /= n_left
-            right = np.subtract(totals[0], s_left[0])
+            right = np.subtract(totals[0], s_left[0], out=s_left[0])
             np.square(right, out=right)
         else:  # sum over statistics of S**2
             score = np.einsum("skb,skb->kb", s_left, s_left) / n_left

@@ -476,6 +476,23 @@ def test_unrunnable_values_are_usage_errors_at_load(tmp_path, capsys, key, value
     assert not (tmp_path / "run" / "dataset.jsonl").exists()
 
 
+@pytest.mark.parametrize("fps", [1e308, 30.0])
+def test_slides_too_long_to_simulate_are_usage_errors_at_load(tmp_path, capsys, fps):
+    # At fps 1e308 the frame count overflowed an int (OverflowError traceback);
+    # at 30 the config loaded and the build could not allocate the slide.
+    doc = ExperimentConfig().to_dict()
+    doc["collection"]["slides_per_specimen"] = 2
+    doc["slide"]["path_mm"], doc["slide"]["fps"] = 1e308, fps
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["dataset", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "usage" and "slide.path_mm" in doc["message"]
+    assert not (tmp_path / "run" / "dataset.jsonl").exists()
+
+
 def test_slide_start_offset_reaches_simulate(tmp_path):
     argv = ["simulate", "--pattern", "sawtooth", "--depth", "3", "--speed", "150", "--seed", "1"]
     assert main([*argv, "--out", str(tmp_path / "default")]) == 0

@@ -11,7 +11,7 @@ import whiskerlab
 from whiskerlab.analysis import DurationConfig
 from whiskerlab.errors import ConfigError, Validated, _interval
 from whiskerlab.events import DetectorConfig
-from whiskerlab.harness.config import ExperimentConfig, ModelParamsConfig
+from whiskerlab.harness.config import MAX_SLIDE_POSITIONS, ExperimentConfig, ModelParamsConfig
 from whiskerlab.learn.boosting import BoostParams
 from whiskerlab.learn.dataset import CollectionPlan
 from whiskerlab.learn.forest import ForestParams
@@ -48,6 +48,18 @@ def test_an_invalid_config_cannot_be_built(valid, change):
 
 each_class = pytest.mark.parametrize("valid", [valid for valid, _ in INVALID_CHANGES],
                                      ids=[type(valid).__name__ for valid, _ in INVALID_CHANGES])
+
+
+def test_slide_positions_are_bounded_at_the_slowest_planned_speed():
+    # 62 500 mm at 125 mm/s and 25 fps is 12 500 frames, 8 substeps each: the bound, exactly.
+    plan = CollectionPlan(speed_range=(125.0, 500.0))
+    slide = SlideConfig(speed_mm_s=150.0, fps=25.0, path_mm=62_500.0)
+    assert MAX_SLIDE_POSITIONS == 100_000
+    ExperimentConfig(slide=slide, collection=plan)
+    with pytest.raises(ConfigError, match="slide.path_mm"):
+        ExperimentConfig(slide=dataclasses.replace(slide, path_mm=62_501.0), collection=plan)
+    with pytest.raises(ConfigError, match="slide.path_mm"):
+        ExperimentConfig(slide=slide, collection=dataclasses.replace(plan, speed_range=(124.0, 500.0)))
 
 
 def test_every_config_class_is_covered():

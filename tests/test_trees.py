@@ -1,17 +1,21 @@
+import json
+import sys
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
 from oracles import grow_tree_oracle, quantile_edges_oracle, route_oracle, split_oracle
+from whiskerlab.learn import boosting
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
 from whiskerlab.learn.trees import (
+    _HIST_BLOCK,
     PackedTrees,
     Tree,
     _best_split,
     _node_split,
-    cumulative_counts,
     grow_tree,
     offset_bins,
     quantile_bin_edges,
@@ -204,7 +208,8 @@ def test_grower_matches_oracle_on_regression_trees(max_depth):
         offset, labels, edges, bins = random_problem(rng, [2, 3, 16, 128][trial % 4])
         target = labels - np.round(rng.normal(size=labels.size), int(rng.integers(0, 3)))
         want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
-        for root_counts in (None, cumulative_counts(offset, bins)):
+        flat_counts = np.bincount(offset.ravel(), minlength=offset.shape[1] * bins)  # as one flat histogram
+        for root_counts in (None, np.cumsum(flat_counts.reshape(-1, bins), axis=1, dtype=np.float64)):
             got, got_leaves = grow_tree(offset, target, None, edges, bins, max_depth=max_depth,
                                         root_counts=root_counts)
             assert got.to_dict() == want.to_dict()
@@ -217,6 +222,99 @@ def test_grower_matches_oracle_on_regression_trees(max_depth):
             for grower in (grow_tree, grow_tree_oracle))
         assert got.to_dict() == want.to_dict()
         assert got_leaves.tobytes() == want_leaves.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, _HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1])
+def test_grower_matches_oracle_at_histogram_block_edges(d):
+    """Regression trees over one block, a full block and one column past it;
+    the target follows the first and the last column, so splits fall in both
+    the first and the last block."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(90, d))
+    X[:, -1] = np.round(X[:, -1], 1)  # ties
+    target = X[:, 0] - 2.0 * (X[:, -1] > 0.3) + np.round(rng.normal(size=90), 1)
+    split_on = set()
+    for max_bins in (4, 64):
+        edges = quantile_bin_edges(X, max_bins)
+        offset, bins = offset_bins(X, edges)
+        for max_depth in (1, 3, None):
+            want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
+            got, got_leaves = grow_tree(offset, target, None, edges, bins, max_depth=max_depth)
+            assert got.to_dict() == want.to_dict()
+            assert got_leaves.tobytes() == want_leaves.tobytes()
+            split_on.update(want.feature)
+    assert {0, d - 1} <= split_on
+
+
+def boost_fit_oracle(X, yi, n_classes, params):
+    """The booster's trees by its former serial loop: rounds, then classes, on
+    the oracle grower."""
+    edges = quantile_bin_edges(X, params.max_bins)
+    offset, bins = offset_bins(X, edges)
+    onehot = np.eye(n_classes)[yi]
+    scores = np.zeros_like(onehot)
+    rounds = []
+    for _ in range(params.rounds):
+        rounds.append([])
+        for c in range(n_classes):
+            tree, fitted = grow_tree_oracle(offset, onehot[:, c] - scores[:, c], None, edges, bins,
+                                            max_depth=params.max_depth)
+            scores[:, c] += params.learning_rate * fitted[:, 0]
+            rounds[-1].append(tree.to_dict())
+    return rounds
+
+
+@pytest.mark.parametrize("n_classes", [10, 4])
+def test_boosting_is_the_same_for_every_worker_count(monkeypatch, n_classes):
+    """The class chains on 1, 2, 3 and one worker per class (more threads than
+    cores), with threads switching often: the same model JSON and predictions,
+    and the trees of the former serial loop."""
+    rng = np.random.default_rng(n_classes)
+    X = rng.normal(size=(150, _HIST_BLOCK + 30))  # two histogram blocks
+    y = rng.integers(0, n_classes, size=150)
+    X[:, 3] += y
+    X[:, -1] -= 0.5 * y
+    X_test = rng.normal(size=(40, X.shape[1]))
+    params = BoostParams(rounds=4, max_bins=32)
+    fits = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3, n_classes):
+            monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
+            model = BoostedTreesClassifier(params).fit(X, y)
+            fits.append((json.dumps(model.to_dict()), model.predict(X_test).tolist()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(fit == fits[0] for fit in fits[1:])
+    assert json.loads(fits[0][0])["trees"] == boost_fit_oracle(X, y, n_classes, params)
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monkeypatch, failing):
+    """Each worker's first tree waits until the other worker has started one
+    too, then one side raises: fit raises that error after joining its helper."""
+    grow, both_started, started = boosting.grow_tree, threading.Barrier(2), set()
+    caller = threading.current_thread()
+
+    def grow_or_fail(*args, **kwargs):
+        me = threading.current_thread()
+        if me not in started:
+            started.add(me)
+            both_started.wait(timeout=30)
+        if (me is caller) == (failing == "caller"):
+            raise RuntimeError(f"a chain failed in the {failing}")
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(boosting, "_workers", lambda n: 2)
+    monkeypatch.setattr(boosting, "grow_tree", grow_or_fail)
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(60, 5)), rng.integers(0, 10, size=60)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"failed in the {failing}"):
+        BoostedTreesClassifier(BoostParams(rounds=3)).fit(X, y)
+    assert set(threading.enumerate()) == before
+    assert len(started) == 2
 
 
 def edge_matrices(rng):
