@@ -42,7 +42,7 @@ from ..learn.evaluate import (
 )
 from ..seeding import derive_seed
 from ..taxel_grid import render_frame
-from .config import ExperimentConfig, config_digest, load_config, save_config
+from .config import ExperimentConfig, check_slide_size, config_digest, load_config, save_config
 from .manifest import RunManifest
 from .svg import xy_chart_svg
 
@@ -61,6 +61,11 @@ def cmd_simulate(args, cfg, out, manifest):
     speeds = args.speeds or [args.speed]
     if not speeds or any(s is None for s in speeds):
         raise ConfigError("pass --speed or --speeds")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    for speed in speeds:  # check every speed before any slide is written
+        check_slide_size(replace(cfg.slide, speed_mm_s=speed), cfg.array,
+                         "--speeds" if args.speeds else "--speed")
 
     outputs = []
     for speed in speeds:

@@ -23,11 +23,24 @@ from ..sim import SlideConfig, WhiskerArraySpec, active_frame_count
 from ..taxel_grid import TaxelGridConfig
 
 
-# Substep positions one slide may simulate: its active frames times
-# array.substeps, at the slowest speed the plan draws.  The simulator holds a
-# few float64 arrays of one value per position and whisker, about 20 MB each
-# at this bound on the 5x5 array; a default slide has 256 positions.
+# Positions one slide may simulate: its active frames times array.substeps,
+# plus one per lead-in and lead-out frame.  The simulator holds a few float64
+# arrays of one value per position (or frame) and whisker, about 20 MB each
+# at this bound on the 5x5 array; a default slide has 256 + 85 positions.
 MAX_SLIDE_POSITIONS = 100_000
+
+
+def check_slide_size(slide: SlideConfig, array: WhiskerArraySpec, speed_source: str) -> None:
+    """ConfigError unless ``slide`` simulates at most MAX_SLIDE_POSITIONS
+    positions; the message names the slide's speed as ``speed_source``."""
+    # The active part in float arithmetic, which overflows to inf where the
+    # frame count cannot be an int; the lead frames are exact ints.
+    active = slide.path_mm / slide.speed_mm_s * slide.fps * array.substeps
+    lead = slide.lead_in_frames + slide.lead_out_frames
+    if lead > MAX_SLIDE_POSITIONS or active + lead > MAX_SLIDE_POSITIONS:
+        raise ConfigError(f"slide.path_mm / {speed_source} * slide.fps * array.substeps + "
+                          f"slide.lead_in_frames + slide.lead_out_frames gives {active:.3g} + "
+                          f"{lead} simulated positions per slide, above {MAX_SLIDE_POSITIONS}")
 
 
 @dataclass(frozen=True)
@@ -65,14 +78,9 @@ class ExperimentConfig(Validated):
         if self.slide.lead_in_frames < self.detector.calibration_frames:
             raise ConfigError(f"slide.lead_in_frames {self.slide.lead_in_frames} must cover the "
                               f"{self.detector.calibration_frames}-frame detector calibration prefix")
-        # In float arithmetic, which overflows to inf where the frame count cannot be
-        # an int; the slowest draw simulates the most positions.
-        positions = (self.slide.path_mm / self.collection.speed_range[0] * self.slide.fps
-                     * self.array.substeps)
-        if positions > MAX_SLIDE_POSITIONS:
-            raise ConfigError(f"slide.path_mm / collection.speed_range[0] * slide.fps * "
-                              f"array.substeps gives {positions:.3g} simulated positions per "
-                              f"slide, above {MAX_SLIDE_POSITIONS}")
+        # The slowest draw simulates the most positions.
+        slowest = replace(self.slide, speed_mm_s=self.collection.speed_range[0])
+        check_slide_size(slowest, self.array, "collection.speed_range[0]")
         # A capture must fit in the shortest slide the plan draws, at its top speed;
         # otherwise the fast draws are retried away and the speed range narrows.
         fastest = replace(self.slide, speed_mm_s=self.collection.speed_range[1])

@@ -25,8 +25,8 @@ import numpy as np
 
 from ..errors import Validated
 from .base import Classifier
-from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, grow_tree, offset_bins,
-                    quantile_bin_edges, running_sum)
+from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, grow_regression_tree,
+                    offset_bins, quantile_bin_edges, running_sum)
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,9 @@ class BoostedTreesClassifier(Classifier):
                     target = (yi == c).astype(np.float64)
                     scores = np.zeros(X.shape[0])
                     for r in range(rounds):
-                        trees[r][c], fitted = grow_tree(
-                            codes, target - scores, None, edges, codes.max_bins,
-                            max_depth=self.params.max_depth, root_counts=root_counts, work=work)
-                        scores += self.params.learning_rate * fitted[:, 0]
+                        trees[r][c], fitted = grow_regression_tree(
+                            codes, target - scores, edges, self.params.max_depth, root_counts, work)
+                        scores += self.params.learning_rate * fitted
             except BaseException:
                 with lock:  # the other workers stop after their current chain
                     for _ in chains:

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import Validated
 from .base import Classifier
-from .trees import PackedTrees, Tree, grow_tree, offset_bins, quantile_bin_edges, running_sum
+from .trees import PackedTrees, Tree, grow_gini_tree, offset_bins, quantile_bin_edges, running_sum
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,9 @@ class BaggedTreesClassifier(Classifier):
         for ts in tree_seeds:
             rng = np.random.default_rng(int(ts))
             boot = rng.integers(0, n, size=n)
-            tree, _ = grow_tree(
+            self.trees_.append(grow_gini_tree(
                 offset[boot], yi[boot], len(self.classes_), edges, max_bins,
-                sample_features=partial(rng.choice, d, size=k, replace=False),
-            )
-            self.trees_.append(tree)
+                partial(rng.choice, d, size=k, replace=False)))
         self._pack()
         return self
 

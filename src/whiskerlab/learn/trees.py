@@ -3,42 +3,43 @@
 Split candidates come from per-feature quantile bins computed once on the
 training matrix (one sort per column, then numpy's linear quantile rule on a
 block of columns at once), then offset per feature so one flat histogram
-covers every feature.  Both ensembles grow their trees with one grower and
-one split search parametrised by a per-sample statistic, class indicators
-for the gini forest and the target for the squared-error booster.  A node's
-best split maximises the summed squared statistic over child size, and a
-leaf holds the node's statistic totals over its size (class probabilities,
-or the mean target).
+covers every feature.  Each ensemble has its own grower:
+:func:`grow_gini_tree` grows the forest's full-depth gini trees on sampled
+candidate features, and :func:`grow_regression_tree` the booster's
+depth-limited squared-error trees on every feature.  Both score a node's
+candidate splits with one scorer, :func:`_best_split`, parametrised by a
+per-sample statistic (class indicators, or the target): the best split
+maximises the summed squared statistic over child size.  A leaf holds the
+node's statistic totals over its size (class probabilities, or the mean
+target).
 
-The search skips work that cannot change its answer, so every tree equals
-the one a full histogram per node gives, bit for bit.  One scorer,
-:func:`_best_split`, takes a node's cumulative row counts and statistic sums
-at its candidate split positions, however they were formed:
+Each grower skips work that cannot change its answer, so every tree equals
+the one a full histogram per node gives, bit for bit.  The scorer takes a
+node's cumulative row counts and statistic sums at its candidate split
+positions, however they were formed:
 
-* Histogram: a ``bincount`` of the node's (row, candidate) codes, which
+* Gini, a node of fewer rows than ``max_bins``: each candidate's rows are
+  sorted by (code, label), and integer class counts are cumulated down
+  them.  At the last row of an occupied bin these equal the histogram's
+  cumulative counts at that bin, so the scores there are the same floats.
+  An empty bin repeats the previous cumulative counts and so the previous
+  score, and the first maximum in (candidate, bin) order therefore falls
+  on an occupied bin: scoring occupied bins alone picks the same split.
+* Gini, a larger node: a ``bincount`` of its (row, candidate) codes, which
   are ``intp`` so that ``bincount`` does not cast them, then a cumsum over
-  bins.  Gini takes one over every candidate.  Squared error takes one
-  weighted ``bincount`` per block of ``_HIST_BLOCK`` feature columns, on
-  :class:`BlockedCodes`, whose blocks are contiguous, so a node's rows of a
-  block gather into a reused buffer and the block's histogram stays in
-  cache; its rows' targets are broadcast into one reused weights buffer
-  per node, not repeated per feature.  Each bin's sum accumulates its rows
-  in row order either way, and the cumsum runs along each feature's bins,
-  so blocking changes no float.
-* Count reuse (squared error): row counts are exact integers, and the
-  cumsum of a difference is the difference of the cumsums.  So the root's
-  cumulative counts are computed once per fit, and each split counts only
-  its smaller child; the larger child's are the parent's minus those.
-  Children at ``max_depth`` get no counts.
-* Sorted (gini, a node of fewer rows than ``max_bins``): each candidate's
-  rows are sorted by (code, label), and integer class counts are cumulated
-  down them.  At the last row of an occupied bin these equal the
-  histogram's cumulative counts at that bin, so the scores there are the
-  same floats.  An empty bin repeats the previous cumulative counts and so
-  the previous score, and the first maximum in (candidate, bin) order
-  therefore falls on an occupied bin: scoring occupied bins alone picks
-  the same split.  The choice between this and the histogram reads only
-  the node size and ``max_bins``.
+  bins.  Measured on the protocol fits, the sorted path for every node is
+  slower, so the choice reads the node size and ``max_bins``.
+* Squared error: one weighted ``bincount`` per block of ``_HIST_BLOCK``
+  feature columns, on :class:`BlockedCodes`, whose blocks are contiguous,
+  so a node's rows of a block gather into a reused buffer and the block's
+  histogram stays in cache; its rows' targets are broadcast into one
+  reused weights buffer per node, not repeated per feature.  Each bin's sum
+  accumulates its rows in row order either way, and the cumsum runs along
+  each feature's bins, so blocking changes no float.  Row counts are exact
+  integers, and the cumsum of a difference is the difference of the
+  cumsums.  So the root's cumulative counts are computed once per fit, and
+  each split counts only its smaller child; the larger child's are the
+  parent's minus those.  Children at ``max_depth`` get no counts.
 
 Trees serialize to plain dicts (feature/threshold/child arrays) so models
 round-trip through JSON.  For prediction an ensemble packs its trees into one
@@ -104,8 +105,8 @@ def offset_bins(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int
     Value x of feature f falls in bin b when edges[f][b-1] <= x < edges[f][b],
     and gets code f * max_bins + b.  The codes are ``intp``, the index type
     ``np.bincount`` counts in, so no per-node histogram casts them; the
-    grower reuses these integer counts (see the module docstring) and sorts
-    a small gini node's codes directly.
+    squared-error grower reuses these integer counts (see the module
+    docstring) and the gini grower sorts a small node's codes directly.
     """
     max_bins = max(len(e) for e in edges) + 1
     offset = np.empty(X.shape, dtype=np.intp)
@@ -170,29 +171,26 @@ class SplitBuffers:
     A node's gathered block codes and its rows' targets broadcast to the
     block's width; its cumulative target sums, (columns, max_bins), and two
     (columns, max_bins - 1) grids, in which :func:`_best_split` computes the
-    score in place with them; and a pair of cumulative count
-    grids per tree level below the root, for the two children of the node
-    split last at the level above (depth-first growth has finished with the
-    previous pair by then).  They are allocated once, by the thread that
-    starts the fit, so a helper thread's per-node allocations stay small:
-    glibc keeps what a thread frees in that thread's own arena, where it
-    adds to the process's peak resident memory.
+    score in place with them; and ``child_counts[d]``, a pair of cumulative
+    count grids for the two children of the node split last at depth ``d``
+    (depth-first growth has finished with the previous pair by then).  A
+    node at depth ``d`` holds at most ``rows - d`` rows, so no tree needs
+    more than ``min(max_depth, rows) - 1`` pairs, however large ``max_depth``
+    is.  They are allocated once, by the thread that starts the fit, so a
+    helper thread's per-node allocations stay small: glibc keeps what a
+    thread frees in that thread's own arena, where it adds to the process's
+    peak resident memory.
     """
 
-    def __init__(self, codes: BlockedCodes, max_depth: Optional[int] = None):
+    def __init__(self, codes: BlockedCodes, max_depth: int):
         rows, columns = codes.shape
         size = rows * min(columns, _HIST_BLOCK)
         self.codes = np.empty(size, dtype=np.intp)
         self.weights = np.empty(size)
         self.sums = np.empty((columns, codes.max_bins))
         self.score = np.empty((2, columns, codes.max_bins - 1))
-        self._counts = [np.empty((2, columns, codes.max_bins)) for _ in range(1, max_depth or 1)]
-
-    def child_counts(self, depth: int) -> np.ndarray:
-        """The pair of count grids for children at ``depth`` (1 or deeper)."""
-        while len(self._counts) < depth:  # beyond the max_depth given: allocated on first use
-            self._counts.append(np.empty((2, *self.sums.shape)))
-        return self._counts[depth - 1]
+        self.child_counts = [np.empty((2, columns, codes.max_bins))
+                             for _ in range(min(max_depth, rows) - 1)]
 
 
 @dataclass
@@ -326,142 +324,133 @@ def running_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([start, terms]), axis=0)[-1]
 
 
-def grow_tree(
-    offset: "np.ndarray | BlockedCodes",
+def grow_gini_tree(
+    offset: np.ndarray,
     y: np.ndarray,
-    n_classes: Optional[int],
+    n_classes: int,
     edges: list[np.ndarray],
     max_bins: int,
-    max_depth: Optional[int] = None,
-    sample_features: Optional[Callable[[], np.ndarray]] = None,
-    root_counts: Optional[np.ndarray] = None,
-    work: Optional[SplitBuffers] = None,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one tree over an offset bin matrix (see :func:`offset_bins`).
+    sample_features: Callable[[], np.ndarray],
+) -> Tree:
+    """Grow one full-depth gini tree over an offset bin matrix (see :func:`offset_bins`).
 
-    ``y`` holds integer labels below ``n_classes`` (gini: the statistics are
-    class indicators, leaves store class probability lists) or, with
-    ``n_classes=None``, a real target (squared error: leaves store the mean).
-    Growth stops at ``max_depth``, at nodes of one sample or one class, and
-    where no split gains.  ``sample_features`` draws the candidate features
-    of each split; without it every feature is a candidate.
-
-    Squared error reads the matrix as :class:`BlockedCodes`: ``offset`` may
-    be one already (a caller growing many trees on one matrix converts it
-    once), and is converted here otherwise.  ``work`` holds the buffers a
-    node's split search reuses (allocated here when None; a caller passes
-    one per thread).  Each node's cumulative row counts of every feature
-    are carried down the tree: the root's are ``root_counts``, which must
-    be the codes' ``cumulate()`` (computed here when None), and a split
-    counts its smaller child's rows and gives the larger child the parent's
-    counts minus those.
-
-    Returns the tree and each row's leaf value, shape (rows, statistics).
+    ``y`` holds integer labels below ``n_classes``, and each leaf stores its
+    class probabilities as a list.  Growth stops at nodes of one class and
+    where no split gains; ``sample_features`` draws the candidate features
+    of each node that holds two classes or more, before its split search.
     """
     tree = Tree()
-    leaf_values = np.empty((offset.shape[0], n_classes or 1))
-    reuse_counts = n_classes is None
-    if reuse_counts:
-        if not isinstance(offset, BlockedCodes):
-            offset = BlockedCodes(offset, max_bins)
-        if root_counts is None:
-            root_counts = offset.cumulate()
-        if work is None:
-            work = SplitBuffers(offset, max_depth)
-    # (indices, depth, parent, side, cumulative counts or None)
-    stack = [(np.arange(offset.shape[0]), 0, None, None, root_counts)]
+    stack = [(np.arange(offset.shape[0]), None, None)]  # (indices, parent, side)
     while stack:
-        idx, depth, parent, side, counts = stack.pop()
-        n = idx.size
-        if n_classes:
-            totals = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-            splittable = np.count_nonzero(totals) > 1
+        idx, parent, side = stack.pop()
+        totals = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        best = None
+        if np.count_nonzero(totals) > 1:
+            feats = sample_features()
+            best = _gini_split(offset, y, idx, feats, n_classes, max_bins, totals)
+        if best is None:
+            node = tree.add_leaf((totals / idx.size).tolist())
         else:
-            totals = np.array([float(y[idx].sum())])
-            splittable = True
-        node = None
-        if n >= 2 and splittable and (max_depth is None or depth < max_depth):
-            feats = sample_features() if sample_features is not None else None
-            best = _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts, work)
-            if best is not None:
-                f, b = best
-                node = tree.add_split(f, edges[f][b])
-                if reuse_counts:
-                    go_left = offset.at_or_below(idx, f, b)
-                else:
-                    go_left = offset[idx, f] <= f * max_bins + b
-                left, right = idx[go_left], idx[~go_left]
-                left_counts = right_counts = None
-                if reuse_counts and (max_depth is None or depth + 1 < max_depth):
-                    small, large = work.child_counts(depth + 1)
-                    left_smaller = left.size <= right.size
-                    offset.cumulate(left if left_smaller else right, out=small, work=work)
-                    np.subtract(counts, small, out=large)
-                    left_counts, right_counts = (small, large) if left_smaller else (large, small)
-                # Push right first so left is processed first (cosmetic only).
-                stack.append((right, depth + 1, node, "right", right_counts))
-                stack.append((left, depth + 1, node, "left", left_counts))
-        if node is None:
-            value = totals / n
-            node = tree.add_leaf(value.tolist() if n_classes else float(value[0]))
-            leaf_values[idx] = value
+            f, b = best
+            node = tree.add_split(f, edges[f][b])
+            go_left = offset[idx, f] <= f * max_bins + b
+            # Push right first so left is processed first (cosmetic only).
+            stack.append((idx[~go_left], node, "right"))
+            stack.append((idx[go_left], node, "left"))
         if parent is not None:
-            if side == "left":
-                tree.left[parent] = node
-            else:
-                tree.right[parent] = node
-    return tree, leaf_values
+            (tree.left if side == "left" else tree.right)[parent] = node
+    return tree
 
 
-def _node_split(offset, y, idx, feats, n_classes, max_bins, totals, counts, work=None):
-    """A node's best split as (feature, bin), or None when none gains.
+def _gini_split(offset, y, idx, feats, n_classes, max_bins, totals):
+    """A gini node's best split as (feature, bin), or None when none gains.
 
-    Candidates are all features when ``feats`` is None, else the sampled
-    ``feats``.  A gini node reads the offset matrix: its sampled columns are
-    re-offset by their position among them, so candidate j's codes are
-    j * max_bins + bin, and it is scored from its sorted codes when it has
-    fewer rows than bins, else from its histograms.  A squared-error node
-    reads :class:`BlockedCodes` and ``work`` (see :func:`grow_tree`): it
-    sums its targets over every feature's bins, block by block, and takes
-    the candidates' rows of those sums and of its cumulative ``counts``.
+    The candidates are the sampled ``feats``, whose columns are re-offset by
+    their position among them, so candidate j's codes are j * max_bins + bin.
+    A node of fewer rows than bins is scored from its sorted codes, a larger
+    one from its histograms.
     """
-    n = idx.size
-    if not n_classes:
-        # Only the root holds every row, and its idx is in order: no gather.
-        offset.cumulate(None if n == offset.shape[0] else idx, y[idx], work.sums, work)
-        n_left, s_left = counts[:, :-1], work.sums[:, :-1]
-        if feats is not None:
-            n_left, s_left = n_left[feats], s_left[feats]
-        best = _best_split(n_left, s_left[None], n, totals, out=work.score[:, :n_left.shape[0]])
+    n, k = idx.size, feats.size
+    codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
+    if n < max_bins:
+        # Sort each candidate's rows by (code, label), one key, and cumulate
+        # class counts down them.  A split can fall only after the last row
+        # of an occupied bin, where these counts equal the histogram's
+        # cumulative counts at that bin, whatever the order inside the bin.
+        keys = np.sort((codes * n_classes + y[idx, None]).T, axis=1)
+        sorted_codes = keys // n_classes
+        labels = keys - sorted_codes * n_classes
+        s_left = np.cumsum(labels == np.arange(n_classes)[:, None, None], axis=2)[:, :, :-1]
+        valid = sorted_codes[:, :-1] != sorted_codes[:, 1:]
+        best = _best_split(np.arange(1, n), s_left, n, totals, valid)
+        if best is not None:
+            j, row = best
+            best = j, int(sorted_codes[j, row]) - j * max_bins
     else:
-        if feats is None:
-            k, codes = offset.shape[1], (offset if n == offset.shape[0] else offset[idx])
-        else:
-            k = feats.size
-            codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
-        if n < max_bins:
-            # Sort each candidate's rows by (code, label), one key, and cumulate
-            # class counts down them.  A split can fall only after the last row
-            # of an occupied bin, where these counts equal the histogram's
-            # cumulative counts at that bin, whatever the order inside the bin.
-            keys = np.sort((codes * n_classes + y[idx, None]).T, axis=1)
-            sorted_codes = keys // n_classes
-            labels = keys - sorted_codes * n_classes
-            s_left = np.cumsum(labels == np.arange(n_classes)[:, None, None], axis=2)[:, :, :-1]
-            valid = sorted_codes[:, :-1] != sorted_codes[:, 1:]
-            best = _best_split(np.arange(1, n), s_left, n, totals, valid)
-            if best is not None:
-                j, row = best
-                best = j, int(sorted_codes[j, row]) - j * max_bins
-        else:
-            sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
-                               minlength=n_classes * k * max_bins)
-            s_left = np.cumsum(sums.reshape(n_classes, k, max_bins), axis=2)[:, :, :-1]
-            best = _best_split(s_left.sum(axis=0), s_left, n, totals)
+        sums = np.bincount((y[idx, None] * (k * max_bins) + codes).ravel(),
+                           minlength=n_classes * k * max_bins)
+        s_left = np.cumsum(sums.reshape(n_classes, k, max_bins), axis=2)[:, :, :-1]
+        best = _best_split(s_left.sum(axis=0), s_left, n, totals)
     if best is None:
         return None
     j, b = best
-    return (j if feats is None else int(feats[j])), b
+    return int(feats[j]), b
+
+
+def grow_regression_tree(
+    codes: BlockedCodes,
+    y: np.ndarray,
+    edges: list[np.ndarray],
+    max_depth: int,
+    root_counts: np.ndarray,
+    work: SplitBuffers,
+) -> tuple[Tree, np.ndarray]:
+    """Grow one squared-error tree of at most ``max_depth`` levels on every feature.
+
+    ``y`` is a real target, and each leaf stores the mean of its rows.
+    Growth stops at ``max_depth``, at nodes of one row and where no split
+    gains.  ``work`` holds the buffers a node's split search reuses (one
+    per thread).  Each node's cumulative row counts of every feature are
+    carried down the tree: the root's are ``root_counts``, which must be
+    ``codes.cumulate()``, and a split counts its smaller child's rows and
+    gives the larger child the parent's counts minus those.
+
+    Returns the tree and each row's leaf value.
+    """
+    tree = Tree()
+    fitted = np.empty(codes.shape[0])
+    # (indices, depth, parent, side, cumulative counts, None at max_depth)
+    stack = [(np.arange(codes.shape[0]), 0, None, None, root_counts)]
+    while stack:
+        idx, depth, parent, side, counts = stack.pop()
+        n = idx.size
+        totals = np.array([float(y[idx].sum())])
+        best = None
+        if n >= 2 and depth < max_depth:
+            # Only the root holds every row, and its idx is in order: no gather.
+            codes.cumulate(None if n == codes.shape[0] else idx, y[idx], work.sums, work)
+            best = _best_split(counts[:, :-1], work.sums[None, :, :-1], n, totals, out=work.score)
+        if best is None:
+            value = float(totals[0] / n)
+            node = tree.add_leaf(value)
+            fitted[idx] = value
+        else:
+            f, b = best
+            node = tree.add_split(f, edges[f][b])
+            go_left = codes.at_or_below(idx, f, b)
+            left, right = idx[go_left], idx[~go_left]
+            left_counts = right_counts = None
+            if depth + 1 < max_depth:
+                small, large = work.child_counts[depth]
+                left_smaller = left.size <= right.size
+                codes.cumulate(left if left_smaller else right, out=small, work=work)
+                np.subtract(counts, small, out=large)
+                left_counts, right_counts = (small, large) if left_smaller else (large, small)
+            stack.append((right, depth + 1, node, "right", right_counts))
+            stack.append((left, depth + 1, node, "left", left_counts))
+        if parent is not None:
+            (tree.left if side == "left" else tree.right)[parent] = node
+    return tree, fitted
 
 
 def _best_split(n_left, s_left, n, totals, valid=None, out=None):

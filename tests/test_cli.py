@@ -456,6 +456,9 @@ UNRUNNABLE_VALUES = [
     ("collection.direction_deg", 45),
     ("detector.sample_frames", 100),
     ("slide.lead_out_frames", 0),
+    # Lead frames the simulator would allocate a (frames, rows, cols) array for.
+    ("slide.lead_in_frames", 10**9),
+    ("slide.lead_out_frames", 10**9),
 ]
 
 
@@ -491,6 +494,22 @@ def test_slides_too_long_to_simulate_are_usage_errors_at_load(tmp_path, capsys, 
     doc = json.loads(err[0])
     assert doc["error"] == "usage" and "slide.path_mm" in doc["message"]
     assert not (tmp_path / "run" / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--speed", "1e-300"], "--speed"),  # was a ValueError traceback from numpy
+    (["--speeds", "150", "1e-300"], "--speeds"),
+    (["--speed", "150", "--samples", "0"], "--samples"),
+    (["--speed", "150", "--samples", "-1"], "--samples"),  # exited 0 and wrote nothing
+], ids=["speed", "speeds", "samples0", "samples-1"])
+def test_simulate_flags_that_cannot_make_a_slide_are_usage_errors(tmp_path, capsys, flags, flag):
+    argv = ["simulate", "--pattern", "flat", "--depth", "0", *flags, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "usage" and flag in doc["message"]
+    assert not list(tmp_path.glob("slide_*"))
 
 
 def test_slide_start_offset_reaches_simulate(tmp_path):

@@ -51,13 +51,15 @@ each_class = pytest.mark.parametrize("valid", [valid for valid, _ in INVALID_CHA
 
 
 def test_slide_positions_are_bounded_at_the_slowest_planned_speed():
-    # 62 500 mm at 125 mm/s and 25 fps is 12 500 frames, 8 substeps each: the bound, exactly.
+    # 62 375 mm at 125 mm/s and 25 fps is 12 475 frames, 8 substeps each, and
+    # 25 + 175 lead frames: the bound, exactly.
     plan = CollectionPlan(speed_range=(125.0, 500.0))
-    slide = SlideConfig(speed_mm_s=150.0, fps=25.0, path_mm=62_500.0)
+    slide = SlideConfig(speed_mm_s=150.0, fps=25.0, path_mm=62_375.0, lead_out_frames=175)
     assert MAX_SLIDE_POSITIONS == 100_000
     ExperimentConfig(slide=slide, collection=plan)
-    with pytest.raises(ConfigError, match="slide.path_mm"):
-        ExperimentConfig(slide=dataclasses.replace(slide, path_mm=62_501.0), collection=plan)
+    for change in ({"path_mm": 62_376.0}, {"lead_in_frames": 26}, {"lead_out_frames": 176}):
+        with pytest.raises(ConfigError, match=f"slide.{next(iter(change))}"):
+            ExperimentConfig(slide=dataclasses.replace(slide, **change), collection=plan)
     with pytest.raises(ConfigError, match="slide.path_mm"):
         ExperimentConfig(slide=slide, collection=dataclasses.replace(plan, speed_range=(124.0, 500.0)))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 from functools import partial
@@ -12,11 +13,14 @@ from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
 from whiskerlab.learn.trees import (
     _HIST_BLOCK,
+    BlockedCodes,
     PackedTrees,
+    SplitBuffers,
     Tree,
     _best_split,
-    _node_split,
-    grow_tree,
+    _gini_split,
+    grow_gini_tree,
+    grow_regression_tree,
     offset_bins,
     quantile_bin_edges,
     running_sum,
@@ -105,7 +109,8 @@ def small_gini_node(rng, max_bins):
 
     Columns take their bins from a random subset, so occupied bins have
     empty ones between them; some columns duplicate an earlier one or are
-    constant, and the candidates are every column or a sample of them.
+    constant, and the candidates are every column, in order, or a sample of
+    them.
     """
     n = int(rng.integers(2, max_bins + 1))
     d = int(rng.integers(1, 7))
@@ -122,7 +127,10 @@ def small_gini_node(rng, max_bins):
     if rng.random() < 0.3:  # labels that follow a column: strong splits, pure sides
         y = bins[:, int(rng.integers(0, d))] * classes // max_bins
     idx = np.sort(rng.choice(rows, size=n, replace=False))
-    feats = None if rng.random() < 0.3 else rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+    if rng.random() < 0.3:
+        feats = np.arange(d)
+    else:
+        feats = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
     return bins, y, classes, idx, feats
 
 
@@ -134,12 +142,11 @@ def test_sorted_small_node_split_matches_oracle_on_its_histogram(max_bins):
         bins, y, classes, idx, feats = small_gini_node(rng, max_bins)
         offset = bins + np.arange(bins.shape[1]) * max_bins
         totals = np.bincount(y[idx], minlength=classes).astype(np.float64)
-        got = _node_split(offset, y, idx, feats, classes, max_bins, totals, None)
-        candidates = np.arange(bins.shape[1]) if feats is None else feats
-        cnt, sums = node_histograms(bins[np.ix_(idx, candidates)],
+        got = _gini_split(offset, y, idx, feats, classes, max_bins, totals)
+        cnt, sums = node_histograms(bins[np.ix_(idx, feats)],
                                     np.eye(classes, dtype=np.int64)[y[idx]], max_bins)
         want = split_oracle(cnt.tolist(), sums.tolist(), idx.size, totals.tolist())
-        assert got == (None if want is None else (int(candidates[want[0]]), want[1]))
+        assert got == (None if want is None else (int(feats[want[0]]), want[1]))
         found += want is not None
     assert 0 < found < 300  # both outcomes are exercised
 
@@ -152,12 +159,12 @@ def test_sorted_small_node_ties_go_to_first_candidate_then_first_occupied_bin():
     offset = bins + np.arange(3) * 8
     y = np.array([0, 0, 1, 1, 1, 2])
     totals = np.bincount(y).astype(np.float64)
-    assert _node_split(offset, y, np.arange(6), None, 3, 8, totals, None) == (1, 0)
+    assert _gini_split(offset, y, np.arange(6), np.arange(3), 3, 8, totals) == (1, 0)
     cnt, sums = node_histograms(bins, np.eye(3, dtype=np.int64)[y], 8)
     assert split_oracle(cnt.tolist(), sums.tolist(), 6, totals.tolist()) == (1, 0)
     # Each occupied bin holds one row of each class, so no split gains.
     y = np.array([0, 1, 1, 0, 1, 0])
-    assert _node_split(offset, y, np.arange(6), None, 2, 8, np.array([3.0, 3.0]), None) is None
+    assert _gini_split(offset, y, np.arange(6), np.arange(3), 2, 8, np.array([3.0, 3.0])) is None
 
 
 def random_problem(rng, max_bins):
@@ -188,40 +195,43 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
         n, d = offset.shape
         boot = rng.integers(0, n, size=n)
         k, seed = int(rng.integers(1, d + 1)), int(rng.integers(2**32))
-        trees = []
-        for grower in (grow_tree, grow_tree_oracle):
-            sample = partial(np.random.default_rng(seed).choice, d, size=k, replace=False)
-            trees.append(grower(offset[boot], y[boot], 3, edges, bins,
-                                sample_features=None if trial % 4 == 0 else sample))
-        (got, got_leaves), (want, want_leaves) = trees
+        samplers = [partial(np.random.default_rng(seed).choice, d, size=k, replace=False)
+                    for _ in range(2)]
+        if trial % 4 == 0:  # every feature a candidate, in order
+            samplers = [partial(np.arange, d)] * 2
+        got = grow_gini_tree(offset[boot], y[boot], 3, edges, bins, samplers[0])
+        want, _ = grow_tree_oracle(offset[boot], y[boot], 3, edges, bins, sample_features=samplers[1])
         assert got.to_dict() == want.to_dict()
-        assert got_leaves.tobytes() == want_leaves.tobytes()
 
 
-@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+def grow_regression(offset, target, edges, bins, max_depth):
+    """grow_regression_tree over an offset matrix, with its codes, root counts
+    (one flat histogram, cumulated) and buffers built as the booster builds them."""
+    codes = BlockedCodes(offset, bins)
+    flat_counts = np.bincount(offset.ravel(), minlength=offset.shape[1] * bins)
+    root_counts = np.cumsum(flat_counts.reshape(-1, bins), axis=1, dtype=np.float64)
+    return grow_regression_tree(codes, target, edges, max_depth, root_counts,
+                                SplitBuffers(codes, max_depth))
+
+
+def assert_regression_matches_oracle(offset, target, edges, bins, max_depth):
+    got, got_fitted = grow_regression(offset, target, edges, bins, max_depth)
+    want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
+    assert got.to_dict() == want.to_dict()
+    assert got_fitted.tobytes() == want_leaves[:, 0].tobytes()
+    return want
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4, "rows"])
 def test_grower_matches_oracle_on_regression_trees(max_depth):
-    """Every feature a candidate, as the booster grows its trees, with the
-    root's counts computed by the grower or passed in; then with sampled
-    candidates."""
-    rng = np.random.default_rng(max_depth)
+    """Every feature a candidate, as the booster grows its trees; at depth
+    "rows" no tree can reach the depth limit."""
+    rng = np.random.default_rng(5 if max_depth == "rows" else max_depth)
     for trial in range(10):
         offset, labels, edges, bins = random_problem(rng, [2, 3, 16, 128][trial % 4])
         target = labels - np.round(rng.normal(size=labels.size), int(rng.integers(0, 3)))
-        want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
-        flat_counts = np.bincount(offset.ravel(), minlength=offset.shape[1] * bins)  # as one flat histogram
-        for root_counts in (None, np.cumsum(flat_counts.reshape(-1, bins), axis=1, dtype=np.float64)):
-            got, got_leaves = grow_tree(offset, target, None, edges, bins, max_depth=max_depth,
-                                        root_counts=root_counts)
-            assert got.to_dict() == want.to_dict()
-            assert got_leaves.tobytes() == want_leaves.tobytes()
-        d = offset.shape[1]
-        k, seed = int(rng.integers(1, d + 1)), int(rng.integers(2**32))
-        (got, got_leaves), (want, want_leaves) = (
-            grower(offset, target, None, edges, bins, max_depth=max_depth,
-                   sample_features=partial(np.random.default_rng(seed).choice, d, size=k, replace=False))
-            for grower in (grow_tree, grow_tree_oracle))
-        assert got.to_dict() == want.to_dict()
-        assert got_leaves.tobytes() == want_leaves.tobytes()
+        depth = labels.size if max_depth == "rows" else max_depth
+        assert_regression_matches_oracle(offset, target, edges, bins, depth)
 
 
 @pytest.mark.parametrize("d", [1, _HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1])
@@ -237,13 +247,24 @@ def test_grower_matches_oracle_at_histogram_block_edges(d):
     for max_bins in (4, 64):
         edges = quantile_bin_edges(X, max_bins)
         offset, bins = offset_bins(X, edges)
-        for max_depth in (1, 3, None):
-            want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
-            got, got_leaves = grow_tree(offset, target, None, edges, bins, max_depth=max_depth)
-            assert got.to_dict() == want.to_dict()
-            assert got_leaves.tobytes() == want_leaves.tobytes()
+        for max_depth in (1, 3, 90):
+            want = assert_regression_matches_oracle(offset, target, edges, bins, max_depth)
             split_on.update(want.feature)
     assert {0, d - 1} <= split_on
+
+
+def test_split_buffers_hold_no_deeper_level_than_a_tree_can_reach():
+    """A node at depth d holds at most rows - d rows, so a depth limit beyond
+    the row count sizes the buffers, and grows the trees, as the row count does."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 6))
+    y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+    codes = BlockedCodes(*offset_bins(X, quantile_bin_edges(X, 16)))
+    assert len(SplitBuffers(codes, 3).child_counts) == 2
+    assert len(SplitBuffers(codes, 10**6).child_counts) == 39
+    deep, rows = (BoostedTreesClassifier(BoostParams(rounds=3, max_depth=m)).fit(X, y)
+                  for m in (10**6, 40))
+    assert deep.to_dict()["trees"] == rows.to_dict()["trees"]
 
 
 def boost_fit_oracle(X, yi, n_classes, params):
@@ -290,11 +311,42 @@ def test_boosting_is_the_same_for_every_worker_count(monkeypatch, n_classes):
     assert json.loads(fits[0][0])["trees"] == boost_fit_oracle(X, y, n_classes, params)
 
 
+def forest_fit_oracle(X, yi, n_classes, params, seed):
+    """The forest's trees on the oracle grower, under the forest's own tree
+    seeds, bootstrap rows and ceil(sqrt(d)) feature sampler."""
+    edges = quantile_bin_edges(X, params.max_bins)
+    offset, bins = offset_bins(X, edges)
+    n, d = X.shape
+    trees = []
+    for tree_seed in np.random.default_rng(seed).integers(0, 2**63 - 1, size=params.n_trees):
+        rng = np.random.default_rng(int(tree_seed))
+        boot = rng.integers(0, n, size=n)
+        sample = partial(rng.choice, d, size=math.ceil(math.sqrt(d)), replace=False)
+        tree, _ = grow_tree_oracle(offset[boot], yi[boot], n_classes, edges, bins,
+                                   sample_features=sample)
+        trees.append(tree.to_dict())
+    return trees
+
+
+@pytest.mark.parametrize("n_classes", [10, 4])
+def test_forest_fit_matches_the_oracle_grower(n_classes):
+    """Nodes of 200 bootstrap rows down to 2 fall on both sides of the sorted
+    path's n < max_bins; the sampler draws only at nodes of two classes or more."""
+    rng = np.random.default_rng(n_classes)
+    y = rng.permutation(np.arange(200) % n_classes)
+    X = rng.normal(size=(200, 30))
+    X[:, 2] += y
+    X[:, 7] = np.round(X[:, 7])  # ties
+    params = ForestParams(n_trees=6, max_bins=32)
+    model = BaggedTreesClassifier(params, seed=n_classes).fit(X, y)
+    assert [t.to_dict() for t in model.trees_] == forest_fit_oracle(X, y, n_classes, params, n_classes)
+
+
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monkeypatch, failing):
     """Each worker's first tree waits until the other worker has started one
     too, then one side raises: fit raises that error after joining its helper."""
-    grow, both_started, started = boosting.grow_tree, threading.Barrier(2), set()
+    grow, both_started, started = boosting.grow_regression_tree, threading.Barrier(2), set()
     caller = threading.current_thread()
 
     def grow_or_fail(*args, **kwargs):
@@ -307,7 +359,7 @@ def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monke
         return grow(*args, **kwargs)
 
     monkeypatch.setattr(boosting, "_workers", lambda n: 2)
-    monkeypatch.setattr(boosting, "grow_tree", grow_or_fail)
+    monkeypatch.setattr(boosting, "grow_regression_tree", grow_or_fail)
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(60, 5)), rng.integers(0, 10, size=60)
     before = set(threading.enumerate())
@@ -380,7 +432,7 @@ GRID_VALUES = np.array([-1.0, -0.5, 0.0, 0.25, 0.5, 2.0])
 
 
 def random_tree(rng, d, value_dim, max_depth):
-    """A random tree built like grow_tree's: children after their parent."""
+    """A random tree built like the growers' trees: children after their parent."""
     tree = Tree()
     stack = [(0, None, None)]
     while stack:
