@@ -49,8 +49,7 @@ def event_duration(stream, cfg: DurationConfig = DurationConfig()) -> Optional[i
 
     A frame is valid iff its total taxel sum is nonzero and exceeds the
     threshold.  A single valid frame gives duration 0.  The stream is read
-    through ``taxel_array``; each frame's total is the same sum as its
-    ``TaxelMatrix.total``.
+    through ``taxel_array``, and all per-frame totals are one row sum.
     """
     taxels = taxel_array(stream)
     totals = taxels.reshape(len(taxels), -1).sum(axis=1)

@@ -9,10 +9,8 @@ finite; the event detector's shifted mode takes its shift from the same
 floor.
 
 A feature stream is one (frames, rows + cols) float64 array.
-:func:`features_array` maps a (frames, rows, cols) taxel array to it in
-one vectorised step; :func:`features_stream` does the same for a taxel
-stream, read through ``taxel_array``: the simulator's ``TaxelStream`` with
-no copy, or a list of per-frame ``TaxelMatrix`` objects (the camera's unit).
+:func:`features_array` maps a nonempty taxel stream, read through
+``taxel_array``, to it in one vectorised step.
 """
 
 import numpy as np
@@ -23,20 +21,19 @@ from .taxel_grid import taxel_array
 EPSILON = 1e-6  # floor of every row and column sum before the log
 
 
-def features_array(taxels: np.ndarray) -> np.ndarray:
-    """Features of a (frames, rows, cols) taxel array, shape (frames, rows + cols).
+def features_array(taxels) -> np.ndarray:
+    """Features of a nonempty (frames, rows, cols) taxel stream, shape
+    (frames, rows + cols), in frame order.
 
     Row sums come first, then column sums; each is floored at EPSILON
     before the log.
     """
-    v = np.asarray(taxels, dtype=np.float64)
+    v = taxel_array(taxels)
     sums = np.concatenate([v.sum(axis=2), v.sum(axis=1)], axis=1)
     return np.log(np.maximum(sums, EPSILON))
 
 
-def features_stream(stream) -> np.ndarray:
-    """:func:`features_array` over a nonempty taxel stream, in frame order."""
-    return features_array(taxel_array(stream))
+features_stream = features_array  # the older name, still called by bench/workloads.py
 
 
 def stream_to_array(stream) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .. import analysis, events, sim
 from ..artifacts import file_digest, read_json, write_csv, write_json, write_text
 from ..errors import ConfigError, DataFileError, WhiskerlabError
-from ..features import features_stream
+from ..features import features_array
 from ..learn import dataset as dataset_mod
 from ..learn.evaluate import (
     MODEL_KINDS,
@@ -63,27 +63,31 @@ def cmd_simulate(args, cfg, out, manifest):
         raise ConfigError("pass --speed or --speeds")
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    for speed in speeds:  # check every speed before any slide is written
-        check_slide_size(replace(cfg.slide, speed_mm_s=speed), cfg.array,
-                         "--speeds" if args.speeds else "--speed")
+    flag = "--speeds" if args.speeds else "--speed"
+    names = {}  # check every speed before any slide is written
+    for speed in speeds:
+        check_slide_size(replace(cfg.slide, speed_mm_s=speed), cfg.array, flag)
+        name = f"slide_{args.pattern}{args.depth:g}_v{speed:g}_dir{args.direction}"
+        if name in names:
+            raise ConfigError(f"{flag} {names[name]!r} and {speed!r} both name slides {name}_k*")
+        names[name] = speed
 
     outputs = []
-    for speed in speeds:
+    for name, speed in names.items():
         for k in range(args.samples):
             slide_seed = derive_seed(cfg.seed, "simulate", args.pattern, args.depth,
                                      speed, args.direction, k)
             slide = replace(cfg.slide, speed_mm_s=speed, direction_deg=args.direction,
                             seed=slide_seed)
-            stream = sim.simulate_slide(texture, slide, cfg.array)
-            name = f"slide_{args.pattern}{args.depth:g}_v{speed:g}_dir{args.direction}_k{k}"
-            csv_path = out / f"{name}.csv"
-            meta_path = out / f"{name}.json"
-            sim.save_taxel_csv(csv_path, stream)
+            taxels = sim.simulate_taxels(texture, slide, cfg.array)
+            csv_path = out / f"{name}_k{k}.csv"
+            meta_path = out / f"{name}_k{k}.json"
+            sim.save_taxel_csv(csv_path, taxels)
             sim.save_slide_manifest(meta_path, texture, slide, cfg.array)
             outputs.extend([csv_path, meta_path])
             if args.frames:
-                rendered = [render_frame(m, cfg.grid) for m in stream]
-                outputs.extend(sim.save_frame_dir(out / f"{name}_frames", rendered))
+                rendered = [render_frame(frame, cfg.grid) for frame in taxels]
+                outputs.extend(sim.save_frame_dir(out / f"{name}_k{k}_frames", rendered))
 
     print(f"wrote {len(outputs) // 2} slide(s) to {out}")
     return "simulate", {}, outputs
@@ -188,8 +192,8 @@ def cmd_fit_speed(args, cfg, out, manifest):
     for csv_path in slide_csvs:
         inputs[csv_path.name] = manifest.verify_input(csv_path)
         _, slide, _ = sim.load_slide_manifest(csv_path.with_suffix(".json"))
-        stream = sim.load_taxel_csv(csv_path)
-        duration = analysis.event_duration(stream, cfg.duration)
+        _, taxels = sim.load_taxel_csv(csv_path)
+        duration = analysis.event_duration(taxels, cfg.duration)
         rows.append((csv_path.name, slide.speed_mm_s, duration))
 
     usable = [(speed, d) for _, speed, d in rows if d is not None]
@@ -219,8 +223,8 @@ def cmd_direction(args, cfg, out, manifest):
             raise ConfigError(f"--index {args.index} out of range ({len(samples)} samples)")
         source = samples[args.index]
     elif path.suffix == ".csv":
-        stream = sim.load_taxel_csv(path)
-        source = features_stream(stream).T
+        _, taxels = sim.load_taxel_csv(path)
+        source = features_array(taxels).T
     else:
         raise ConfigError(f"{path}: expected a .jsonl sample file or .csv taxel stream")
 
@@ -286,9 +290,9 @@ def cmd_plot(args, cfg, out, manifest):
             raise ConfigError("plot stream needs --input")
         path = Path(args.input)
         inputs = {path.name: manifest.verify_input(path)}
-        stream = sim.load_taxel_csv(path)
-        totals = [m.total for m in stream]
-        frames = [m.frame_index for m in stream]
+        frame_indices, taxels = sim.load_taxel_csv(path)
+        totals = taxels.reshape(len(taxels), -1).sum(axis=1).tolist()
+        frames = frame_indices.tolist()
         series = [{"x": frames, "y": totals, "mode": "line", "label": "taxel sum"}]
         labels = dict(title=path.stem, xlabel="frame", ylabel="total taxel sum")
         svg_path, twin_path = out / f"{path.stem}_totals.svg", out / f"{path.stem}_totals.csv"

@@ -62,12 +62,14 @@ class CollectionPlan(Validated):
 
 @dataclass
 class LabeledDataset:
-    """Flattened captures plus labels and per-sample provenance."""
+    """Flattened captures plus labels and per-sample provenance.
+
+    The specimen id is the one label column; pattern and depth are read
+    from it through the specimen table.
+    """
 
     features: np.ndarray  # (n, channels * frames) channel-major flattened captures
     specimen_ids: np.ndarray  # (n,) int, 1..10
-    patterns: list[str]
-    depths: np.ndarray  # (n,) float, mm
     speeds: np.ndarray  # (n,) float, mm/s
     directions: np.ndarray  # (n,) int, degrees
     seeds: np.ndarray  # (n,) per-slide simulation seeds
@@ -81,30 +83,30 @@ class LabeledDataset:
     def n(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def patterns(self) -> list[str]:
+        return [specimen_by_id(sid).pattern for sid in self.specimen_ids.tolist()]
+
+    @property
+    def depths(self) -> np.ndarray:
+        """(n,) float, mm."""
+        return np.array([specimen_by_id(sid).depth_mm for sid in self.specimen_ids.tolist()],
+                        dtype=np.float64)
+
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(
             features=self.features[idx],
             specimen_ids=self.specimen_ids[idx],
-            patterns=[self.patterns[i] for i in idx],
-            depths=self.depths[idx],
             speeds=self.speeds[idx],
             directions=self.directions[idx],
             seeds=self.seeds[idx],
             samples=[self.samples[i] for i in idx] if self.samples is not None else None,
         )
 
-    def check_label_consistency(self) -> None:
-        """Specimen id must determine pattern and depth, per the specimen table."""
-        for i in range(self.n):
-            spec = specimen_by_id(int(self.specimen_ids[i]))
-            if spec.pattern != self.patterns[i] or spec.depth_mm != self.depths[i]:
-                raise ConfigError(
-                    f"sample {i}: label ({self.patterns[i]}, {self.depths[i]}) does not "
-                    f"match specimen {self.specimen_ids[i]}"
-                )
-
     @classmethod
     def from_samples(cls, samples: Sequence[TactileSample]) -> "LabeledDataset":
+        """A dataset of labeled captures of one shape; a label whose pattern
+        or depth is not its specimen's raises ConfigError."""
         if not samples:
             raise ConfigError("cannot build a dataset from zero samples")
         for s in samples:
@@ -113,11 +115,15 @@ class LabeledDataset:
         shapes = sorted({s.values.shape for s in samples})
         if len(shapes) > 1:
             raise ConfigError(f"captures must share one (channels, frames) shape, got {shapes}")
+        specimen_ids = np.array([s.label.specimen_id for s in samples], dtype=np.int64)
+        for i, (sid, s) in enumerate(zip(specimen_ids.tolist(), samples)):
+            spec = specimen_by_id(sid)
+            if spec.pattern != s.label.pattern or spec.depth_mm != s.label.depth_mm:
+                raise ConfigError(f"sample {i}: label ({s.label.pattern}, {s.label.depth_mm}) "
+                                  f"does not match specimen {sid}")
         return cls(
             features=np.stack([s.flattened() for s in samples]),
-            specimen_ids=np.array([s.label.specimen_id for s in samples], dtype=np.int64),
-            patterns=[s.label.pattern for s in samples],
-            depths=np.array([s.label.depth_mm for s in samples], dtype=np.float64),
+            specimen_ids=specimen_ids,
             speeds=np.array([s.label.speed_mm_s for s in samples], dtype=np.float64),
             directions=np.array([s.label.direction_deg for s in samples], dtype=np.int64),
             seeds=np.array([s.seed if s.seed is not None else -1 for s in samples], dtype=np.int64),
@@ -278,7 +284,6 @@ def load_dataset(path) -> LabeledDataset:
     that is not a specimen of the table, raises DataFileError."""
     try:
         labeled = LabeledDataset.from_samples(load_samples_jsonl(path))
-        labeled.check_label_consistency()
     except (ValueError, TypeError, OverflowError) as exc:  # ConfigError is a ValueError
         raise DataFileError(f"{path}: {exc}") from exc
     return labeled

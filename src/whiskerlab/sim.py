@@ -16,11 +16,12 @@ not finite-element:
 * Additive per-taxel uniform noise keeps pre-contact sums strictly positive,
   which exercises the detector's shifted-mode semantics.
 
-The core, :func:`simulate_taxels`, returns one (frames, rows, cols) array;
-:func:`simulate_slide` wraps it, uncopied, as a ``TaxelStream`` whose frames
-are ``TaxelMatrix`` views built on access.  Identical seeds give
-bitwise-identical streams; distinct slides are embarrassingly parallel
-since each owns its generator.
+:func:`simulate_taxels` returns a slide as one (frames, rows, cols) array,
+and the taxel CSV writer and reader take and give that array.
+:func:`simulate_slide` wraps it, uncopied, as a ``TaxelStream`` for callers
+that walk a slide frame by frame.  Identical seeds give bitwise-identical
+streams; distinct slides are embarrassingly parallel since each owns its
+generator.
 """
 
 import csv
@@ -32,13 +33,7 @@ import numpy as np
 
 from .artifacts import read_json, write_csv, write_json
 from .errors import ConfigError, DataFileError, Validated
-from .taxel_grid import (
-    TactileFrame,
-    TaxelMatrix,
-    TaxelStream,
-    taxel_array,
-    write_ppm,
-)
+from .taxel_grid import TactileFrame, TaxelStream, taxel_array, write_ppm
 
 PATTERNS = ("flat", "sinc", "sawtooth", "triangle")
 DEPTHS_MM = (0, 2, 3, 4)
@@ -298,22 +293,25 @@ def _taxel_header(rows: int, cols: int) -> list[str]:
     return ["frame_index"] + [f"o{i + 1}{sep}{j + 1}" for i in range(rows) for j in range(cols)]
 
 
-def save_taxel_csv(path, stream) -> None:
-    """Write a nonempty taxel stream as CSV under :func:`_taxel_header`."""
-    taxels = taxel_array(stream)
+def save_taxel_csv(path, taxels) -> None:
+    """Write a nonempty taxel stream as CSV under :func:`_taxel_header`,
+    frames numbered from 0."""
+    taxels = taxel_array(taxels)
     frames, rows, cols = taxels.shape
     write_csv(path, _taxel_header(rows, cols),
-              ([m.frame_index] + [repr(v) for v in values]
-               for m, values in zip(stream, taxels.reshape(frames, -1).tolist())))
+              ([t] + [repr(v) for v in values]
+               for t, values in enumerate(taxels.reshape(frames, -1).tolist())))
 
 
-def load_taxel_csv(path) -> list[TaxelMatrix]:
-    """Read a square-grid taxel stream written by :func:`save_taxel_csv`.
+def load_taxel_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a square-grid taxel stream written by :func:`save_taxel_csv`
+    as its (frames,) frame indices and (frames, side, side) taxel array.
 
     A file that is not UTF-8 text, a header other than the one
     :func:`save_taxel_csv` writes for its square grid, no frames, a row of
-    the wrong length, or a cell that is not a number in [0, 1] (the range of
-    a normalized intensity) raises DataFileError.
+    the wrong length, a frame index that is not an integer, or a cell that
+    is not a number in [0, 1] (the range of a normalized intensity; NaN is
+    not in it) raises DataFileError.
     """
     with open(Path(path), newline="", encoding="utf-8") as fh:
         try:
@@ -325,16 +323,16 @@ def load_taxel_csv(path) -> list[TaxelMatrix]:
         raise DataFileError(f"{path}: unexpected taxel CSV header {header!r}")
     if not rows:
         raise DataFileError(f"{path}: taxel CSV has no frames")
-    stream = []
-    for line, row in enumerate(rows, start=2):
+    indices, taxels = [], np.empty((len(rows), side, side))
+    for line, (row, values) in enumerate(zip(rows, taxels), start=2):
         try:  # a row of the wrong length cannot take the (side, side) shape
-            values = np.array([float(v) for v in row[1:]]).reshape(side, side)
+            values[...] = np.array([float(v) for v in row[1:]]).reshape(side, side)
             if not ((values >= 0.0) & (values <= 1.0)).all():
                 raise ValueError("taxel values must lie in [0, 1]")
-            stream.append(TaxelMatrix(values, int(row[0])))
+            indices.append(int(row[0]))
         except ValueError as exc:
             raise DataFileError(f"{path}:{line}: bad taxel CSV row ({exc})") from exc
-    return stream
+    return np.array(indices), taxels
 
 
 def save_frame_dir(dir_path, frames: list[TactileFrame]) -> list[Path]:

@@ -8,9 +8,13 @@ a rows x cols matrix of normalized green intensities; rendering is the
 inverse map used for end-to-end tests.  Both see the frame's ROIs as one
 strided (rows, roi_side, cols, roi_side) view of the selected channel, so
 each is one array operation per frame.
+
+A taxel stream is one (frames, rows, cols) float64 array; every stream
+function reads its input through :func:`taxel_array`, one ``np.asarray``.
+``TaxelMatrix`` (one extracted frame) and ``TaxelStream`` (a simulated
+slide) hand ``np.asarray`` their ``values`` uncopied.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +103,11 @@ class TactileFrame:
         return self.pixels.tobytes()
 
 
+def _values_array(self, dtype=None, copy=None) -> np.ndarray:
+    """``np.asarray`` support: the wrapped ``values``, uncopied unless asked."""
+    return self.values.copy() if copy else self.values
+
+
 @dataclass
 class TaxelMatrix:
     """Normalized taxel intensities for one frame; values in [0, 1]."""
@@ -109,58 +118,42 @@ class TaxelMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
 
-    @property
-    def total(self) -> float:
-        """Sum over all taxels (the per-frame signal the duration analysis uses)."""
-        return float(self.values.sum())
+    __array__ = _values_array
 
 
-class TaxelStream(Sequence):
+class TaxelStream:
     """A slide's taxels as one (frames, rows, cols) float64 array.
 
-    ``values[t]`` is frame ``start + t``.  Indexing gives that frame as a
-    ``TaxelMatrix`` view, built only when asked for; a slice with step 1
-    gives a ``TaxelStream`` view of the same array.
+    Iteration gives frame ``t`` as a ``TaxelMatrix`` view numbered ``t``,
+    built only when asked for; ``np.asarray`` gives the array, uncopied.
     """
 
-    __slots__ = ("values", "start")
+    __slots__ = ("values",)
 
-    def __init__(self, values: np.ndarray, start: int = 0):
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise ConfigError(f"a taxel stream must be (frames, rows, cols), got shape {self.values.shape}")
-        self.start = start
+    def __init__(self, values: np.ndarray):
+        self.values = taxel_array(values)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, key):
-        frames = range(len(self))[key]  # wraps negative indices; raises IndexError past the end
-        if isinstance(frames, int):
-            return TaxelMatrix(self.values[frames], self.start + frames)
-        if frames.step == 1:
-            return TaxelStream(self.values[key], self.start + frames.start)
-        return [self[t] for t in frames]
-
     def __iter__(self):
-        for t, values in enumerate(self.values, self.start):
+        for t, values in enumerate(self.values):
             yield TaxelMatrix(values, t)
 
+    __array__ = _values_array
 
-def taxel_array(stream) -> np.ndarray:
+
+def taxel_array(taxels) -> np.ndarray:
     """A nonempty taxel stream as one (frames, rows, cols) float64 array.
 
-    A ``TaxelStream`` gives its array, uncopied; any other iterable of
-    ``TaxelMatrix`` is stacked by one ``np.array`` call.  An empty stream
-    raises ConfigError.
+    One ``np.asarray``: a float64 array or a ``TaxelStream`` comes back
+    uncopied, a list of ``TaxelMatrix`` is stacked.  Anything that is not
+    3-D with at least one frame raises ConfigError.
     """
-    if isinstance(stream, TaxelStream):
-        taxels = stream.values
-    else:
-        taxels = np.array([m.values for m in stream], dtype=np.float64)
-    if len(taxels) == 0:
-        raise ConfigError("a taxel stream needs at least one frame")
-    return taxels
+    arr = np.asarray(taxels, dtype=np.float64)
+    if arr.ndim != 3 or len(arr) == 0:
+        raise ConfigError(f"a taxel stream must be a nonempty (frames, rows, cols) array, got shape {arr.shape}")
+    return arr
 
 
 def _roi_view(pixels: np.ndarray, cfg: TaxelGridConfig) -> np.ndarray:
@@ -201,14 +194,14 @@ def extract_taxels(
     return TaxelMatrix(values, frame_index)
 
 
-def render_frame(
-    taxels: TaxelMatrix, cfg: TaxelGridConfig = TaxelGridConfig()
-) -> TactileFrame:
-    """Render a synthetic frame: each ROI filled with green = round(255 * value)."""
-    vals = taxels.values
+def render_frame(taxels, cfg: TaxelGridConfig = TaxelGridConfig()) -> TactileFrame:
+    """Render a synthetic frame from a (rows, cols) array-like of values in
+    [0, 1]: each ROI filled with green = round(255 * value).  A value
+    outside [0, 1], NaN included, raises ConfigError."""
+    vals = np.asarray(taxels, dtype=np.float64)
     if vals.shape != (cfg.rows, cfg.cols):
         raise ConfigError(f"taxel matrix is {vals.shape}, config expects {(cfg.rows, cfg.cols)}")
-    if vals.min() < 0.0 or vals.max() > 1.0:
+    if not ((vals >= 0.0) & (vals <= 1.0)).all():
         raise ConfigError("taxel values must lie in [0, 1]")
     pixels = np.zeros((cfg.image_side, cfg.image_side, 3), dtype=np.uint8)
     levels = np.rint(vals * 255).astype(np.uint8)

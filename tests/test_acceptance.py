@@ -237,8 +237,6 @@ def test_criterion_8_shuffled_labels_hit_chance(classification_setup):
         perm = rng.permutation(train_set.n)
         shuffled = train_set.subset(np.arange(train_set.n))
         shuffled.specimen_ids = shuffled.specimen_ids[perm]
-        shuffled.patterns = [shuffled.patterns[i] for i in perm]
-        shuffled.depths = shuffled.depths[perm]
         model = train(ModelSpec(kind="bagged_trees", train_seed=5), shuffled, "specimens10")
         accuracies.append(evaluate(model, test_set, "specimens10").accuracy)
     mean_accuracy = float(np.mean(accuracies))

@@ -22,7 +22,7 @@ from whiskerlab.features import features_array, features_stream
 from whiskerlab.seeding import derive_rng, derive_seed
 from whiskerlab.sim import DIRECTIONS_DEG, SPECIMENS, SlideConfig, TextureSpec, simulate_slide
 from whiskerlab.sim import WhiskerArraySpec, simulate_taxels
-from whiskerlab.taxel_grid import TaxelMatrix, TaxelStream
+from whiskerlab.taxel_grid import TaxelMatrix
 
 from oracles import direction_correlations_oracle, duration_oracle, identify_direction_oracle
 
@@ -30,7 +30,7 @@ CFG = DurationConfig()
 
 
 def stream_with_totals(totals):
-    return [TaxelMatrix(np.full((5, 5), t / 25.0), frame_index=i) for i, t in enumerate(totals)]
+    return np.tile((np.asarray(totals, dtype=np.float64) / 25.0)[:, None, None], (1, 5, 5))
 
 
 def test_all_dark_stream_has_no_duration():
@@ -66,7 +66,7 @@ def test_duration_invariant_to_appended_dark_frames():
 
 
 def test_duration_needs_nonempty_stream():
-    for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((3, 5, 5)))[3:]):
+    for empty in ([], np.zeros((0, 5, 5)), np.zeros((3, 5, 5))[3:]):
         with pytest.raises(ConfigError):
             event_duration(empty, CFG)
 
@@ -76,13 +76,12 @@ def test_duration_of_array_stream_matches_per_frame_totals():
     values[2, 1, 3] = CFG.valid_threshold  # exactly at the threshold: not valid
     values[4:8] = 0.3 / 25
     values[9, 4, 0] = CFG.valid_threshold  # at the threshold again, after the event
-    stream = TaxelStream(values)
-    totals = [m.total for m in stream]
+    totals = [float(v.sum()) for v in values]
     assert totals[2] == totals[9] == CFG.valid_threshold
-    assert event_duration(stream, CFG) == duration_oracle(totals, CFG.valid_threshold) == 3
-    assert event_duration(TaxelStream(np.zeros((9, 5, 5))), CFG) is None
+    assert event_duration(values, CFG) == duration_oracle(totals, CFG.valid_threshold) == 3
+    assert event_duration(np.zeros((9, 5, 5)), CFG) is None
     values[9, 4, 0] = np.nextafter(CFG.valid_threshold, 1.0)
-    assert event_duration(stream, CFG) == 5
+    assert event_duration(values, CFG) == 5
 
 
 @pytest.mark.parametrize("side", [4, 5])
@@ -95,10 +94,10 @@ def test_duration_of_taxel_stream_matches_matrix_list(side):
                                 noise_amp=float(rng.choice([0.0, 0.0015])))
             stream = simulate_slide(texture, slide, array)
             by_hand = [TaxelMatrix(m.values.copy(), m.frame_index) for m in stream]
-            totals = [m.total for m in by_hand]
+            totals = [float(m.values.sum()) for m in by_hand]
             got = event_duration(stream, CFG)
             assert got == event_duration(by_hand, CFG) == duration_oracle(totals, CFG.valid_threshold)
-            assert event_duration(stream[5:], CFG) == duration_oracle(totals[5:], CFG.valid_threshold)
+            assert event_duration(stream.values[5:], CFG) == duration_oracle(totals[5:], CFG.valid_threshold)
 
 
 def test_threshold_must_be_positive():

@@ -78,14 +78,24 @@ def test_simulate_speed_sweep_emits_one_file_per_speed(tmp_path):
     assert len(list(tmp_path.glob("slide_*.csv"))) == 11
 
 
+@pytest.mark.parametrize("speeds", [["150", "150"], ["150", "150.0000001"], ["120", "150", "1.5e2"]])
+def test_simulate_refuses_speeds_whose_slide_names_collide(tmp_path, capsys, speeds):
+    rc = main(["simulate", "--pattern", "sawtooth", "--depth", "3", "--speeds", *speeds,
+               "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "--speeds" in err["message"]
+    assert not list(tmp_path.glob("slide_*"))
+
+
 def test_flat_slide_stream_is_noise_only(tmp_path):
     rc = main(["simulate", "--pattern", "flat", "--depth", "0", "--speed", "150",
                "--seed", "4", "--out", str(tmp_path)])
     assert rc == 0
     from whiskerlab.sim import load_taxel_csv
 
-    stream = load_taxel_csv(next(tmp_path.glob("slide_*.csv")))
-    totals = np.array([m.total for m in stream])
+    _, taxels = load_taxel_csv(next(tmp_path.glob("slide_*.csv")))
+    totals = taxels.reshape(len(taxels), -1).sum(axis=1)
     # noise plus a single onset transient, nothing sustained
     assert np.count_nonzero(totals > 0.5) <= 6
 
@@ -101,10 +111,10 @@ def test_simulate_frames_flag_writes_ppm_directory(tmp_path):
     from oracles import read_ppm
 
     frames = [read_ppm(p) for p in sorted(frame_dirs[0].glob("frame_*.ppm"))]
-    stream = load_taxel_csv(next(tmp_path.glob("slide_*.csv")))
-    assert len(frames) == len(stream)
+    _, taxels = load_taxel_csv(next(tmp_path.glob("slide_*.csv")))
+    assert len(frames) == len(taxels)
     recovered = extract_taxels(frames[30], TaxelGridConfig()).values
-    assert np.max(np.abs(recovered - stream[30].values)) <= 1 / 255
+    assert np.max(np.abs(recovered - taxels[30])) <= 1 / 255
 
 
 def test_fit_speed_pipeline(tmp_path):
@@ -152,6 +162,14 @@ def test_plot_stream(tmp_path):
                  "--out", str(tmp_path)]) == 0
     svgs = list(tmp_path.glob("*_totals.svg"))
     assert len(svgs) == 1 and svgs[0].read_text().startswith("<svg")
+    from whiskerlab.sim import load_taxel_csv
+
+    _, taxels = load_taxel_csv(stream_csv)
+    with open(svgs[0].with_suffix(".csv"), newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["frame_index", "taxel_sum"]
+    assert [int(f) for f, _ in rows] == list(range(len(taxels)))
+    assert [float(v) for _, v in rows] == [float(frame.sum()) for frame in taxels]
 
 
 def test_dataset_train_eval_report_roundtrip(tmp_path):
@@ -589,7 +607,7 @@ WRITERS = {  # case -> (target file name, write(target, run))
     "manifest": ("manifest.json", lambda t, run: RunManifest(t.parent, "cfg").save()),
     "save_config": ("config.json", lambda t, run: save_config(t, ExperimentConfig())),
     "save_taxel_csv": ("s.csv", lambda t, run: sim.save_taxel_csv(
-        t, sim.load_taxel_csv(first_slide(run)))),
+        t, sim.load_taxel_csv(first_slide(run))[1])),
     "save_slide_manifest": ("s.json", lambda t, run: sim.save_slide_manifest(
         t, *sim.load_slide_manifest(first_slide(run).with_suffix(".json")))),
     "write_ppm": ("f.ppm", lambda t, run: write_ppm(t, TactileFrame(np.zeros((2, 2, 3), np.uint8)))),

@@ -5,7 +5,7 @@ import pytest
 
 from whiskerlab.errors import ConfigError
 from whiskerlab.features import EPSILON, features_array, features_stream, stream_to_array
-from whiskerlab.taxel_grid import TaxelMatrix, TaxelStream
+from whiskerlab.taxel_grid import TaxelMatrix
 
 from oracles import feature_oracle
 
@@ -109,9 +109,10 @@ def test_channel_count_is_ten():
 
 
 def test_stream_empty_and_single():
-    for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((3, 5, 5)))[3:]):
+    assert features_stream is features_array
+    for empty in ([], np.zeros((0, 5, 5)), np.zeros((3, 5, 5))[3:]):
         with pytest.raises(ConfigError):
-            features_stream(empty)
+            features_array(empty)
     one = TaxelMatrix(np.full((5, 5), 0.2), frame_index=4)
     stream = features_stream([one])
     assert stream.shape == (1, 10)
@@ -119,13 +120,13 @@ def test_stream_empty_and_single():
 
 
 def test_stream_preserves_order_on_simulated_slide():
-    from whiskerlab.sim import SlideConfig, TextureSpec, simulate_slide
+    from whiskerlab.sim import SlideConfig, TextureSpec, simulate_taxels
 
-    frames = simulate_slide(TextureSpec("sawtooth", 2), SlideConfig(150.0, seed=3))[:70]
-    stream = features_stream(frames)
+    frames = simulate_taxels(TextureSpec("sawtooth", 2), SlideConfig(150.0, seed=3))[:70]
+    stream = features_array(frames)
     assert stream.shape == (70, 10)
     for fv, m in zip(stream, frames):
-        assert np.array_equal(fv, features_array(m.values[None])[0])
+        assert np.array_equal(fv, features_array(m[None])[0])
 
 
 def test_features_array_matches_per_frame_features_bit_for_bit():
@@ -159,4 +160,4 @@ def test_features_stream_of_taxel_stream_matches_matrix_list_bitwise(side):
         got = features_stream(stream)
         assert got.shape == (len(stream), 2 * side)
         assert got.tobytes() == features_stream(by_hand).tobytes()
-        assert features_stream(stream[10:50]).tobytes() == got[10:50].tobytes()
+        assert features_array(stream.values[10:50]).tobytes() == got[10:50].tobytes()

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,19 +64,23 @@ def blob_dataset(n_per_class, n_classes, separation, seed, n_features=700):
     return LabeledDataset(
         features=np.concatenate(features),
         specimen_ids=np.array(ids, dtype=np.int64),
-        patterns=["flat"] * (n_per_class * n_classes),
-        depths=np.zeros(n_per_class * n_classes),
         speeds=np.zeros(n_per_class * n_classes),
         directions=np.zeros(n_per_class * n_classes, dtype=np.int64),
         seeds=np.zeros(n_per_class * n_classes, dtype=np.int64),
     )
 
 
+def assert_labels_match_samples(labeled):
+    """The pattern and depth read from each specimen id are the ones its sample carries."""
+    assert labeled.patterns == [s.label.pattern for s in labeled.samples]
+    assert labeled.depths.tolist() == [s.label.depth_mm for s in labeled.samples]
+
+
 def test_one_slide_per_specimen_gives_one_sample_per_label():
     labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=3)
     assert labeled.n == 10
     assert sorted(labeled.specimen_ids.tolist()) == list(range(1, 11))
-    labeled.check_label_consistency()
+    assert_labels_match_samples(labeled)
 
 
 def test_dataset_is_balanced_and_consistent(small_dataset):
@@ -86,7 +90,7 @@ def test_dataset_is_balanced_and_consistent(small_dataset):
     for sid in labeled.specimen_ids.tolist():
         counts[sid] += 1
     assert all(v == 3 for v in counts.values())
-    labeled.check_label_consistency()
+    assert_labels_match_samples(labeled)
     assert sum(diagnostics.attempts.values()) >= 30
 
 
@@ -101,13 +105,29 @@ def test_same_seed_reproduces_identical_dataset(tmp_path, small_dataset):
     assert (tmp_path / "different.jsonl").read_bytes() != first
 
 
-def test_specimen_mapping_determines_pattern_and_depth():
+def test_specimen_mapping_determines_pattern_and_depth(tmp_path):
     pairs = {(t.pattern, t.depth_mm) for t in SPECIMENS}
     assert len(pairs) == 10  # a perfect 10-class model induces both 4-class tasks
-    corrupted, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=4)
-    corrupted.patterns[0] = "triangle" if corrupted.patterns[0] != "triangle" else "sinc"
-    with pytest.raises(ConfigError):
-        corrupted.check_label_consistency()
+    labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=4)
+    ids = labeled.specimen_ids
+    assert labeled.patterns == [SPECIMENS[i - 1].pattern for i in ids]
+    assert labeled.depths.tolist() == [float(SPECIMENS[i - 1].depth_mm) for i in ids]
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, labeled.samples)
+    lines = path.read_text().splitlines()
+    first = json.loads(lines[0])
+    assert first["label"]["pattern"] == "flat"
+    for label in ({"pattern": "sinc"}, {"depth_mm": 2}, {"specimen_id": 2}, {"specimen_id": 0},
+                  {"specimen_id": 11}):
+        bad = {**first, "label": {**first["label"], **label}}
+        path.write_text("\n".join([json.dumps(bad), *lines[1:]]) + "\n")
+        with pytest.raises(DataFileError):
+            load_dataset(path)
+    corrupted = copy.deepcopy(labeled.samples)
+    label = corrupted[3].label
+    corrupted[3].label = replace(label, pattern="triangle" if label.pattern != "triangle" else "sinc")
+    with pytest.raises(ConfigError, match="does not match specimen"):
+        LabeledDataset.from_samples(corrupted)
 
 
 def test_impossible_capture_rate_fails_build():
@@ -149,7 +169,6 @@ def test_split_test_counts_match_the_oracle():
         sizes = {c: int(rng.integers(1, 15)) for c in range(1, int(rng.integers(1, 8)) + 1)}
         ids = np.repeat(list(sizes), list(sizes.values()))
         data = LabeledDataset(features=np.zeros((ids.size, 1)), specimen_ids=ids,
-                              patterns=["flat"] * ids.size, depths=np.zeros(ids.size),
                               speeds=np.zeros(ids.size), directions=np.zeros(ids.size, dtype=np.int64),
                               seeds=np.arange(ids.size))
         fraction = float(rng.uniform(0.01, 0.99))
@@ -265,8 +284,6 @@ def dense_blob_dataset(n_per_class, n_classes, separation, seed, n_features=700)
     return LabeledDataset(
         features=np.concatenate(feats),
         specimen_ids=np.array(ids, dtype=np.int64),
-        patterns=["flat"] * n,
-        depths=np.zeros(n),
         speeds=np.zeros(n),
         directions=np.zeros(n, dtype=np.int64),
         seeds=np.zeros(n, dtype=np.int64),

@@ -18,7 +18,7 @@ from whiskerlab.sim import (
     simulate_taxels,
     specimen_by_id,
 )
-from whiskerlab.taxel_grid import TaxelGridConfig, extract_taxels, render_frame
+from whiskerlab.taxel_grid import TaxelGridConfig, TaxelStream, extract_taxels, render_frame
 
 
 def test_flat_profile_is_zero_everywhere():
@@ -154,12 +154,12 @@ def test_path_too_short_to_reach_specimen_stays_dark():
 def test_simulate_frames_round_trips_through_rendering():
     grid = TaxelGridConfig()
     slide = SlideConfig(speed_mm_s=180.0, seed=11, lead_in_frames=2, lead_out_frames=2)
-    taxels = simulate_slide(TextureSpec("sinc", 2), slide)
+    taxels = simulate_taxels(TextureSpec("sinc", 2), slide)
     frames = [render_frame(m, grid) for m in taxels]
     assert len(frames) == len(taxels)
     for frame, expected in zip(frames[:6], taxels[:6]):
         recovered = extract_taxels(frame, grid).values
-        assert np.max(np.abs(recovered - expected.values)) <= 1 / 255
+        assert np.max(np.abs(recovered - expected)) <= 1 / 255
 
 
 def test_slide_config_validation():
@@ -175,29 +175,52 @@ def test_slide_config_validation():
 
 def test_taxel_csv_round_trip(tmp_path):
     slide = SlideConfig(speed_mm_s=170.0, seed=2, lead_in_frames=3, lead_out_frames=3)
-    stream = simulate_slide(TextureSpec("triangle", 2), slide)
+    taxels = simulate_taxels(TextureSpec("triangle", 2), slide)
     path = tmp_path / "slide.csv"
-    save_taxel_csv(path, stream)
+    save_taxel_csv(path, taxels)
     names = [f"o{i}{j}" for i in range(1, 6) for j in range(1, 6)]
     assert path.read_text().splitlines()[0] == ",".join(["frame_index"] + names)
-    again = load_taxel_csv(path)
-    assert len(again) == len(stream)
-    for a, b in zip(again, stream):
-        assert a.frame_index == b.frame_index
-        assert np.array_equal(a.values, b.values)
+    indices, again = load_taxel_csv(path)
+    assert indices.tolist() == list(range(len(taxels)))
+    assert again.dtype == np.float64 and again.tobytes() == taxels.tobytes()
+
+
+def test_taxel_csv_round_trips_every_value_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1, 1), (7, 3, 3), (40, 5, 5)):
+        taxels = rng.uniform(size=shape)
+        taxels.flat[: min(6, taxels.size)] = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 1 / 3, -0.0][
+            : min(6, taxels.size)]
+        path = tmp_path / f"{shape[0]}.csv"
+        save_taxel_csv(path, taxels)
+        indices, again = load_taxel_csv(path)
+        assert indices.tolist() == list(range(shape[0]))
+        assert again.tobytes() == taxels.tobytes()
+        save_taxel_csv(tmp_path / "again.csv", again)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+        save_taxel_csv(tmp_path / "stream.csv", TaxelStream(taxels))
+        assert (tmp_path / "stream.csv").read_bytes() == path.read_bytes()
+
+
+def test_taxel_csv_keeps_the_frame_indices_it_reads(tmp_path):
+    path = tmp_path / "slide.csv"
+    path.write_text("frame_index,o11\n3,0.25\n5,0.5\n4,1\n")
+    indices, taxels = load_taxel_csv(path)
+    assert indices.tolist() == [3, 5, 4]
+    assert taxels.tolist() == [[[0.25]], [[0.5]], [[1.0]]]
 
 
 def test_taxel_csv_round_trip_past_nine_rows_keeps_every_taxel(tmp_path):
     slide = SlideConfig(speed_mm_s=150.0, seed=4, lead_in_frames=2, lead_out_frames=2)
-    stream = simulate_slide(TextureSpec("sinc", 4), slide, WhiskerArraySpec(rows=12, cols=12))
+    taxels = simulate_taxels(TextureSpec("sinc", 4), slide, WhiskerArraySpec(rows=12, cols=12))
     path = tmp_path / "slide.csv"
-    save_taxel_csv(path, stream)
+    save_taxel_csv(path, taxels)
     header = path.read_text().splitlines()[0].split(",")
     assert header[:3] == ["frame_index", "o1_1", "o1_2"] and header[-1] == "o12_12"
     assert len(set(header)) == 1 + 12 * 12
-    again = load_taxel_csv(path)
-    assert [m.frame_index for m in again] == [m.frame_index for m in stream]
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(again, stream))
+    indices, again = load_taxel_csv(path)
+    assert indices.tolist() == list(range(len(taxels)))
+    assert again.tobytes() == taxels.tobytes()
 
 
 def test_slide_manifest_round_trip(tmp_path):
@@ -239,6 +262,8 @@ def test_array_core_matches_per_frame_oracle_bit_for_bit(noise_amp):
     "frame_index,o11\n0\n",  # short row
     "frame_index,o11\n0,0.1,0.2\n",  # long row
     "frame_index,o11\n0,abc\n",  # non-numeric cell
+    "frame_index,o11\n0,nan\n",  # not in [0, 1]
+    "frame_index,o11\n0,1.5\n",
     "frame_index,o11\nzero,0.1\n",
 ])
 def test_taxel_csv_contents_are_data_errors(tmp_path, text):

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import whiskerlab
 from whiskerlab.errors import ConfigError, DataFileError
 from whiskerlab.taxel_grid import (
     CHANNELS,
@@ -79,14 +83,14 @@ def test_pixels_between_rois_do_not_contribute():
 
 
 def test_render_all_zero_gives_black_frame():
-    frame = render_frame(TaxelMatrix(np.zeros((5, 5))), CFG)
+    frame = render_frame(np.zeros((5, 5)), CFG)
     assert np.all(frame.pixels == 0)
 
 
 def test_render_single_taxel_lights_one_roi():
     values = np.zeros((5, 5))
     values[0, 0] = 1.0
-    frame = render_frame(TaxelMatrix(values), CFG)
+    frame = render_frame(values.tolist(), CFG)
     top, left = CFG.roi_origin(0, 0)
     roi = frame.pixels[top : top + 50, left : left + 50]
     assert np.all(roi[:, :, 1] == 255)
@@ -98,7 +102,7 @@ def test_round_trip_within_one_count():
     rng = np.random.default_rng(3)
     for _ in range(100):
         values = rng.uniform(0.0, 1.0, size=(5, 5))
-        recovered = extract_taxels(render_frame(TaxelMatrix(values), CFG), CFG).values
+        recovered = extract_taxels(render_frame(values, CFG), CFG).values
         assert np.max(np.abs(recovered - values)) <= 1 / 255
 
 
@@ -118,8 +122,17 @@ def test_oversized_roi_rejected():
 
 
 def test_render_rejects_out_of_range_values():
-    with pytest.raises(ConfigError):
-        render_frame(TaxelMatrix(np.full((5, 5), 1.5)), CFG)
+    for bad in (1.5, -1e-9, np.nan, np.inf):
+        values = np.full((5, 5), 0.5)
+        values[2, 3] = bad
+        with pytest.raises(ConfigError):
+            render_frame(values, CFG)
+
+
+def test_render_takes_a_taxel_matrix_as_its_values():
+    values = np.random.default_rng(4).uniform(size=(5, 5))
+    want = render_frame(values, CFG).pixels
+    assert np.array_equal(render_frame(TaxelMatrix(values, 9), CFG).pixels, want)
 
 
 def test_ppm_round_trip(tmp_path):
@@ -209,7 +222,7 @@ def test_round_trip_within_one_count_on_every_geometry(cfg):
     rng = np.random.default_rng(cfg.roi_side)
     for _ in range(20):
         values = rng.uniform(0.0, 1.0, size=(cfg.rows, cfg.cols))
-        frame = render_frame(TaxelMatrix(values), cfg)
+        frame = render_frame(values, cfg)
         expected = np.zeros((cfg.image_side, cfg.image_side, 3), dtype=np.uint8)
         for i in range(cfg.rows):
             for j in range(cfg.cols):
@@ -222,51 +235,85 @@ def test_round_trip_within_one_count_on_every_geometry(cfg):
             assert np.max(np.abs(recovered - values)) <= 1 / 255
 
 
-def test_taxel_stream_indexes_frames_as_views():
+def test_taxel_stream_iterates_frames_as_views():
     values = np.random.default_rng(8).uniform(size=(7, 4, 5))
     s = TaxelStream(values)
     assert len(s) == 7
-    assert taxel_array(s) is s.values
-    for t in (0, 3, 6, -1, -7):
-        m = s[t]
-        assert isinstance(m, TaxelMatrix) and m.frame_index == t % 7
-        assert np.shares_memory(m.values, s.values) and np.array_equal(m.values, values[t])
-    for t in (7, -8):
-        with pytest.raises(IndexError):
-            s[t]
+    assert np.asarray(s) is s.values and taxel_array(s) is s.values
+    assert not hasattr(s, "__getitem__")
     frames = list(s)
+    assert all(isinstance(m, TaxelMatrix) for m in frames)
     assert [m.frame_index for m in frames] == list(range(7))
+    assert all(np.asarray(m) is m.values for m in frames)
     assert all(np.shares_memory(m.values, s.values) for m in frames)
     assert all(np.array_equal(m.values, v) for m, v in zip(frames, values))
 
 
-def test_taxel_stream_slices_keep_frame_indices():
-    s = TaxelStream(np.random.default_rng(9).uniform(size=(10, 5, 5)))
-    tail = s[3:8]
-    assert isinstance(tail, TaxelStream) and len(tail) == 5
-    assert np.shares_memory(tail.values, s.values)
-    assert [m.frame_index for m in tail] == [3, 4, 5, 6, 7]
-    assert tail[0].frame_index == 3 and tail[-1].frame_index == 7
-    assert [m.frame_index for m in tail[1:]] == [4, 5, 6, 7]
-    assert [m.frame_index for m in s[-2:]] == [8, 9]
-    strided = s[::3]
-    assert [m.frame_index for m in strided] == [0, 3, 6, 9]
-    assert all(np.array_equal(m.values, s.values[m.frame_index]) for m in strided)
-    assert len(s[20:]) == 0
+def test_taxel_array_slices_are_views_of_the_stream():
+    taxels = taxel_array(TaxelStream(np.random.default_rng(9).uniform(size=(10, 5, 5))))
+    tail = taxel_array(taxels[3:8])
+    assert len(tail) == 5 and np.shares_memory(tail, taxels)
+    assert tail.tobytes() == taxels[3:8].tobytes()
+    assert taxel_array(taxels[-2:]).tobytes() == taxels[8:].tobytes()
+    strided = taxel_array(taxels[::3])
+    assert strided.tobytes() == np.stack([taxels[t] for t in (0, 3, 6, 9)]).tobytes()
+    with pytest.raises(ConfigError):
+        taxel_array(taxels[20:])
 
 
-def test_taxel_array_stacks_a_matrix_list_bitwise():
+def test_taxel_array_reads_every_stream_kind_the_same_way():
     values = np.random.default_rng(10).uniform(size=(6, 5, 5))
-    matrices = [TaxelMatrix(v, t) for t, v in enumerate(values)]
-    got = taxel_array(matrices)
-    assert got.dtype == np.float64
-    assert got.tobytes() == np.stack([m.values for m in matrices]).tobytes()
+    assert taxel_array(values) is values
+    for stream in (TaxelStream(values), [TaxelMatrix(v, t) for t, v in enumerate(values)],
+                   list(values), values.tolist()):
+        got = taxel_array(stream)
+        assert got.dtype == np.float64 and got.tobytes() == values.tobytes()
+    assert taxel_array(np.ones((2, 3, 3), dtype=np.int64)).dtype == np.float64
 
 
 def test_empty_or_misshapen_taxel_streams_are_config_errors():
-    for empty in ([], TaxelStream(np.zeros((0, 5, 5))), TaxelStream(np.zeros((4, 5, 5)))[4:]):
+    for bad in ([], np.zeros((0, 5, 5)), np.zeros((4, 5, 5))[4:], np.zeros((5, 5)),
+                TaxelMatrix(np.zeros((5, 5))), np.zeros((2, 3, 5, 5))):
         with pytest.raises(ConfigError):
-            taxel_array(empty)
-    for bad in (np.zeros((5, 5)), np.zeros((2, 3, 5, 5))):
+            taxel_array(bad)
         with pytest.raises(ConfigError):
             TaxelStream(bad)
+
+
+PER_FRAME_TYPES = {"TaxelMatrix", "TaxelStream"}
+# The taxel grid defines them, sim.simulate_slide wraps a slide in one and the
+# package exports both; every other module takes taxel arrays.
+PER_FRAME_MODULES = {"taxel_grid.py", "sim.py", "__init__.py"}
+
+
+def per_frame_names(source: str) -> list[int]:
+    """Line numbers where the source names ``TaxelMatrix`` or ``TaxelStream``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id in PER_FRAME_TYPES
+            or isinstance(node, ast.Attribute) and node.attr in PER_FRAME_TYPES
+            or isinstance(node, ast.ImportFrom) and PER_FRAME_TYPES & {a.name for a in node.names}]
+
+
+@pytest.mark.parametrize("source, names", [
+    ("from .taxel_grid import TaxelMatrix", True),
+    ("from ..taxel_grid import render_frame, TaxelStream as S", True),
+    ("x = TaxelMatrix(v)", True),
+    ("isinstance(x, taxel_grid.TaxelStream)", True),
+    ("def f(m: TaxelMatrix): pass", True),
+    ("from .taxel_grid import taxel_array", False),
+    ("x = taxel_array(v)  # not a TaxelMatrix", False),
+    ('"""A TaxelStream in prose."""', False),
+])
+def test_per_frame_name_detector(source, names):
+    assert bool(per_frame_names(source)) == names
+
+
+def test_stream_stages_take_taxel_arrays():
+    package = Path(whiskerlab.__file__).parent
+    offenders = {
+        str(path.relative_to(package)): lines
+        for path in sorted(package.rglob("*.py"))
+        if str(path.relative_to(package)) not in PER_FRAME_MODULES
+        and (lines := per_frame_names(path.read_text()))
+    }
+    assert offenders == {}, f"read taxels through taxel_array, not per-frame objects: {offenders}"
