@@ -175,22 +175,38 @@ def sample_to_dict(sample: TactileSample) -> dict:
 
 
 LOG_RANGE = (math.log(5e-324), math.log(np.finfo(np.float64).max))  # logs of positive float64s
+LABEL_TYPES = {"specimen_id": (int,), "pattern": (str,), "depth_mm": (int, float),
+               "speed_mm_s": (int, float), "direction_deg": (int,)}
+
+
+def _typed(name: str, value, types: tuple, nullable: bool = False):
+    """value if it is one of types (a bool is not a number here) or a
+    permitted None; anything else raises TypeError."""
+    if (value is None and nullable) or (isinstance(value, types) and not isinstance(value, bool)):
+        return value
+    kinds = " or ".join(t.__name__ for t in types) + (" or null" if nullable else "")
+    raise TypeError(f"{name} must be {kinds}, got {value!r}")
 
 
 def sample_from_dict(obj: dict) -> TactileSample:
-    """Rebuild a sample; a missing key, a value of the wrong type or an ``x`` that
-    is not a (frames, channels) array of features raises KeyError, TypeError or ValueError."""
+    """Rebuild a sample; a missing key, a value of the wrong type (a string
+    for a number, a float for an int, a bool for either) or an ``x`` that is
+    not a (frames, channels) array of features raises KeyError, TypeError or
+    ValueError."""
     label = SampleLabel(**obj["label"]) if obj.get("label") else None
+    if label is not None:
+        for name, types in LABEL_TYPES.items():
+            _typed(f"label {name}", getattr(label, name), types)
     values = np.array(obj["x"], dtype=np.float64).T
     if not ((values >= LOG_RANGE[0]) & (values <= LOG_RANGE[1])).all():
         raise ValueError("x values must be logs of positive float64 sums")
     return TactileSample(
         values=values,
-        trigger_frame=int(obj["trigger_frame"]),
-        trigger_channel=int(obj["trigger_channel"]),
+        trigger_frame=_typed("trigger_frame", obj["trigger_frame"], (int,)),
+        trigger_channel=_typed("trigger_channel", obj["trigger_channel"], (int,)),
         label=label,
-        seed=obj.get("seed"),
-        config_digest=obj.get("config_digest"),
+        seed=_typed("seed", obj.get("seed"), (int,), nullable=True),
+        config_digest=_typed("config_digest", obj.get("config_digest"), (str,), nullable=True),
     )
 
 

@@ -6,7 +6,9 @@ not finite-element:
 * The specimen surface is a parametric height profile (flat, rectified-sinc,
   sawtooth, or triangle waves), periodic with period = 2 * depth.
 * The array slides along one axis; whiskers enter the textured region one
-  rank at a time, so activation order encodes the slide direction.
+  rank at a time, so activation order encodes the slide direction.  Every
+  whisker of a rank sees the same surface, so the deterministic part of a
+  slide is computed once per rank and only the noise is per whisker.
 * A whisker's base strain is proportional to the height differential across
   its footprint (a finite-difference slope probe one whisker-width wide),
   plus a constant engagement term while in contact.
@@ -175,36 +177,32 @@ def active_frame_count(slide: SlideConfig) -> int:
     return math.ceil(slide.path_mm / slide.speed_mm_s * slide.fps)
 
 
-def _axis_offsets(direction_deg: int, array: WhiskerArraySpec) -> np.ndarray:
-    """Per-whisker offset (mm) along the slide axis, shape (rows, cols).
+def _rank_offsets(direction_deg: int, array: WhiskerArraySpec) -> tuple[np.ndarray, int]:
+    """Offset (mm) of each whisker rank along the slide axis, and the grid
+    axis (0 rows, 1 cols) the ranks index.
 
-    The rank with the largest offset reaches the specimen first, so the
-    offsets encode which rows/columns activate first for each direction:
-    0 deg sweeps columns in ascending order, 180 deg descending, 90 deg
-    sweeps rows in descending order, 270 deg ascending.
+    Every whisker of a rank sits at the same offset.  The rank with the
+    largest offset reaches the specimen first, so the offsets encode which
+    rows/columns activate first for each direction: 0 deg sweeps columns in
+    ascending order, 180 deg descending, 90 deg sweeps rows in descending
+    order, 270 deg ascending.
     """
-    rows = np.arange(array.rows, dtype=np.float64)
-    cols = np.arange(array.cols, dtype=np.float64)
-    if direction_deg == 0:
-        per_col = (array.cols - 1 - cols) * array.pitch_mm
-        return np.tile(per_col, (array.rows, 1))
-    if direction_deg == 180:
-        per_col = cols * array.pitch_mm
-        return np.tile(per_col, (array.rows, 1))
-    if direction_deg == 90:
-        per_row = rows * array.pitch_mm
-        return np.tile(per_row[:, None], (1, array.cols))
-    if direction_deg == 270:
-        per_row = (array.rows - 1 - rows) * array.pitch_mm
-        return np.tile(per_row[:, None], (1, array.cols))
-    raise ConfigError(f"direction must be one of {DIRECTIONS_DEG}, got {direction_deg}")
+    if direction_deg not in DIRECTIONS_DEG:
+        raise ConfigError(f"direction must be one of {DIRECTIONS_DEG}, got {direction_deg}")
+    axis = 1 if direction_deg in (0, 180) else 0
+    ranks = (array.rows, array.cols)[axis]
+    steps = np.arange(ranks, dtype=np.float64)
+    if direction_deg in (0, 270):
+        steps = ranks - 1 - steps
+    return steps * array.pitch_mm, axis
 
 
 def _strain_grid(texture, slide, array, positions: np.ndarray) -> np.ndarray:
-    """Base strain for every whisker at the given axis positions.
+    """Base strain of a whisker at each of the given axis positions.
 
-    positions: (steps, rows, cols) whisker positions along the slide axis.
-    The specimen surface occupies [span, path]; outside it strain is zero.
+    positions: whisker positions (mm) along the slide axis, of any shape; the
+    strain has the same shape.  The specimen surface occupies [span, path];
+    outside it strain is zero.
     """
     span = array.span_mm
     # Entry edge exclusive: a whisker exactly on the specimen's leading edge
@@ -232,29 +230,42 @@ def simulate_taxels(
 ) -> np.ndarray:
     """Simulate one slide as a (frames, rows, cols) taxel array, dark leads included.
 
-    Wear (accumulated emission) is one cumulative sum and the fatigue-scaled
+    Every whisker of a rank (a column at 0/180 deg, a row at 90/270 deg) has
+    the same positions, so positions, strain, emission, wear and glow are
+    computed on (..., ranks) arrays, bitwise as on the full grid.  Wear
+    (accumulated emission) is one cumulative sum and the fatigue-scaled
     drive one exponential over the active frames, so only the glow
     recurrence steps frame by frame; the dark lead-in and the decaying
-    lead-out are filled in whole.  The noise is one uniform draw for the
-    whole stream (bitwise the same numbers as one draw per frame), and gain,
-    noise and clip apply to all frames at once.
+    lead-out are filled in whole.  The ranks spread over the grid only at
+    ``gain * glow + noise``, where per-whisker values first differ: the
+    noise is one uniform draw for the whole stream (bitwise the same numbers
+    as one draw per frame), then the clip.  The result is a fresh
+    C-contiguous array that owns its memory.
     """
     n_active = active_frame_count(slide)
     n_total = slide.lead_in_frames + n_active + slide.lead_out_frames
-    offsets = _axis_offsets(slide.direction_deg, array)
+    offsets, axis = _rank_offsets(slide.direction_deg, array)
 
     # Positions for every substep of every active frame: the array reference
     # advances speed/fps per frame, subdivided for rate integration.
     step_mm = slide.speed_mm_s / slide.fps
     sub = array.substeps
     t_sub = (np.arange(n_active * sub, dtype=np.float64) + 1.0) / sub
-    positions = t_sub[:, None, None] * step_mm + offsets[None, :, :]
+    positions = t_sub[:, None] * step_mm + offsets
 
     strain = _strain_grid(texture, slide, array, positions)
     prev = np.concatenate([np.zeros((1,) + offsets.shape), strain[:-1]], axis=0)
-    positive_rate = np.maximum(strain - prev, 0.0)
-    # Total positive strain change per frame, per whisker.
-    emission = positive_rate.reshape(n_active, sub, *offsets.shape).sum(axis=1)
+    positive_rate = np.maximum(strain - prev, 0.0).reshape(n_active, sub, offsets.size)
+    # Total positive strain change per frame, per rank.  numpy adds the
+    # substeps pairwise when no other axis is longer than one and in sequence
+    # otherwise, so a lone rank of several whiskers is summed as a zero-copy
+    # view of the grid's size: the order the full grid gets.
+    whiskers = array.rows * array.cols
+    if offsets.size == 1 < whiskers:
+        full = np.broadcast_to(positive_rate, (n_active, sub, whiskers))
+        emission = full.sum(axis=1)[:, :1]
+    else:
+        emission = positive_rate.sum(axis=1)
 
     decay = math.exp(-1.0 / array.decay_tau_frames)
     # worn[a] is the emission accumulated before active frame a; each sum is
@@ -263,18 +274,30 @@ def simulate_taxels(
     np.cumsum(emission, axis=0, out=worn[1:])
     drive = emission * np.exp(-array.fatigue * worn[:-1])
     glow_stream = np.zeros((n_total,) + offsets.shape)  # lead-in frames stay dark
-    glow = np.zeros(offsets.shape)
-    for frame, d in zip(glow_stream[slide.lead_in_frames:], drive):
-        np.multiply(glow, decay, out=frame)
-        frame += d
-        glow = frame
+    # Each rank's glow recurrence in Python floats: the same IEEE products
+    # and sums as numpy's, without two numpy calls per frame.
+    active = glow_stream[slide.lead_in_frames:slide.lead_in_frames + n_active]
+    for rank, rank_drive in enumerate(drive.T.tolist()):
+        glow = 0.0
+        for a, d in enumerate(rank_drive):
+            glow = glow * decay + d
+            rank_drive[a] = glow
+        active[:, rank] = rank_drive
     # Lead-out: each frame is the previous one times decay, in sequence.
     afterglow = glow_stream[slide.lead_in_frames + n_active - 1:]
     afterglow[1:] = decay
     np.multiply.accumulate(afterglow, axis=0, out=afterglow)
-    rng = np.random.default_rng(slide.seed)
-    noise = rng.uniform(0.0, slide.noise_amp, size=glow_stream.shape) if slide.noise_amp else 0.0
-    return np.clip(array.gain * glow_stream + noise, 0.0, 1.0)
+
+    # Spread the ranks over the grid: (frames, ranks) -> (frames, rows, cols).
+    shape = (n_total, array.rows, array.cols)
+    light = np.broadcast_to(np.expand_dims(array.gain * glow_stream, 2 - axis), shape)
+    if slide.noise_amp:
+        rng = np.random.default_rng(slide.seed)
+        taxels = rng.uniform(0.0, slide.noise_amp, size=shape)
+        taxels += light  # noise + light is light + noise, bit for bit
+    else:
+        taxels = np.array(light, order="C")
+    return np.clip(taxels, 0.0, 1.0, out=taxels)
 
 
 def simulate_slide(

@@ -12,12 +12,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from whiskerlab.errors import ConfigError
 from whiskerlab.learn.trees import Tree
 from whiskerlab.sim import (
+    DIRECTIONS_DEG,
     SlideConfig,
     TextureSpec,
     WhiskerArraySpec,
-    _axis_offsets,
     _strain_grid,
     active_frame_count,
 )
@@ -243,6 +244,31 @@ def quantile_edges_oracle(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
         e = np.unique(np.quantile(X[:, f], qs))
         edges.append(e.astype(np.float64))
     return edges
+
+
+def _axis_offsets(direction_deg: int, array: WhiskerArraySpec) -> np.ndarray:
+    """Per-whisker offset (mm) along the slide axis, shape (rows, cols).
+
+    The rank with the largest offset reaches the specimen first, so the
+    offsets encode which rows/columns activate first for each direction:
+    0 deg sweeps columns in ascending order, 180 deg descending, 90 deg
+    sweeps rows in descending order, 270 deg ascending.
+    """
+    rows = np.arange(array.rows, dtype=np.float64)
+    cols = np.arange(array.cols, dtype=np.float64)
+    if direction_deg == 0:
+        per_col = (array.cols - 1 - cols) * array.pitch_mm
+        return np.tile(per_col, (array.rows, 1))
+    if direction_deg == 180:
+        per_col = cols * array.pitch_mm
+        return np.tile(per_col, (array.rows, 1))
+    if direction_deg == 90:
+        per_row = rows * array.pitch_mm
+        return np.tile(per_row[:, None], (1, array.cols))
+    if direction_deg == 270:
+        per_row = (array.rows - 1 - rows) * array.pitch_mm
+        return np.tile(per_row[:, None], (1, array.cols))
+    raise ConfigError(f"direction must be one of {DIRECTIONS_DEG}, got {direction_deg}")
 
 
 def simulate_slide_oracle(

@@ -489,6 +489,44 @@ def test_report_rendering(tmp_path, small_dataset):
     assert "linear_margin" in md and "bagged_trees" in md
 
 
+def _edit_second_line(path, samples, field, value):
+    """Save samples to path with one field of the second record (label or top level) set to value."""
+    save_dataset(path, samples)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    (record["label"] if field in record["label"] else record)[field] = value
+    path.write_text("\n".join([lines[0], json.dumps(record, sort_keys=True), *lines[2:]]) + "\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("specimen_id", "1"), ("specimen_id", 1.0), ("specimen_id", True),
+    ("speed_mm_s", "150"), ("speed_mm_s", False), ("speed_mm_s", None),
+    ("depth_mm", "3"), ("depth_mm", True),
+    ("direction_deg", "0"), ("direction_deg", 0.0), ("direction_deg", False),
+    ("pattern", 3), ("pattern", None),
+    ("trigger_frame", 30.7), ("trigger_frame", "30"), ("trigger_frame", True),
+    ("trigger_channel", 1.0), ("trigger_channel", None),
+    ("seed", "12"), ("seed", 12.0), ("seed", True),
+    ("config_digest", 5), ("config_digest", True),
+])
+def test_load_dataset_rejects_mistyped_fields(tmp_path, small_dataset, field, value):
+    path = tmp_path / "dataset.jsonl"
+    _edit_second_line(path, small_dataset[0].samples, field, value)
+    with pytest.raises(DataFileError, match=f":2: bad sample record .*{field}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value", [("speed_mm_s", 150), ("seed", None),
+                                          ("config_digest", None)])
+def test_load_dataset_takes_int_numbers_and_null_provenance(tmp_path, small_dataset, field, value):
+    path = tmp_path / "dataset.jsonl"
+    _edit_second_line(path, small_dataset[0].samples, field, value)
+    loaded = load_dataset(path)
+    assert loaded.n == small_dataset[0].n
+    if field == "speed_mm_s":
+        assert loaded.speeds[1] == 150.0
+
+
 def test_dataset_jsonl_round_trip(tmp_path, small_dataset):
     labeled, _ = small_dataset
     path = tmp_path / "dataset.jsonl"

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from oracles import simulate_slide_oracle
 from whiskerlab.errors import ConfigError, DataFileError
 from whiskerlab.sim import (
+    DIRECTIONS_DEG,
     SPECIMENS,
     SlideConfig,
     TextureSpec,
@@ -233,22 +236,39 @@ def test_slide_manifest_round_trip(tmp_path):
     assert (t2, s2, a2) == (tex, slide, array)
 
 
+# Grids with one rank along either axis, and substep counts on both sides of
+# numpy's eight-wide pairwise summation block, pin the order of the substep sum.
+EDGE_GRIDS = ((1, 1), (1, 5), (5, 1), (2, 7), (4, 4), (5, 5))
+
+
 @pytest.mark.parametrize("noise_amp", [0.0, 0.0015])
 def test_array_core_matches_per_frame_oracle_bit_for_bit(noise_amp):
     rng = np.random.default_rng(17)
-    for texture in SPECIMENS:
-        for direction in (0, 90, 180, 270):
-            for lead_in in (0, 25):
-                slide = SlideConfig(speed_mm_s=float(rng.uniform(60.0, 250.0)),
-                                    direction_deg=direction, seed=int(rng.integers(2**62)),
-                                    noise_amp=noise_amp, start_offset_mm=float(rng.uniform(0, 8)),
-                                    lead_in_frames=lead_in, lead_out_frames=int(rng.integers(0, 61)))
-                want = simulate_slide_oracle(texture, slide)
-                taxels = simulate_taxels(texture, slide)
-                assert taxels.tobytes() == np.stack([m.values for m in want]).tobytes()
-                frames = simulate_slide(texture, slide)
-                assert [m.frame_index for m in frames] == list(range(len(want)))
-                assert all(m.values.tobytes() == w.values.tobytes() for m, w in zip(frames, want))
+    for (rows, cols), substeps in itertools.product(EDGE_GRIDS, (1, 8, 9)):
+        array = WhiskerArraySpec(rows=rows, cols=cols, substeps=substeps)
+        for texture, direction in itertools.product(SPECIMENS, DIRECTIONS_DEG):
+            slide = SlideConfig(speed_mm_s=float(rng.uniform(60.0, 250.0)),
+                                direction_deg=direction, seed=int(rng.integers(2**62)),
+                                noise_amp=noise_amp, start_offset_mm=float(rng.uniform(0, 8)),
+                                lead_in_frames=int(rng.choice((0, 25))),
+                                lead_out_frames=int(rng.integers(0, 61)))
+            want = simulate_slide_oracle(texture, slide, array)
+            taxels = simulate_taxels(texture, slide, array)
+            case = (rows, cols, substeps, texture, slide)
+            assert taxels.tobytes() == np.stack([m.values for m in want]).tobytes(), case
+            frames = simulate_slide(texture, slide, array)
+            assert [m.frame_index for m in frames] == list(range(len(want)))
+            assert all(m.values.tobytes() == w.values.tobytes() for m, w in zip(frames, want)), case
+
+
+@pytest.mark.parametrize("noise_amp", [0.0, 0.0015])
+def test_simulated_taxels_are_a_fresh_contiguous_array(noise_amp):
+    slide = SlideConfig(speed_mm_s=150.0, direction_deg=90, seed=4, noise_amp=noise_amp)
+    first, second = (simulate_taxels(SPECIMENS[3], slide) for _ in range(2))
+    for taxels in (first, second):
+        assert taxels.dtype == np.float64
+        assert taxels.flags.c_contiguous and taxels.flags.writeable and taxels.flags.owndata
+    assert not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("text", [
