@@ -190,8 +190,10 @@ def cmd_fit_speed(args, cfg, out, manifest):
 
     inputs, rows = {}, []
     for csv_path in slide_csvs:
+        meta_path = csv_path.with_suffix(".json")  # its speed is the regressor
         inputs[csv_path.name] = manifest.verify_input(csv_path)
-        _, slide, _ = sim.load_slide_manifest(csv_path.with_suffix(".json"))
+        inputs[meta_path.name] = manifest.verify_input(meta_path)
+        _, slide, _ = sim.load_slide_manifest(meta_path)
         _, taxels = sim.load_taxel_csv(csv_path)
         duration = analysis.event_duration(taxels, cfg.duration)
         rows.append((csv_path.name, slide.speed_mm_s, duration))
@@ -309,15 +311,10 @@ def cmd_plot(args, cfg, out, manifest):
     return f"plot:{args.kind}", inputs, outputs
 
 
-def cmd_init_config(args) -> int:
-    out = _out_dir(args)
-    cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+def cmd_init_config(cfg, out) -> None:
     path = out / "config.json"
     save_config(path, cfg)
-    print(f"wrote default config to {path}")
-    return 0
+    print(f"wrote config to {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", help="speed_fit.json (speed-fit)")
     p.add_argument("--input", help="taxel stream CSV (stream)")
 
-    command("init-config", cmd_init_config, "write the default experiment config")
+    command("init-config", cmd_init_config,
+            "write the experiment config (defaults, --config, then --seed) as JSON")
 
     return parser
 
@@ -381,12 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.func is cmd_init_config:
-            return cmd_init_config(args)
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         out = _out_dir(args)
+        if args.func is cmd_init_config:
+            cmd_init_config(cfg, out)
+            return 0
         started = time.perf_counter()
         manifest = RunManifest.load_or_create(out, config_digest(cfg))
         stage, inputs, outputs = args.func(args, cfg, out, manifest)

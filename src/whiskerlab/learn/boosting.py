@@ -7,18 +7,21 @@ learning rate.  Prediction takes the argmax of the class scores.  Training
 involves no sampling, so it is deterministic regardless of seed.
 
 A class's scores change only through its own trees, so a fit is one
-independent chain of rounds per class.  The chains run on one worker per
-usable core (at most one per class): the calling thread takes a share and
-helper threads, joined before ``fit`` returns, take the rest, each chain
-whole, in the order the workers come free.  A chain runs the same
-operations on whichever worker takes it, so the trees do not depend on the
-worker count, bit for bit.  The workers share the training matrix's
-:class:`BlockedCodes` and root counts, read only, and each reuses its own
-:class:`SplitBuffers`, allocated by the calling thread.
+independent chain of rounds per class.  The chains run on a thread pool of
+one worker per usable core (at most one per class), each chain whole, in
+class order as the workers come free; the pool is shut down before ``fit``
+returns.  A chain runs the same operations on whichever worker takes it,
+so the trees do not depend on the worker count, bit for bit.  The workers
+share the training matrix's :class:`BlockedCodes` and root counts, read
+only.  The calling thread allocates one :class:`SplitBuffers` per worker;
+a chain borrows one for its run and returns it, even when the chain fails.
+An error in a chain is raised by ``fit``, and the chains not yet started
+do not run.
 """
 
 import os
-import threading
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,39 +57,29 @@ class BoostedTreesClassifier(Classifier):
         codes = BlockedCodes(*offset_bins(X, edges))
         root_counts = codes.cumulate()  # every tree's root holds every row
 
-        trees = [[None] * n_classes for _ in range(rounds)]
-        chains, lock = iter(range(n_classes)), threading.Lock()
+        workers, buffers = _workers(n_classes), queue.SimpleQueue()
+        for _ in range(workers):
+            buffers.put(SplitBuffers(codes, self.params.max_depth))
 
-        def run_chains(work: SplitBuffers) -> None:
+        def chain(c: int) -> list[Tree]:
+            work = buffers.get()  # a worker holds at most one at a time
             try:
-                while (c := _take(chains, lock)) is not None:
-                    target = (yi == c).astype(np.float64)
-                    scores = np.zeros(X.shape[0])
-                    for r in range(rounds):
-                        trees[r][c], fitted = grow_regression_tree(
-                            codes, target - scores, edges, self.params.max_depth, root_counts, work)
-                        scores += self.params.learning_rate * fitted
-            except BaseException:
-                with lock:  # the other workers stop after their current chain
-                    for _ in chains:
-                        pass
-                raise
+                target = (yi == c).astype(np.float64)
+                scores = np.zeros(X.shape[0])
+                column = []
+                for _ in range(rounds):
+                    tree, fitted = grow_regression_tree(
+                        codes, target - scores, edges, self.params.max_depth, root_counts, work)
+                    column.append(tree)
+                    scores += self.params.learning_rate * fitted
+                return column
+            finally:
+                buffers.put(work)  # a failed chain's buffers serve the next chain
 
-        buffers = [SplitBuffers(codes, self.params.max_depth) for _ in range(_workers(n_classes))]
-        errors = []
-        helpers = [threading.Thread(target=_run_share, args=(run_chains, work, errors))
-                   for work in buffers[1:]]
-        try:
-            for helper in helpers:
-                helper.start()
-            run_chains(buffers[0])
-        finally:
-            for helper in helpers:
-                if helper.ident is not None:  # started
-                    helper.join()
-        if errors:
-            raise errors[0]
-        self.trees_ = trees
+        # map cancels the chains not yet started when one fails; the exit joins the workers.
+        with ThreadPoolExecutor(workers) as pool:
+            columns = list(pool.map(chain, range(n_classes)))
+        self.trees_ = [list(row) for row in zip(*columns)]
         self._pack()
         return self
 
@@ -114,18 +107,3 @@ def _workers(n_classes: int) -> int:
     at most one per chain."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cores or 1, n_classes))
-
-
-def _take(chains, lock: threading.Lock):
-    """The next class whose chain no worker has taken, or None."""
-    with lock:
-        return next(chains, None)
-
-
-def _run_share(run_chains, work: SplitBuffers, errors: list) -> None:
-    """A helper thread's share of the chains; an error goes to ``errors`` for
-    the calling thread to raise."""
-    try:
-        run_chains(work)
-    except BaseException as exc:  # raised again by fit, in the calling thread
-        errors.append(exc)

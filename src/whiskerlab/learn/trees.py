@@ -177,7 +177,7 @@ class SplitBuffers:
     node at depth ``d`` holds at most ``rows - d`` rows, so no tree needs
     more than ``min(max_depth, rows) - 1`` pairs, however large ``max_depth``
     is.  They are allocated once, by the thread that starts the fit, so a
-    helper thread's per-node allocations stay small: glibc keeps what a
+    worker thread's per-node allocations stay small: glibc keeps what a
     thread frees in that thread's own arena, where it adds to the process's
     peak resident memory.
     """

@@ -187,8 +187,6 @@ def _rank_offsets(direction_deg: int, array: WhiskerArraySpec) -> tuple[np.ndarr
     ascending order, 180 deg descending, 90 deg sweeps rows in descending
     order, 270 deg ascending.
     """
-    if direction_deg not in DIRECTIONS_DEG:
-        raise ConfigError(f"direction must be one of {DIRECTIONS_DEG}, got {direction_deg}")
     axis = 1 if direction_deg in (0, 180) else 0
     ranks = (array.rows, array.cols)[axis]
     steps = np.arange(ranks, dtype=np.float64)

@@ -174,6 +174,7 @@ def test_criterion_5_direction_identification():
            f"{correct}/{total}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_texture_classification(classification_setup):
     _, _, test_set, reports, elapsed = classification_setup
     acc = {k: r.accuracy for k, r in reports.items()}
@@ -229,6 +230,7 @@ def test_criterion_7_full_pipeline_determinism(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_shuffled_labels_hit_chance(classification_setup):
     _, train_set, test_set, _, _ = classification_setup
     accuracies = []

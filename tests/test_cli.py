@@ -40,6 +40,38 @@ def test_init_config_writes_defaults(tmp_path):
     assert doc["grid"]["roi_side"] == 50
 
 
+def test_init_config_writes_the_given_config_back_normalised(tmp_path):
+    given = tmp_path / "my.json"
+    given.write_text('{"collection": {"slides_per_specimen": 3}, "seed": 5}')
+    out = tmp_path / "out"
+    assert main(["init-config", "--config", str(given), "--out", str(out)]) == 0
+    want = tmp_path / "want.json"
+    save_config(want, ExperimentConfig(collection=CollectionPlan(slides_per_specimen=3), seed=5))
+    assert (out / "config.json").read_bytes() == want.read_bytes()
+
+
+def test_init_config_seed_flag_wins_over_the_config(tmp_path):
+    given = tmp_path / "my.json"
+    write_small_config(given, seed=5, slides_per_specimen=3)
+    assert main(["init-config", "--config", str(given), "--seed", "9", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "config.json").read_text())
+    assert (doc["seed"], doc["collection"]["slides_per_specimen"]) == (9, 3)
+
+
+@pytest.mark.parametrize("text, code, error", [
+    (None, 3, "DataFileError"),  # no such file
+    ('{"bogus": 1}', 2, "usage"),
+])
+def test_init_config_refuses_a_bad_config(tmp_path, capsys, text, code, error):
+    given = tmp_path / "my.json"
+    if text is not None:
+        given.write_text(text)
+    out = tmp_path / "out"
+    assert main(["init-config", "--config", str(given), "--out", str(out)]) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not (out / "config.json").exists()
+
+
 def test_simulate_writes_slide_and_manifest(tmp_path):
     rc = main(["simulate", "--pattern", "sawtooth", "--depth", "3", "--speed", "150",
                "--direction", "0", "--seed", "42", "--out", str(tmp_path)])
@@ -135,6 +167,29 @@ def test_fit_speed_pipeline(tmp_path):
                  "--fit", str(out / "speed_fit.json"), "--out", str(out)]) == 0
     assert (out / "speed_fit.svg").exists()
     assert (out / "speed_fit_points.csv").exists()
+
+
+def test_fit_speed_verifies_and_records_each_slide_json(tmp_path, capsys):
+    """A slide's JSON holds the speed the fit regresses on, so it is an input
+    like the CSV: recorded with its digest, and an edit is a digest mismatch."""
+    args = ["--out", str(tmp_path)]
+    assert main(["simulate", "--pattern", "sinc", "--depth", "2", "--speeds", "100", "150", "200",
+                 *args]) == 0
+    assert main(["fit-speed", "--sweep-dir", str(tmp_path), *args]) == 0
+    inputs = json.loads((tmp_path / "manifest.json").read_text())["stages"]["fit-speed"]["inputs"]
+    names = sorted(p.name for p in tmp_path.glob("slide_*"))
+    assert sorted(inputs) == names and len(names) == 6
+    assert all(inputs[name] == file_digest(tmp_path / name) for name in names)
+    capsys.readouterr()
+
+    meta = tmp_path / "slide_sinc2_v100_dir0_k0.json"
+    doc = json.loads(meta.read_text())
+    doc["slide"]["speed_mm_s"] = 120.0
+    meta.write_text(json.dumps(doc))
+    assert main(["fit-speed", "--sweep-dir", str(tmp_path), *args]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFileError"
+    assert "slide_sinc2_v100_dir0_k0.json: digest mismatch" in err["message"]
 
 
 def test_fit_speed_missing_sweep_is_data_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,8 +169,10 @@ def test_simulate_frames_round_trips_through_rendering():
 def test_slide_config_validation():
     with pytest.raises(ConfigError):
         SlideConfig(speed_mm_s=0.0).validate()
+    with pytest.raises(ConfigError):  # refused when built: no stage checks the direction again
+        SlideConfig(speed_mm_s=100.0, direction_deg=45)
     with pytest.raises(ConfigError):
-        SlideConfig(speed_mm_s=100.0, direction_deg=45).validate()
+        replace(SlideConfig(speed_mm_s=100.0), direction_deg=45)
     with pytest.raises(ConfigError):
         SlideConfig(speed_mm_s=100.0, fps=0).validate()
     with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -342,31 +343,56 @@ def test_forest_fit_matches_the_oracle_grower(n_classes):
     assert [t.to_dict() for t in model.trees_] == forest_fit_oracle(X, y, n_classes, params, n_classes)
 
 
-@pytest.mark.parametrize("failing", ["helper", "caller"])
+@pytest.mark.parametrize("failing", ["one", "every"])
 def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monkeypatch, failing):
-    """Each worker's first tree waits until the other worker has started one
-    too, then one side raises: fit raises that error after joining its helper."""
-    grow, both_started, started = boosting.grow_regression_tree, threading.Barrier(2), set()
-    caller = threading.current_thread()
+    """Ten one-tree chains on 2 workers.  Chain 1 fails at once; chain 0 waits
+    until chain 2 has started, on the worker that failed chain 1, and then
+    grows (one chain fails) or fails too (every worker's first chain fails).
+    fit raises the error of the first failed chain in class order, ends its
+    workers and starts few of the other chains.  Chain 2 starts only if the
+    failed chain 1 gave its buffers back; otherwise both workers' buffers are
+    lost by the time chain 0 fails and fit would hang, so it runs in a thread
+    joined with a timeout."""
+    grow, lock, chain_2_started = boosting.grow_regression_tree, threading.Lock(), threading.Event()
+    chains = []  # (class, worker) per chain started: one tree, so one call, per chain
 
-    def grow_or_fail(*args, **kwargs):
-        me = threading.current_thread()
-        if me not in started:
-            started.add(me)
-            both_started.wait(timeout=30)
-        if (me is caller) == (failing == "caller"):
-            raise RuntimeError(f"a chain failed in the {failing}")
-        return grow(*args, **kwargs)
+    def grow_or_fail(codes, y, *args):
+        c = int(np.argmax(y))  # y is the one-hot target of class c, and row c has label c
+        with lock:
+            chains.append((c, threading.current_thread()))
+        if c == 2:
+            chain_2_started.set()
+        if c == 1:
+            raise RuntimeError("chain 1 failed")
+        if c == 0:
+            chain_2_started.wait(timeout=5)
+            if failing == "every":
+                raise RuntimeError("chain 0 failed")
+        time.sleep(0.05)  # time for fit to see the error and cancel the chains not started
+        return grow(codes, y, *args)
 
     monkeypatch.setattr(boosting, "_workers", lambda n: 2)
     monkeypatch.setattr(boosting, "grow_regression_tree", grow_or_fail)
     rng = np.random.default_rng(0)
-    X, y = rng.normal(size=(60, 5)), rng.integers(0, 10, size=60)
+    X, y = rng.normal(size=(60, 5)), np.arange(60) % 10
+    raised = []
+
+    def fit():
+        try:
+            BoostedTreesClassifier(BoostParams(rounds=1)).fit(X, y)
+        except BaseException as exc:
+            raised.append(exc)
+
     before = set(threading.enumerate())
-    with pytest.raises(RuntimeError, match=f"failed in the {failing}"):
-        BoostedTreesClassifier(BoostParams(rounds=3)).fit(X, y)
+    runner = threading.Thread(target=fit, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "fit hangs: a failed chain kept its buffers"
+    assert [str(e) for e in raised] == ["chain 0 failed" if failing == "every" else "chain 1 failed"]
     assert set(threading.enumerate()) == before
-    assert len(started) == 2
+    started = dict(chains)
+    assert {0, 1, 2} <= set(started) and started[1] is started[2] is not started[0]
+    assert len(chains) < 10
 
 
 def edge_matrices(rng):
