@@ -18,6 +18,7 @@ before the comparison.  "literal" mode keeps the textbook comparison for
 fidelity testing.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -163,9 +164,11 @@ def capture_samples(
 
 
 def sample_to_dict(sample: TactileSample) -> dict:
-    """JSON-ready form: x holds one array of channel values per captured frame."""
+    """JSON-ready form: x is the base64 of the (channels, frames) values as
+    C-order little-endian float64 bytes, and shape is [channels, frames]."""
     return {
-        "x": [col.tolist() for col in sample.values.T],
+        "x": base64.b64encode(sample.values.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        "shape": list(sample.values.shape),
         "trigger_frame": sample.trigger_frame,
         "trigger_channel": sample.trigger_channel,
         "label": asdict(sample.label) if sample.label is not None else None,
@@ -188,16 +191,34 @@ def _typed(name: str, value, types: tuple, nullable: bool = False):
     raise TypeError(f"{name} must be {kinds}, got {value!r}")
 
 
+def _decode_values(x, shape) -> np.ndarray:
+    """The writable float64 (channels, frames) array that x's base64 holds."""
+    if not isinstance(x, str):
+        raise TypeError(f"x must be a base64 string of little-endian float64 values, got "
+                        f"{type(x).__name__}; rebuild the dataset with `whiskerlab dataset`")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)):
+        raise ValueError(f"shape must be two positive ints [channels, frames], got {shape!r}")
+    try:
+        raw = base64.b64decode(x, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"x is not strict base64 ({exc})") from exc
+    size = 8 * shape[0] * shape[1]
+    if len(raw) != size:
+        raise ValueError(f"x holds {len(raw)} bytes but shape {shape} needs {size}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def sample_from_dict(obj: dict) -> TactileSample:
     """Rebuild a sample; a missing key, a value of the wrong type (a string
-    for a number, a float for an int, a bool for either) or an ``x`` that is
-    not a (frames, channels) array of features raises KeyError, TypeError or
-    ValueError."""
+    for a number, a float for an int, a bool for either), a shape that is not
+    two positive ints, or an ``x`` that is not strict base64 of exactly that
+    many float64 features raises KeyError, TypeError or ValueError."""
     label = SampleLabel(**obj["label"]) if obj.get("label") else None
     if label is not None:
         for name, types in LABEL_TYPES.items():
             _typed(f"label {name}", getattr(label, name), types)
-    values = np.array(obj["x"], dtype=np.float64).T
+    values = _decode_values(obj["x"], obj.get("shape"))
     if not ((values >= LOG_RANGE[0]) & (values <= LOG_RANGE[1])).all():
         raise ValueError("x values must be logs of positive float64 sums")
     return TactileSample(

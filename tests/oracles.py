@@ -5,8 +5,10 @@ deliberately ignoring how the package implements the same operations, so a
 bug would have to appear twice (and identically) to slip through.
 """
 
+import base64
 import math
 import re
+import struct
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -509,3 +511,18 @@ def split_test_counts_oracle(class_sizes: dict, test_fraction: float) -> dict:
             break
         take[by_take[0]] -= 1
     return take
+
+
+def record_values(record: dict) -> np.ndarray:
+    """The (channels, frames) values of a sample JSONL record, unpacked with
+    struct from x's base64 as little-endian float64s."""
+    channels, frames = record["shape"]
+    raw = base64.b64decode(record["x"], validate=True)
+    return np.array(struct.unpack(f"<{channels * frames}d", raw)).reshape(channels, frames)
+
+
+def record_x(values) -> str:
+    """A record's x for values: the base64 of their C-order little-endian
+    float64 bytes, packed with struct."""
+    flat = [float(v) for v in np.ravel(values)]
+    return base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")

@@ -10,6 +10,7 @@ from operator import getitem
 import numpy as np
 import pytest
 
+from oracles import record_values, record_x
 from whiskerlab import artifacts, sim
 from whiskerlab.events import DetectorConfig, load_samples_jsonl, save_samples_jsonl
 from whiskerlab.harness.cli import main
@@ -441,7 +442,7 @@ def test_non_default_shape_runs_end_to_end(tmp_path, capsys):
     data = out / "dataset.jsonl"
     records = [json.loads(line) for line in data.read_text().splitlines()]
     assert len(records) == 30
-    assert all(np.shape(r["x"]) == (60, 8) for r in records)
+    assert all(r["shape"] == [8, 60] and record_values(r).shape == (8, 60) for r in records)
     assert all(1 <= r["trigger_channel"] <= 8 for r in records)
     for kind in ("linear_margin", "bagged_trees", "boosted_trees"):
         assert main(["train", *base, "--dataset", str(data), "--model", kind,
@@ -458,19 +459,23 @@ def test_non_default_shape_runs_end_to_end(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         return rc == 3 and err["error"] == "DataFileError"
 
-    # Captures of mixed lengths, of mixed widths and with ragged frames.
+    # Captures of mixed lengths, of mixed widths, and x bytes that disagree with the shape.
     lines = data.read_text().splitlines()
     first = json.loads(lines[0])
-    for x in (first["x"][:-1], [row[:-1] for row in first["x"]], first["x"][:-1] + [[0.0]]):
+    values = record_values(first)
+    for x, shape in ((values[:, :-1], [8, 59]), (values[:-1], [7, 60]),
+                     (values.ravel()[:-1], [8, 60])):
         bad = out / "bad.jsonl"
-        bad.write_text("\n".join([json.dumps({**first, "x": x})] + lines[1:]) + "\n")
+        bad.write_text("\n".join([json.dumps({**first, "x": record_x(x), "shape": shape})]
+                                 + lines[1:]) + "\n")
         assert exits_with_data_error(["train", *base, "--dataset", str(bad),
                                       "--model", "linear_margin", "--task", "depths4"])
 
     # A model meets input of another width.
     narrow = out / "narrow.jsonl"
-    narrow.write_text("".join(json.dumps({**json.loads(line), "x": json.loads(line)["x"][:5]}) + "\n"
-                              for line in lines))
+    narrow.write_text("".join(json.dumps({**r, "x": record_x(record_values(r)[:, :5]),
+                                          "shape": [8, 5]}) + "\n"
+                              for r in map(json.loads, lines)))
     assert exits_with_data_error(["eval", *base, "--dataset", str(narrow),
                                   "--model", str(out / "model_specimens10_linear_margin.json")])
     model_path = out / "model_wide.json"

@@ -16,7 +16,7 @@ from whiskerlab.events import (
 )
 from whiskerlab.features import EPSILON, features_array
 
-from oracles import capture_reference
+from oracles import capture_reference, record_values
 
 
 def constant_stream(level, frames, channels=10):
@@ -228,6 +228,9 @@ def test_detection_is_deterministic_and_serializable(tmp_path):
         samples = capture_samples(values, cfg)
         runs.append("\n".join(json.dumps(sample_to_dict(s), sort_keys=True) for s in samples))
     assert runs[0] == runs[1] and runs[0]
+    records = [json.loads(line) for line in runs[0].splitlines()]
+    assert [r["shape"] for r in records] == [list(s.values.shape) for s in samples]
+    assert all(record_values(r).tobytes() == s.values.tobytes() for r, s in zip(records, samples))
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -241,7 +244,8 @@ def test_jsonl_round_trip(tmp_path):
     save_samples_jsonl(path, samples)
     again = load_samples_jsonl(path)
     assert len(again) == 1
-    assert np.array_equal(again[0].values, samples[0].values)
+    assert again[0].values.tobytes() == samples[0].values.tobytes()
+    assert again[0].values.shape == samples[0].values.shape
     assert again[0].label == samples[0].label
     assert again[0].seed == 1234
     assert again[0].trigger_frame == samples[0].trigger_frame

@@ -1,5 +1,7 @@
+import base64
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,13 +13,14 @@ import numpy as np
 import pytest
 
 import whiskerlab
-from oracles import linear_fit_oracle, split_test_counts_oracle
+from oracles import linear_fit_oracle, record_values, record_x, split_test_counts_oracle
 from whiskerlab.errors import (
     ConfigError,
     DataFileError,
     DatasetBuildError,
     DegenerateModelError,
 )
+from whiskerlab.events import LOG_RANGE, SampleLabel, TactileSample, load_samples_jsonl
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.dataset import (
     CollectionPlan,
@@ -39,7 +42,7 @@ from whiskerlab.learn.evaluate import (
 )
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
 from whiskerlab.learn.linear import LinearMarginClassifier, LinearParams, _block_rows
-from whiskerlab.sim import SPECIMENS
+from whiskerlab.sim import SPECIMENS, specimen_by_id
 
 SMALL_PLAN = CollectionPlan(slides_per_specimen=3)
 FAST_FOREST = ForestParams(n_trees=15)
@@ -489,13 +492,20 @@ def test_report_rendering(tmp_path, small_dataset):
     assert "linear_margin" in md and "bagged_trees" in md
 
 
-def _edit_second_line(path, samples, field, value):
-    """Save samples to path with one field of the second record (label or top level) set to value."""
+def _edit_second_record(path, samples, edit):
+    """Save samples to path with edit applied to the second record."""
     save_dataset(path, samples)
     lines = path.read_text().splitlines()
     record = json.loads(lines[1])
-    (record["label"] if field in record["label"] else record)[field] = value
+    edit(record)
     path.write_text("\n".join([lines[0], json.dumps(record, sort_keys=True), *lines[2:]]) + "\n")
+
+
+def _edit_second_line(path, samples, field, value):
+    """Save samples to path with one field of the second record (label or top level) set to value."""
+    def set_field(record):
+        (record["label"] if field in record["label"] else record)[field] = value
+    _edit_second_record(path, samples, set_field)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -527,12 +537,92 @@ def test_load_dataset_takes_int_numbers_and_null_provenance(tmp_path, small_data
         assert loaded.speeds[1] == 150.0
 
 
+def _values_edit(value):
+    """An edit that stores value as the record's first feature."""
+    def edit(record):
+        values = record_values(record)
+        values[0, 0] = value
+        record["x"] = record_x(values)
+    return edit
+
+
+def _bytes_edit(change):
+    """An edit that replaces the bytes x holds with change(bytes)."""
+    def edit(record):
+        record["x"] = base64.b64encode(change(base64.b64decode(record["x"]))).decode()
+    return edit
+
+
+CORRUPT_RECORDS = {  # case -> (what the error says of the field, edit of the record)
+    "x-int": ("x must be", lambda r: r.update(x=12)),
+    "x-null": ("x must be", lambda r: r.update(x=None)),
+    "x-not-base64": ("x is not strict base64", lambda r: r.update(x="!" + r["x"][1:])),
+    "x-byte-short": ("x holds 5599 bytes", _bytes_edit(lambda raw: raw[:-1])),
+    "x-byte-over": ("x holds 5601 bytes", _bytes_edit(lambda raw: raw + b"\0")),
+    "shape-missing": ("shape must be", lambda r: r.pop("shape")),
+    "shape-bool": ("shape must be", lambda r: r.update(shape=True)),
+    "shape-bool-dim": ("shape must be", lambda r: r.update(shape=[True, 70])),
+    "shape-float": ("shape must be", lambda r: r.update(shape=[10.0, 70])),
+    "shape-zero": ("shape must be", lambda r: r.update(shape=[0, 70])),
+    "shape-negative": ("shape must be", lambda r: r.update(shape=[-10, -70])),
+    "shape-3d": ("shape must be", lambda r: r.update(shape=[10, 7, 10])),
+    "shape-disagrees": (r"shape \[10, 69\] needs", lambda r: r.update(shape=[10, 69])),
+    "x-nan": ("x values must be", _values_edit(math.nan)),
+    "x-inf": ("x values must be", _values_edit(math.inf)),
+    "x-minus-inf": ("x values must be", _values_edit(-math.inf)),
+    "x-above-range": ("x values must be", _values_edit(np.nextafter(LOG_RANGE[1], math.inf))),
+    "x-below-range": ("x values must be", _values_edit(np.nextafter(LOG_RANGE[0], -math.inf))),
+}
+
+
+@pytest.mark.parametrize("says, edit", CORRUPT_RECORDS.values(), ids=list(CORRUPT_RECORDS))
+def test_load_dataset_rejects_corrupt_features(tmp_path, small_dataset, says, edit):
+    path = tmp_path / "dataset.jsonl"
+    _edit_second_record(path, small_dataset[0].samples, edit)
+    with pytest.raises(DataFileError, match=f":2: bad sample record .*{says}"):
+        load_dataset(path)
+
+
+def test_float_list_datasets_are_refused(tmp_path, small_dataset):
+    """A file whose x is (frames, channels) float lists has no reader and asks for a rebuild."""
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, small_dataset[0].samples)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**{k: v for k, v in r.items() if k != "shape"},
+                                        "x": record_values(r).T.tolist()}) + "\n"
+                            for r in records))
+    with pytest.raises(DataFileError, match=r"dataset\.jsonl:1: bad sample record \(x must be "
+                                            r"a base64 .*float64.*rebuild .*whiskerlab dataset"):
+        load_dataset(path)
+
+
+def test_edge_values_round_trip_bit_for_bit(tmp_path):
+    lo, hi = LOG_RANGE
+    edges = [lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0), 0.0, -0.0]
+    values = np.array([edges, edges[::-1]])
+    spec = specimen_by_id(1)
+    sample = TactileSample(values, trigger_frame=5, trigger_channel=2,
+                           label=SampleLabel(1, spec.pattern, spec.depth_mm, 150.0, 0),
+                           seed=3, config_digest="d")
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, [sample])
+    record = json.loads(path.read_text())
+    assert record["shape"] == [2, 6]
+    assert record["x"] == base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+    assert record["x"] == record_x(values)
+    assert load_dataset(path).features.tobytes() == values.tobytes()
+    again = load_samples_jsonl(path)[0].values
+    assert again.tobytes() == values.tobytes() and again.dtype == np.float64
+    assert np.signbit(again[0, 5]) and not np.signbit(again[0, 4])
+    assert again.flags.writeable and again.flags.c_contiguous
+
+
 def test_dataset_jsonl_round_trip(tmp_path, small_dataset):
     labeled, _ = small_dataset
     path = tmp_path / "dataset.jsonl"
     save_dataset(path, labeled.samples)
     again = load_dataset(path)
     assert again.n == labeled.n
-    assert np.array_equal(again.features, labeled.features)
+    assert again.features.tobytes() == labeled.features.tobytes()
     assert np.array_equal(again.specimen_ids, labeled.specimen_ids)
     assert np.array_equal(again.speeds, labeled.speeds)
