@@ -25,14 +25,9 @@ from .errors import (
     DirectionIndeterminateError,
     WhiskerlabError,
 )
-from .events import (
-    DetectorConfig,
-    SampleLabel,
-    TactileSample,
-    capture_samples,
-    scan,
-)
+from .events import DetectorConfig, TactileSample, capture_samples, scan
 from .features import EPSILON, features_array, features_stream
+from .learn.dataset import SampleLabel
 from .sim import (
     SPECIMENS,
     SlideConfig,

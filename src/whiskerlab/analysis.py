@@ -13,12 +13,11 @@ and the column channels (the second half), pick the axis and the sign.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, DirectionIndeterminateError, Validated
-from .events import TactileSample
 from .taxel_grid import taxel_array
 
 
@@ -114,20 +113,20 @@ def _axis_correlations(times: np.ndarray) -> np.ndarray:
     return np.divide(ranks @ pos, spread, out=np.zeros(2), where=spread > 0)
 
 
-def identify_direction(source: Union[TactileSample, np.ndarray]) -> int:
+def identify_direction(source) -> int:
     """Classify the slide direction from channel activation order.
 
-    ``source`` is a capture or a transposed feature stream, (channels,
-    frames); its first half of channels are rows, the second half columns.
-    A channel activates at the first frame where it reaches half of its
-    min-to-max rise; that is the one rule.  Returns one of 0/90/180/270
-    degrees: columns activating in ascending order mean 0, descending 180;
-    rows descending mean 90, ascending 270.  The axis whose activation
-    times rank-correlate more strongly with channel position decides; if
-    neither axis carries any ordering the result is indeterminate and
-    raised as an error.
+    ``source`` is a capture or a transposed feature stream, read with
+    ``np.asarray`` as (channels, frames); its first half of channels are
+    rows, the second half columns.  A channel activates at the first frame
+    where it reaches half of its min-to-max rise; that is the one rule.
+    Returns one of 0/90/180/270 degrees: columns activating in ascending
+    order mean 0, descending 180; rows descending mean 90, ascending 270.
+    The axis whose activation times rank-correlate more strongly with
+    channel position decides; if neither axis carries any ordering the
+    result is indeterminate and raised as an error.
     """
-    channels = source.values if isinstance(source, TactileSample) else np.asarray(source)
+    channels = np.asarray(source)
     if channels.ndim != 2 or channels.shape[0] < 2 or channels.shape[0] % 2:
         raise ConfigError(f"expected (channels, frames) with an even channel count, got {channels.shape}")
     if channels.shape[1] < 1:

@@ -16,20 +16,20 @@ and the baseline have ``window_frames * log(EPSILON)`` (the analytic minimum
 of a window sum over the feature floor :data:`features.EPSILON`) subtracted
 before the comparison.  "literal" mode keeps the textbook comparison for
 fidelity testing.
+
+This module only captures; :mod:`whiskerlab.learn.dataset` labels the
+captures and is the one writer and reader of the dataset file.
 """
 
-import base64
-import json
 import math
-from dataclasses import dataclass, asdict
-from pathlib import Path
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .artifacts import atomic_open
-from .errors import CalibrationUnderrunError, ConfigError, DataFileError, Validated
+from .errors import CalibrationUnderrunError, ConfigError, Validated
 from .features import EPSILON, stream_to_array
+from .taxel_grid import _values_array
 
 MODES = ("literal", "shifted")
 
@@ -75,29 +75,20 @@ class DetectorConfig(Validated):
         return self.baseline_windows * self.window_frames
 
 
-@dataclass(frozen=True)
-class SampleLabel:
-    """Ground-truth annotation attached to a captured sample."""
-
-    specimen_id: int
-    pattern: str
-    depth_mm: float
-    speed_mm_s: float
-    direction_deg: int
-
-
 @dataclass
 class TactileSample:
     """A fixed-length capture: values[channel, column] over consecutive frames.
 
     Columns cover frames [trigger_frame - backtrack, trigger_frame - backtrack
-    + sample_frames); values are copied verbatim from the stream.
+    + sample_frames); values are copied verbatim from the stream, and
+    ``np.asarray`` gives them back uncopied.  A dataset build attaches the
+    label (a ``learn.dataset.SampleLabel``) and the provenance.
     """
 
     values: np.ndarray
     trigger_frame: int
     trigger_channel: int  # 1-based channel index that fired
-    label: Optional[SampleLabel] = None
+    label: Optional[object] = None
     seed: Optional[int] = None
     config_digest: Optional[str] = None
 
@@ -109,6 +100,8 @@ class TactileSample:
     def flattened(self) -> np.ndarray:
         """Channel-major flattening: channel 1's frames, then channel 2's, ..."""
         return self.values.ravel()
+
+    __array__ = _values_array
 
 
 def scan(
@@ -161,91 +154,3 @@ def capture_samples(
 ) -> list[TactileSample]:
     """The captures of :func:`scan`."""
     return scan(stream, cfg)[0]
-
-
-def sample_to_dict(sample: TactileSample) -> dict:
-    """JSON-ready form: x is the base64 of the (channels, frames) values as
-    C-order little-endian float64 bytes, and shape is [channels, frames]."""
-    return {
-        "x": base64.b64encode(sample.values.astype("<f8", copy=False).tobytes()).decode("ascii"),
-        "shape": list(sample.values.shape),
-        "trigger_frame": sample.trigger_frame,
-        "trigger_channel": sample.trigger_channel,
-        "label": asdict(sample.label) if sample.label is not None else None,
-        "seed": sample.seed,
-        "config_digest": sample.config_digest,
-    }
-
-
-LOG_RANGE = (math.log(5e-324), math.log(np.finfo(np.float64).max))  # logs of positive float64s
-LABEL_TYPES = {"specimen_id": (int,), "pattern": (str,), "depth_mm": (int, float),
-               "speed_mm_s": (int, float), "direction_deg": (int,)}
-
-
-def _typed(name: str, value, types: tuple, nullable: bool = False):
-    """value if it is one of types (a bool is not a number here) or a
-    permitted None; anything else raises TypeError."""
-    if (value is None and nullable) or (isinstance(value, types) and not isinstance(value, bool)):
-        return value
-    kinds = " or ".join(t.__name__ for t in types) + (" or null" if nullable else "")
-    raise TypeError(f"{name} must be {kinds}, got {value!r}")
-
-
-def _decode_values(x, shape) -> np.ndarray:
-    """The writable float64 (channels, frames) array that x's base64 holds."""
-    if not isinstance(x, str):
-        raise TypeError(f"x must be a base64 string of little-endian float64 values, got "
-                        f"{type(x).__name__}; rebuild the dataset with `whiskerlab dataset`")
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(n) is int and n > 0 for n in shape)):
-        raise ValueError(f"shape must be two positive ints [channels, frames], got {shape!r}")
-    try:
-        raw = base64.b64decode(x, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"x is not strict base64 ({exc})") from exc
-    size = 8 * shape[0] * shape[1]
-    if len(raw) != size:
-        raise ValueError(f"x holds {len(raw)} bytes but shape {shape} needs {size}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
-def sample_from_dict(obj: dict) -> TactileSample:
-    """Rebuild a sample; a missing key, a value of the wrong type (a string
-    for a number, a float for an int, a bool for either), a shape that is not
-    two positive ints, or an ``x`` that is not strict base64 of exactly that
-    many float64 features raises KeyError, TypeError or ValueError."""
-    label = SampleLabel(**obj["label"]) if obj.get("label") else None
-    if label is not None:
-        for name, types in LABEL_TYPES.items():
-            _typed(f"label {name}", getattr(label, name), types)
-    values = _decode_values(obj["x"], obj.get("shape"))
-    if not ((values >= LOG_RANGE[0]) & (values <= LOG_RANGE[1])).all():
-        raise ValueError("x values must be logs of positive float64 sums")
-    return TactileSample(
-        values=values,
-        trigger_frame=_typed("trigger_frame", obj["trigger_frame"], (int,)),
-        trigger_channel=_typed("trigger_channel", obj["trigger_channel"], (int,)),
-        label=label,
-        seed=_typed("seed", obj.get("seed"), (int,), nullable=True),
-        config_digest=_typed("config_digest", obj.get("config_digest"), (str,), nullable=True),
-    )
-
-
-def save_samples_jsonl(path, samples: Sequence[TactileSample]) -> None:
-    """One JSON object per line per sample, streamed into one atomic write."""
-    with atomic_open(path) as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
-            fh.write("\n")
-
-
-def load_samples_jsonl(path) -> list[TactileSample]:
-    """Samples of a JSONL file; bad UTF-8 (as line 0) or a bad record raises DataFileError."""
-    samples, line_no = [], 0
-    try:
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if line.strip():
-                samples.append(sample_from_dict(json.loads(line)))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
-    return samples

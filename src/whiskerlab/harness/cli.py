@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import analysis, events, sim
+from .. import analysis, sim
 from ..artifacts import file_digest, read_json, write_csv, write_json, write_text
 from ..errors import ConfigError, DataFileError, WhiskerlabError
 from ..features import features_array
@@ -220,7 +220,7 @@ def cmd_direction(args, cfg, out, manifest):
     path = Path(args.input)
     digest = manifest.verify_input(path)
     if path.suffix == ".jsonl":
-        samples = events.load_samples_jsonl(path)
+        samples = dataset_mod.load_dataset(path).samples
         if not 0 <= args.index < len(samples):
             raise ConfigError(f"--index {args.index} out of range ({len(samples)} samples)")
         source = samples[args.index]

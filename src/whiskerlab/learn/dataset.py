@@ -1,4 +1,4 @@
-"""Labeled dataset assembly from simulated slides.
+"""Labeled datasets: assembly from simulated slides, and the dataset file.
 
 Every specimen is slid repeatedly; each slide runs through the feature and
 event-capture pipeline and must yield exactly one sample, which is labeled
@@ -6,29 +6,55 @@ with the specimen's identity.  Slides that capture zero or several samples
 are retried with a derived seed; a specimen whose retry rate gets too high
 fails the build with diagnostics.  Per-slide speed and texture phase are
 drawn from configured ranges so repeated slides are not carbon copies.
+
+This module owns ``dataset.jsonl``: :func:`save_dataset` is its one writer
+and :func:`load_dataset` its one reader.  A record holds one capture, its
+values as base64 of little-endian float64 bytes, and a :class:`SampleLabel`,
+which checks itself against the specimen table when it is built.
 """
 
+import base64
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ..artifacts import atomic_open
 from ..errors import ConfigError, DataFileError, DatasetBuildError, Validated
-from ..events import (
-    DetectorConfig,
-    SampleLabel,
-    TactileSample,
-    capture_samples,
-    load_samples_jsonl,
-    save_samples_jsonl,
-)
+from ..events import DetectorConfig, TactileSample, capture_samples
 from ..features import features_array
 from ..seeding import derive_rng, derive_seed
 from ..sim import (DIRECTIONS_DEG, SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels,
                    specimen_by_id)
+
+LOG_RANGE = (math.log(5e-324), math.log(np.finfo(np.float64).max))  # logs of positive float64s
+
+
+@dataclass(frozen=True)
+class SampleLabel(Validated):
+    """Ground-truth annotation attached to a captured sample: a specimen of
+    the table with its own pattern and depth, and the slide's speed and
+    direction."""
+
+    specimen_id: int
+    pattern: str
+    depth_mm: float
+    speed_mm_s: float
+    direction_deg: int
+
+    BOUNDS = {"speed_mm_s": "(0, inf)"}
+
+    def validate(self) -> None:
+        spec = specimen_by_id(self.specimen_id)
+        if spec.pattern != self.pattern or spec.depth_mm != self.depth_mm:
+            raise ConfigError(f"label ({self.pattern}, {self.depth_mm}) "
+                              f"does not match specimen {self.specimen_id}")
+        if self.direction_deg not in DIRECTIONS_DEG:
+            raise ConfigError(f"direction_deg {self.direction_deg} is not one of {DIRECTIONS_DEG}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +131,7 @@ class LabeledDataset:
 
     @classmethod
     def from_samples(cls, samples: Sequence[TactileSample]) -> "LabeledDataset":
-        """A dataset of labeled captures of one shape; a label whose pattern
-        or depth is not its specimen's raises ConfigError."""
+        """A dataset of labeled captures of one shape."""
         if not samples:
             raise ConfigError("cannot build a dataset from zero samples")
         for s in samples:
@@ -115,15 +140,9 @@ class LabeledDataset:
         shapes = sorted({s.values.shape for s in samples})
         if len(shapes) > 1:
             raise ConfigError(f"captures must share one (channels, frames) shape, got {shapes}")
-        specimen_ids = np.array([s.label.specimen_id for s in samples], dtype=np.int64)
-        for i, (sid, s) in enumerate(zip(specimen_ids.tolist(), samples)):
-            spec = specimen_by_id(sid)
-            if spec.pattern != s.label.pattern or spec.depth_mm != s.label.depth_mm:
-                raise ConfigError(f"sample {i}: label ({s.label.pattern}, {s.label.depth_mm}) "
-                                  f"does not match specimen {sid}")
         return cls(
             features=np.stack([s.flattened() for s in samples]),
-            specimen_ids=specimen_ids,
+            specimen_ids=np.array([s.label.specimen_id for s in samples], dtype=np.int64),
             speeds=np.array([s.label.speed_mm_s for s in samples], dtype=np.float64),
             directions=np.array([s.label.direction_deg for s in samples], dtype=np.int64),
             seeds=np.array([s.seed if s.seed is not None else -1 for s in samples], dtype=np.int64),
@@ -275,15 +294,88 @@ def split(
     return train, test
 
 
+def sample_to_dict(sample: TactileSample) -> dict:
+    """JSON-ready form: x is the base64 of the (channels, frames) values as
+    C-order little-endian float64 bytes, and shape is [channels, frames]."""
+    return {
+        "x": base64.b64encode(sample.values.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        "shape": list(sample.values.shape),
+        "trigger_frame": sample.trigger_frame,
+        "trigger_channel": sample.trigger_channel,
+        "label": asdict(sample.label) if sample.label is not None else None,
+        "seed": sample.seed,
+        "config_digest": sample.config_digest,
+    }
+
+
+def _typed(name: str, value, types: tuple, nullable: bool = False):
+    """value if it is one of types (a bool is not a number here) or a
+    permitted None; anything else raises TypeError."""
+    if (value is None and nullable) or (isinstance(value, types) and not isinstance(value, bool)):
+        return value
+    kinds = " or ".join(t.__name__ for t in types) + (" or null" if nullable else "")
+    raise TypeError(f"{name} must be {kinds}, got {value!r}")
+
+
+def _decode_values(x, shape) -> np.ndarray:
+    """The writable float64 (channels, frames) array that x's base64 holds."""
+    if not isinstance(x, str):
+        raise TypeError(f"x must be a base64 string of little-endian float64 values, got "
+                        f"{type(x).__name__}; rebuild the dataset with `whiskerlab dataset`")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)):
+        raise ValueError(f"shape must be two positive ints [channels, frames], got {shape!r}")
+    try:
+        raw = base64.b64decode(x, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"x is not strict base64 ({exc})") from exc
+    size = 8 * shape[0] * shape[1]
+    if len(raw) != size:
+        raise ValueError(f"x holds {len(raw)} bytes but shape {shape} needs {size}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def sample_from_dict(obj: dict) -> TactileSample:
+    """Rebuild a sample; a missing key, a value of the wrong type (a string
+    for a number, a float for an int, a bool for either), a label that
+    :class:`SampleLabel` refuses, a shape that is not two positive ints, or
+    an ``x`` that is not strict base64 of exactly that many float64 features
+    raises KeyError, TypeError or ValueError (ConfigError is one)."""
+    label = SampleLabel(**obj["label"]) if obj.get("label") else None
+    values = _decode_values(obj["x"], obj.get("shape"))
+    if not ((values >= LOG_RANGE[0]) & (values <= LOG_RANGE[1])).all():
+        raise ValueError("x values must be logs of positive float64 sums")
+    return TactileSample(
+        values=values,
+        trigger_frame=_typed("trigger_frame", obj["trigger_frame"], (int,)),
+        trigger_channel=_typed("trigger_channel", obj["trigger_channel"], (int,)),
+        label=label,
+        seed=_typed("seed", obj.get("seed"), (int,), nullable=True),
+        config_digest=_typed("config_digest", obj.get("config_digest"), (str,), nullable=True),
+    )
+
+
 def save_dataset(path, samples: Sequence[TactileSample]) -> None:
-    save_samples_jsonl(path, samples)
+    """One JSON record per sample per line, streamed into one atomic write."""
+    with atomic_open(path) as fh:
+        for sample in samples:
+            fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
+            fh.write("\n")
 
 
 def load_dataset(path) -> LabeledDataset:
-    """Read a dataset JSONL; an empty, unlabeled or mixed-shape file, or a label
-    that is not a specimen of the table, raises DataFileError."""
+    """Read a dataset JSONL line by line.  A line that is not UTF-8 or not a
+    good record raises DataFileError naming the line; an empty, unlabeled or
+    mixed-shape file raises DataFileError naming the file."""
+    samples, line_no = [], 0
     try:
-        labeled = LabeledDataset.from_samples(load_samples_jsonl(path))
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if line.strip():
+                    samples.append(sample_from_dict(json.loads(line.decode("utf-8"))))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
+    try:
+        return LabeledDataset.from_samples(samples)
     except (ValueError, TypeError, OverflowError) as exc:  # ConfigError is a ValueError
         raise DataFileError(f"{path}: {exc}") from exc
-    return labeled

@@ -61,3 +61,38 @@ def test_only_the_artifacts_module_writes_files():
         if path.name != "artifacts.py" and (lines := file_writes(path.read_text()))
     }
     assert offenders == {}, f"write through whiskerlab.artifacts instead: {offenders}"
+
+
+def imported_names(source: str) -> set[str]:
+    """The last dotted name of each module the source imports, and each name
+    it imports from one: ``import a.b`` gives b, ``from .a import c`` a and c."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.rsplit(".", 1)[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("source, names", [
+    ("import base64", {"base64"}),
+    ("import json as j", {"json"}),
+    ("import os.path", {"path"}),
+    ("from base64 import b64encode", {"base64", "b64encode"}),
+    ("from .artifacts import atomic_open", {"artifacts", "atomic_open"}),
+    ("from .. import artifacts", {"artifacts"}),
+    ("def f():\n    import json", {"json"}),
+    ("x = base64.b64encode(b)  # json", set()),
+])
+def test_import_detector(source, names):
+    assert imported_names(source) == names
+
+
+def test_only_the_dataset_module_encodes_records():
+    """One record codec: only learn/dataset.py imports base64, and capture does no file IO."""
+    package = Path(whiskerlab.__file__).parent
+    imports = {path.relative_to(package).as_posix(): imported_names(path.read_text())
+               for path in sorted(package.rglob("*.py"))}
+    assert sorted(name for name, found in imports.items() if "base64" in found) == ["learn/dataset.py"]
+    assert not {"json", "artifacts"} & imports["events.py"]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import random
+import re
 import shutil
 from functools import reduce
 from operator import getitem
@@ -12,12 +13,13 @@ import pytest
 
 from oracles import record_values, record_x
 from whiskerlab import artifacts, sim
-from whiskerlab.events import DetectorConfig, load_samples_jsonl, save_samples_jsonl
+from whiskerlab.analysis import identify_direction
+from whiskerlab.events import DetectorConfig
 from whiskerlab.harness.cli import main
 from whiskerlab.harness.config import ExperimentConfig, ModelParamsConfig, save_config
 from whiskerlab.harness.manifest import RunManifest, file_digest
 from whiskerlab.learn.boosting import BoostParams
-from whiskerlab.learn.dataset import CollectionPlan
+from whiskerlab.learn.dataset import CollectionPlan, load_dataset, save_dataset
 from whiskerlab.learn.evaluate import EvalReport, load_model, save_model, save_report_csv
 from whiskerlab.learn.forest import ForestParams
 from whiskerlab.learn.linear import LinearParams
@@ -628,6 +630,34 @@ def first_slide(run):
     return sorted(run.glob("slide_*.csv"))[0]
 
 
+def test_direction_command_on_a_dataset_record(small_run, tmp_path, capsys):
+    data = tmp_path / "dataset.jsonl"
+    shutil.copy(small_run / "dataset.jsonl", data)
+    samples = load_dataset(data).samples
+    k = len(samples) - 1
+    argv = ["direction", "--input", str(data), "--out", str(tmp_path)]
+    assert main([*argv, "--index", str(k)]) == 0
+    assert json.loads((tmp_path / "direction.json").read_text()) == {
+        "input": "dataset.jsonl", "index": k, "direction_deg": identify_direction(samples[k])}
+    capsys.readouterr()
+    assert main([*argv, "--index", str(len(samples))]) == 2
+    assert "--index" in json.loads(capsys.readouterr().err)["message"]
+
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[0])
+    own = sim.specimen_by_id(record["label"]["specimen_id"]).pattern
+    record["label"]["pattern"] = next(t.pattern for t in sim.SPECIMENS if t.pattern != own)
+    relabeled = tmp_path / "relabeled.jsonl"
+    relabeled.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for path, says in ((relabeled, ":1: bad sample record .*does not match specimen"),
+                       (empty, "zero samples")):
+        assert main(["direction", "--input", str(path), "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataFileError" and re.search(says, err["message"]), err
+
+
 @pytest.mark.parametrize("files, argv", [
     pytest.param(lambda run: {"d.jsonl": "[1, 2]\n"},
                  lambda run, d: ["direction", "--input", str(d / "d.jsonl")], id="sample-not-object"),
@@ -671,8 +701,8 @@ WRITERS = {  # case -> (target file name, write(target, run))
     "save_slide_manifest": ("s.json", lambda t, run: sim.save_slide_manifest(
         t, *sim.load_slide_manifest(first_slide(run).with_suffix(".json")))),
     "write_ppm": ("f.ppm", lambda t, run: write_ppm(t, TactileFrame(np.zeros((2, 2, 3), np.uint8)))),
-    "save_samples_jsonl": ("d.jsonl", lambda t, run: save_samples_jsonl(
-        t, load_samples_jsonl(run / "dataset.jsonl"))),
+    "save_dataset": ("d.jsonl", lambda t, run: save_dataset(
+        t, load_dataset(run / "dataset.jsonl").samples)),
     "save_model": ("m.json", lambda t, run: save_model(t, load_model(run / MODEL))),
     "save_report_csv": ("r.csv", lambda t, run: save_report_csv(
         t, [EvalReport.from_dict(artifacts.read_json(run / EVAL))])),

@@ -13,7 +13,7 @@ from whiskerlab.errors import ConfigError, Validated, _interval
 from whiskerlab.events import DetectorConfig
 from whiskerlab.harness.config import MAX_SLIDE_POSITIONS, ExperimentConfig, ModelParamsConfig
 from whiskerlab.learn.boosting import BoostParams
-from whiskerlab.learn.dataset import CollectionPlan
+from whiskerlab.learn.dataset import CollectionPlan, SampleLabel
 from whiskerlab.learn.forest import ForestParams
 from whiskerlab.learn.linear import LinearParams
 from whiskerlab.sim import SlideConfig, TextureSpec, WhiskerArraySpec
@@ -28,6 +28,7 @@ INVALID_CHANGES = [
     (DetectorConfig(), {"window_frames": 0}),
     (DurationConfig(), {"valid_threshold": 0.0}),
     (CollectionPlan(), {"test_fraction": 1.0}),
+    (SampleLabel(3, "sinc", 3.0, 150.0, 90), {"direction_deg": 45}),
     (ForestParams(), {"n_trees": 0}),
     (BoostParams(), {"max_depth": 0}),
     (LinearParams(), {"epochs": 0}),

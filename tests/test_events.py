@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from whiskerlab.errors import CalibrationUnderrunError, ConfigError
-from whiskerlab.events import (
-    DetectorConfig,
-    SampleLabel,
-    TactileSample,
-    capture_samples,
-    load_samples_jsonl,
-    sample_to_dict,
-    save_samples_jsonl,
-    scan,
-)
+from whiskerlab.events import DetectorConfig, TactileSample, capture_samples, scan
 from whiskerlab.features import EPSILON, features_array
+from whiskerlab.learn.dataset import sample_to_dict
 
 from oracles import capture_reference, record_values
 
@@ -233,19 +225,8 @@ def test_detection_is_deterministic_and_serializable(tmp_path):
     assert all(record_values(r).tobytes() == s.values.tobytes() for r, s in zip(records, samples))
 
 
-def test_jsonl_round_trip(tmp_path):
-    cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
-                         sample_frames=4, mode="literal")
-    samples = capture_samples(hand_trace_stream(), cfg)
-    samples[0].label = SampleLabel(3, "sinc", 3.0, 150.0, 90)
-    samples[0].seed = 1234
-    samples[0].config_digest = "abc"
-    path = tmp_path / "samples.jsonl"
-    save_samples_jsonl(path, samples)
-    again = load_samples_jsonl(path)
-    assert len(again) == 1
-    assert again[0].values.tobytes() == samples[0].values.tobytes()
-    assert again[0].values.shape == samples[0].values.shape
-    assert again[0].label == samples[0].label
-    assert again[0].seed == 1234
-    assert again[0].trigger_frame == samples[0].trigger_frame
+def test_asarray_gives_the_values_uncopied():
+    sample = TactileSample(np.arange(12.0).reshape(2, 6), trigger_frame=0, trigger_channel=1)
+    assert np.asarray(sample) is sample.values
+    copied = np.array(sample, copy=True)
+    assert np.array_equal(copied, sample.values) and not np.shares_memory(copied, sample.values)

@@ -20,11 +20,13 @@ from whiskerlab.errors import (
     DatasetBuildError,
     DegenerateModelError,
 )
-from whiskerlab.events import LOG_RANGE, SampleLabel, TactileSample, load_samples_jsonl
+from whiskerlab.events import DetectorConfig, TactileSample, capture_samples
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.dataset import (
+    LOG_RANGE,
     CollectionPlan,
     LabeledDataset,
+    SampleLabel,
     build_dataset,
     load_dataset,
     save_dataset,
@@ -126,11 +128,9 @@ def test_specimen_mapping_determines_pattern_and_depth(tmp_path):
         path.write_text("\n".join([json.dumps(bad), *lines[1:]]) + "\n")
         with pytest.raises(DataFileError):
             load_dataset(path)
-    corrupted = copy.deepcopy(labeled.samples)
-    label = corrupted[3].label
-    corrupted[3].label = replace(label, pattern="triangle" if label.pattern != "triangle" else "sinc")
+    label = labeled.samples[3].label
     with pytest.raises(ConfigError, match="does not match specimen"):
-        LabeledDataset.from_samples(corrupted)
+        replace(label, pattern="triangle" if label.pattern != "triangle" else "sinc")
 
 
 def test_impossible_capture_rate_fails_build():
@@ -511,8 +511,10 @@ def _edit_second_line(path, samples, field, value):
 @pytest.mark.parametrize("field, value", [
     ("specimen_id", "1"), ("specimen_id", 1.0), ("specimen_id", True),
     ("speed_mm_s", "150"), ("speed_mm_s", False), ("speed_mm_s", None),
+    ("speed_mm_s", math.nan), ("speed_mm_s", math.inf), ("speed_mm_s", 0),
     ("depth_mm", "3"), ("depth_mm", True),
     ("direction_deg", "0"), ("direction_deg", 0.0), ("direction_deg", False),
+    ("direction_deg", 45),
     ("pattern", 3), ("pattern", None),
     ("trigger_frame", 30.7), ("trigger_frame", "30"), ("trigger_frame", True),
     ("trigger_channel", 1.0), ("trigger_channel", None),
@@ -583,6 +585,15 @@ def test_load_dataset_rejects_corrupt_features(tmp_path, small_dataset, says, ed
         load_dataset(path)
 
 
+def test_bad_utf8_is_refused_naming_its_line(tmp_path, small_dataset):
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, small_dataset[0].samples)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
+    with pytest.raises(DataFileError, match=r"dataset\.jsonl:2: bad sample record .*utf-8"):
+        load_dataset(path)
+
+
 def test_float_list_datasets_are_refused(tmp_path, small_dataset):
     """A file whose x is (frames, channels) float lists has no reader and asks for a rebuild."""
     path = tmp_path / "dataset.jsonl"
@@ -611,7 +622,7 @@ def test_edge_values_round_trip_bit_for_bit(tmp_path):
     assert record["x"] == base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
     assert record["x"] == record_x(values)
     assert load_dataset(path).features.tobytes() == values.tobytes()
-    again = load_samples_jsonl(path)[0].values
+    again = load_dataset(path).samples[0].values
     assert again.tobytes() == values.tobytes() and again.dtype == np.float64
     assert np.signbit(again[0, 5]) and not np.signbit(again[0, 4])
     assert again.flags.writeable and again.flags.c_contiguous
@@ -626,3 +637,23 @@ def test_dataset_jsonl_round_trip(tmp_path, small_dataset):
     assert again.features.tobytes() == labeled.features.tobytes()
     assert np.array_equal(again.specimen_ids, labeled.specimen_ids)
     assert np.array_equal(again.speeds, labeled.speeds)
+
+
+def test_jsonl_round_trip(tmp_path):
+    cfg = DetectorConfig(window_frames=2, backtrack_frames=1, trigger_multiplier=2.0,
+                         sample_frames=4, mode="literal")
+    stream = np.ones((18, 10))  # calibration at 1.0, then a 2.5 burst on channel 1
+    stream[10:14, 0] = 2.5
+    samples = capture_samples(stream, cfg)
+    samples[0].label = SampleLabel(3, "sinc", 3.0, 150.0, 90)
+    samples[0].seed = 1234
+    samples[0].config_digest = "abc"
+    path = tmp_path / "samples.jsonl"
+    save_dataset(path, samples)
+    again = load_dataset(path).samples
+    assert len(again) == 1
+    assert again[0].values.tobytes() == samples[0].values.tobytes()
+    assert again[0].values.shape == samples[0].values.shape
+    assert again[0].label == samples[0].label
+    assert again[0].seed == 1234
+    assert again[0].trigger_frame == samples[0].trigger_frame
