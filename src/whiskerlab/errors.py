@@ -1,10 +1,13 @@
-"""Exception types shared across the toolkit, and the base of the config dataclasses."""
+"""Exception types shared across the toolkit, the one rule for a legal value
+(:func:`check`), and the base of the config dataclasses."""
 
 import operator
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from functools import cache, partial
-from typing import ClassVar
+from typing import ClassVar, Optional
+
+import numpy as np
 
 
 class WhiskerlabError(Exception):
@@ -15,54 +18,39 @@ class ConfigError(WhiskerlabError, ValueError):
     """A configuration object or argument violates its invariants."""
 
 
+def check(name: str, value, kind, interval: Optional[str] = None):
+    """value if it is legal, else a ConfigError naming ``name``: the one rule
+    for config fields and every scalar read back from a package file.  In
+    order: the type (int: not a bool; float: an int or a float, not a bool,
+    kept as given; ``tuple[float, float]``: two of those; any other class:
+    an instance), finite floats, and ``interval`` such as ``"[1, inf)"``
+    (for each number of a pair)."""
+    return _rule(kind, interval)(name, value)
+
+
+def check_array(name: str, value, kind, interval: Optional[str] = None) -> np.ndarray:
+    """A JSON number or nested list of them as an array of ``kind``, each by :func:`check`."""
+    cells, rule = np.array(value, dtype=object), _rule(kind, interval)
+    for cell in cells.flat:
+        rule(name, cell)
+    return cells.astype(kind)
+
+
 class Validated:
     """Base of the frozen config dataclasses: building one (``dataclasses.replace``
-    included) checks each field by the one rule for a legal value, then runs
-    ``validate()`` for what relates two fields or tests set membership.
-
-    The rule, in order: the annotated type (int: not a bool; float: an int or
-    a float, not a bool, kept as given; ``tuple[float, float]``: two of those;
-    a section: an instance of its class), finite floats, and the interval in
-    the class's ``BOUNDS`` table, such as ``"[1, inf)"`` (for each element of
-    a tuple)."""
+    included) passes each field to :func:`check`, with its annotated type and
+    the interval in the class's ``BOUNDS`` table, then runs ``validate()`` for
+    what relates two fields or tests set membership."""
 
     BOUNDS: ClassVar[dict] = {}
 
     def __post_init__(self) -> None:
-        for name, accepts, wanted, floats, inside, interval in _field_rules(type(self)):
-            value = getattr(self, name)
-            values = value if type(value) is tuple else (value,)
-            if not accepts(value):
-                problem = f"must be {wanted}"
-            elif floats and not all(map(_finite, values)):
-                problem = "must be finite"
-            elif inside and not all(map(inside, values)):
-                problem = f"must lie in {interval}"
-            else:
-                continue
-            raise ConfigError(f"{type(self).__name__}.{name} {problem}, got {value!r}")
+        for name, qualified, rule in _field_rules(type(self)):
+            rule(qualified, getattr(self, name))
         self.validate()
 
     def validate(self) -> None:
         """The checks that relate two fields or test set membership; none here."""
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(x) -> bool:  # NaN, the infinities and ints too large for a float fail
-    return abs(x) <= sys.float_info.max
-
-
-# Per field type: what accepts a value, and its name in the error.
-_TYPES = {
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "int"),
-    float: (_number, "float"),
-    str: (lambda v: isinstance(v, str), "str"),
-    tuple[float, float]: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_number, v)),
-                          "a tuple of two numbers"),
-}
 
 
 def _interval(text: str):
@@ -74,18 +62,40 @@ def _interval(text: str):
 
 
 @cache
-def _field_rules(cls) -> tuple:
-    """(name, accepts, type name, holds floats, bound test, bound text) per field."""
-    rules = []
-    for f in fields(cls):
-        if is_dataclass(f.type):
-            accepts, wanted = (lambda v, section=f.type: isinstance(v, section)), f.type.__name__
+def _rule(kind, interval: Optional[str]):
+    """:func:`check` for one kind and interval, as a function of (name, value)."""
+    if kind == tuple[float, float]:
+        return partial(_pair, _rule(float, interval))
+    classes = (int, float) if kind is float else kind
+    number, inside = kind in (int, float), interval and _interval(interval)
+
+    def rule(name, value):
+        if not isinstance(value, classes) or number and isinstance(value, bool):
+            problem = f"must be {kind.__name__}"
+        elif kind is float and not abs(value) <= sys.float_info.max:  # NaN, ±inf, huge ints
+            problem = "must be finite"
+        elif inside and not inside(value):
+            problem = f"must lie in {interval}"
         else:
-            accepts, wanted = _TYPES[f.type]
-        interval = cls.BOUNDS.get(f.name)
-        rules.append((f.name, accepts, wanted, f.type in (float, tuple[float, float]),
-                      interval and _interval(interval), interval))
-    return tuple(rules)
+            return value
+        raise ConfigError(f"{name} {problem}, got {value!r}")
+    return rule
+
+
+def _pair(each, name, value):
+    """value if it is a tuple of two numbers that ``each`` accepts."""
+    if not (isinstance(value, tuple) and len(value) == 2):
+        raise ConfigError(f"{name} must be a tuple of two numbers, got {value!r}")
+    for number in value:
+        each(name, number)
+    return value
+
+
+@cache
+def _field_rules(cls) -> tuple:
+    """(name, name in errors, rule) per field of a config class."""
+    return tuple((f.name, f"{cls.__name__}.{f.name}", _rule(f.type, cls.BOUNDS.get(f.name)))
+                 for f in fields(cls))
 
 
 class CalibrationUnderrunError(WhiskerlabError):

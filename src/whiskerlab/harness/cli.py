@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import analysis, sim
 from ..artifacts import file_digest, read_json, write_csv, write_json, write_text
-from ..errors import ConfigError, DataFileError, WhiskerlabError
+from ..errors import ConfigError, DataFileError, WhiskerlabError, check
 from ..features import features_array
 from ..learn import dataset as dataset_mod
 from ..learn.evaluate import (
@@ -61,8 +61,7 @@ def cmd_simulate(args, cfg, out, manifest):
     speeds = args.speeds or [args.speed]
     if not speeds or any(s is None for s in speeds):
         raise ConfigError("pass --speed or --speeds")
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    check("--samples", args.samples, int, "[1, inf)")
     flag = "--speeds" if args.speeds else "--speed"
     names = {}  # check every speed before any slide is written
     for speed in speeds:
@@ -243,7 +242,7 @@ def cmd_direction(args, cfg, out, manifest):
 def _read_speed_fit(durations_path, fit_path):
     """A durations CSV's (speed, duration) points and the fit's float (intercept,
     slope); a missing column, a speed <= 0 or a coefficient that is not a
-    number a float holds raises DataFileError."""
+    finite float raises DataFileError."""
     try:
         with open(durations_path, newline="", encoding="utf-8") as fh:
             points = [(float(row["speed_mm_s"]), float(row["duration_frames"]))
@@ -255,13 +254,11 @@ def _read_speed_fit(durations_path, fit_path):
     if not all(x > 0 for x, _ in points):
         raise DataFileError(f"{durations_path}: speeds must be positive")
     fit_doc = read_json(fit_path)
-    coef = (fit_doc.get("intercept"), fit_doc.get("slope"))
     try:
-        if all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coef):
-            return points, tuple(map(float, coef))
-    except OverflowError:  # an int too large for a float
-        pass
-    raise DataFileError(f"{fit_path}: intercept and slope must be numbers")
+        return points, tuple(float(check(name, fit_doc.get(name), float))
+                             for name in ("intercept", "slope"))
+    except ConfigError as exc:
+        raise DataFileError(f"{fit_path}: {exc}") from exc
 
 
 def cmd_plot(args, cfg, out, manifest):

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import DataFileError, DegenerateModelError
+from ..errors import DataFileError, DegenerateModelError, check
 
 
 class Classifier:
@@ -65,7 +65,7 @@ class Classifier:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Classifier":
-        model = cls(cls.params_cls(**obj["params"]), obj["seed"])
+        model = cls(cls.params_cls(**obj["params"]), check("seed", obj["seed"], int))
         model.classes_ = obj["classes"]
         if not (isinstance(model.classes_, list)
                 and all(isinstance(c, (int, str)) for c in model.classes_)):

@@ -9,8 +9,9 @@ drawn from configured ranges so repeated slides are not carbon copies.
 
 This module owns ``dataset.jsonl``: :func:`save_dataset` is its one writer
 and :func:`load_dataset` its one reader.  A record holds one capture, its
-values as base64 of little-endian float64 bytes, and a :class:`SampleLabel`,
-which checks itself against the specimen table when it is built.
+values as base64 of little-endian float64 bytes, a :class:`SampleLabel`,
+which checks itself against the specimen table when it is built, and the
+slide's seed and config digest; each of them is required.
 """
 
 import base64
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..artifacts import atomic_open
-from ..errors import ConfigError, DataFileError, DatasetBuildError, Validated
+from ..errors import ConfigError, DataFileError, DatasetBuildError, Validated, check
 from ..events import DetectorConfig, TactileSample, capture_samples
 from ..features import features_array
 from ..seeding import derive_rng, derive_seed
@@ -88,17 +89,14 @@ class CollectionPlan(Validated):
 
 @dataclass
 class LabeledDataset:
-    """Flattened captures plus labels and per-sample provenance.
+    """Flattened captures and their specimen labels.
 
     The specimen id is the one label column; pattern and depth are read
-    from it through the specimen table.
+    from it through the specimen table, and the rest stays on the samples.
     """
 
     features: np.ndarray  # (n, channels * frames) channel-major flattened captures
     specimen_ids: np.ndarray  # (n,) int, 1..10
-    speeds: np.ndarray  # (n,) float, mm/s
-    directions: np.ndarray  # (n,) int, degrees
-    seeds: np.ndarray  # (n,) per-slide simulation seeds
     samples: Optional[list] = None  # original TactileSamples, kept for serialization
 
     def __post_init__(self):
@@ -123,9 +121,6 @@ class LabeledDataset:
         return LabeledDataset(
             features=self.features[idx],
             specimen_ids=self.specimen_ids[idx],
-            speeds=self.speeds[idx],
-            directions=self.directions[idx],
-            seeds=self.seeds[idx],
             samples=[self.samples[i] for i in idx] if self.samples is not None else None,
         )
 
@@ -134,18 +129,14 @@ class LabeledDataset:
         """A dataset of labeled captures of one shape."""
         if not samples:
             raise ConfigError("cannot build a dataset from zero samples")
-        for s in samples:
-            if s.label is None:
-                raise ConfigError("all samples must carry labels")
+        if any(s.label is None for s in samples):
+            raise ConfigError("all samples must carry labels")
         shapes = sorted({s.values.shape for s in samples})
         if len(shapes) > 1:
             raise ConfigError(f"captures must share one (channels, frames) shape, got {shapes}")
         return cls(
             features=np.stack([s.flattened() for s in samples]),
             specimen_ids=np.array([s.label.specimen_id for s in samples], dtype=np.int64),
-            speeds=np.array([s.label.speed_mm_s for s in samples], dtype=np.float64),
-            directions=np.array([s.label.direction_deg for s in samples], dtype=np.int64),
-            seeds=np.array([s.seed if s.seed is not None else -1 for s in samples], dtype=np.int64),
             samples=list(samples),
         )
 
@@ -253,8 +244,7 @@ def split(
     train.  Classes with fewer than 10 samples trigger a stratification
     warning.
     """
-    if not 0 < test_fraction < 1:
-        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check("test_fraction", test_fraction, float, "(0, 1)")
     rng = np.random.default_rng(seed)
     labels = dataset.specimen_ids
     classes = np.unique(labels)
@@ -302,19 +292,10 @@ def sample_to_dict(sample: TactileSample) -> dict:
         "shape": list(sample.values.shape),
         "trigger_frame": sample.trigger_frame,
         "trigger_channel": sample.trigger_channel,
-        "label": asdict(sample.label) if sample.label is not None else None,
+        "label": asdict(sample.label),
         "seed": sample.seed,
         "config_digest": sample.config_digest,
     }
-
-
-def _typed(name: str, value, types: tuple, nullable: bool = False):
-    """value if it is one of types (a bool is not a number here) or a
-    permitted None; anything else raises TypeError."""
-    if (value is None and nullable) or (isinstance(value, types) and not isinstance(value, bool)):
-        return value
-    kinds = " or ".join(t.__name__ for t in types) + (" or null" if nullable else "")
-    raise TypeError(f"{name} must be {kinds}, got {value!r}")
 
 
 def _decode_values(x, shape) -> np.ndarray:
@@ -322,41 +303,44 @@ def _decode_values(x, shape) -> np.ndarray:
     if not isinstance(x, str):
         raise TypeError(f"x must be a base64 string of little-endian float64 values, got "
                         f"{type(x).__name__}; rebuild the dataset with `whiskerlab dataset`")
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(n) is int and n > 0 for n in shape)):
-        raise ValueError(f"shape must be two positive ints [channels, frames], got {shape!r}")
+    try:
+        channels, frames = (check("shape", n, int, "[1, inf)") for n in shape)
+    except (TypeError, ValueError) as exc:  # not two items, or one that is no positive int
+        raise ValueError(f"shape must be two positive ints [channels, frames], got {shape!r}") from exc
     try:
         raw = base64.b64decode(x, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise ValueError(f"x is not strict base64 ({exc})") from exc
-    size = 8 * shape[0] * shape[1]
+    size = 8 * channels * frames
     if len(raw) != size:
         raise ValueError(f"x holds {len(raw)} bytes but shape {shape} needs {size}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def sample_from_dict(obj: dict) -> TactileSample:
-    """Rebuild a sample; a missing key, a value of the wrong type (a string
-    for a number, a float for an int, a bool for either), a label that
-    :class:`SampleLabel` refuses, a shape that is not two positive ints, or
-    an ``x`` that is not strict base64 of exactly that many float64 features
-    raises KeyError, TypeError or ValueError (ConfigError is one)."""
-    label = SampleLabel(**obj["label"]) if obj.get("label") else None
+    """Rebuild a sample; a missing key, a value that :func:`check` refuses (a
+    string or null for a number, a float for an int, a bool for either), a
+    label that :class:`SampleLabel` refuses, a shape that is not two positive
+    ints, or an ``x`` that is not strict base64 of exactly that many float64
+    features raises KeyError, TypeError or ValueError (ConfigError is one)."""
     values = _decode_values(obj["x"], obj.get("shape"))
     if not ((values >= LOG_RANGE[0]) & (values <= LOG_RANGE[1])).all():
         raise ValueError("x values must be logs of positive float64 sums")
     return TactileSample(
         values=values,
-        trigger_frame=_typed("trigger_frame", obj["trigger_frame"], (int,)),
-        trigger_channel=_typed("trigger_channel", obj["trigger_channel"], (int,)),
-        label=label,
-        seed=_typed("seed", obj.get("seed"), (int,), nullable=True),
-        config_digest=_typed("config_digest", obj.get("config_digest"), (str,), nullable=True),
+        trigger_frame=check("trigger_frame", obj["trigger_frame"], int, "[0, inf)"),
+        trigger_channel=check("trigger_channel", obj["trigger_channel"], int, "[1, inf)"),
+        label=SampleLabel(**check("label", obj["label"], dict)),
+        seed=check("seed", obj["seed"], int),
+        config_digest=check("config_digest", obj["config_digest"], str),
     )
 
 
 def save_dataset(path, samples: Sequence[TactileSample]) -> None:
-    """One JSON record per sample per line, streamed into one atomic write."""
+    """One JSON record per sample per line, streamed into one atomic write; a
+    capture without its label, seed or config digest raises ConfigError first."""
+    if any(None in (s.label, s.seed, s.config_digest) for s in samples):
+        raise ConfigError("every sample must carry its label, seed and config digest")
     with atomic_open(path) as fh:
         for sample in samples:
             fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
@@ -365,8 +349,8 @@ def save_dataset(path, samples: Sequence[TactileSample]) -> None:
 
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset JSONL line by line.  A line that is not UTF-8 or not a
-    good record raises DataFileError naming the line; an empty, unlabeled or
-    mixed-shape file raises DataFileError naming the file."""
+    good record (an unlabelled one included) raises DataFileError naming the
+    line; an empty or mixed-shape file raises DataFileError naming the file."""
     samples, line_no = [], 0
     try:
         with open(path, "rb") as fh:
@@ -377,5 +361,5 @@ def load_dataset(path) -> LabeledDataset:
         raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
     try:
         return LabeledDataset.from_samples(samples)
-    except (ValueError, TypeError, OverflowError) as exc:  # ConfigError is a ValueError
+    except ConfigError as exc:
         raise DataFileError(f"{path}: {exc}") from exc

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..artifacts import read_json, write_csv, write_text
-from ..errors import ConfigError, DataFileError
+from ..errors import ConfigError, DataFileError, check, check_array
 from .boosting import BoostedTreesClassifier
 from .dataset import LabeledDataset
 from .forest import BaggedTreesClassifier
@@ -75,7 +75,7 @@ class EvalReport:
     confusion: np.ndarray
     classes: list
     n_test: int
-    unknown_label_count: int = 0
+    unknown_label_count: int
 
     def to_dict(self) -> dict:
         return {
@@ -90,17 +90,23 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalReport":
-        """Rebuild a report; a bad key, type, task or model kind raises KeyError/TypeError/ValueError."""
+        """Rebuild a report; a missing key, an unknown task or model kind, a value
+        :func:`check` refuses or a confusion that is not a square matrix of
+        ints >= 0 over ``classes`` raises KeyError, TypeError or ValueError."""
         if obj["task"] not in TASKS or obj["model_kind"] not in MODEL_KINDS:
             raise ValueError(f"unknown task/model {obj['task']!r}/{obj['model_kind']!r}")
+        confusion = check_array("confusion", obj["confusion"], int, "[0, inf)")
+        if confusion.shape != (len(obj["classes"]),) * 2:
+            raise ValueError("confusion must be a square matrix over the classes")
         return cls(
             task=obj["task"],
             model_kind=obj["model_kind"],
-            accuracy=float(obj["accuracy"]),
-            confusion=np.array(obj["confusion"], dtype=np.int64),
+            accuracy=float(check("accuracy", obj["accuracy"], float, "[0, 1]")),
+            confusion=confusion,
             classes=obj["classes"],
-            n_test=int(obj["n_test"]),
-            unknown_label_count=int(obj.get("unknown_label_count", 0)),
+            n_test=check("n_test", obj["n_test"], int, "[1, inf)"),
+            unknown_label_count=check("unknown_label_count", obj["unknown_label_count"], int,
+                                      "[0, inf)"),
         )
 
 

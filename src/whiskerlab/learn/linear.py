@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataFileError, Validated
+from ..errors import DataFileError, Validated, check_array
 from .base import Classifier
 
 
@@ -101,11 +101,11 @@ class LinearMarginClassifier(Classifier):
         }
 
     def _load_state(self, obj: dict) -> None:
-        arrays = [np.array(obj[k], dtype=np.float64) for k in ("weights", "bias", "mean", "scale")]
+        arrays = [check_array(k, obj[k], float) for k in ("weights", "bias", "mean", "scale")]
         self.weights_, self.bias_, self.mean_, self.scale_ = arrays
         self.n_features_ = d = len(self.mean_)
         shapes = tuple(a.shape for a in arrays)
         if shapes != ((d, len(self.classes_)), (len(self.classes_),), (d,), (d,)):
             raise ValueError(f"weights, bias, mean and scale shapes {shapes} do not agree")
-        if not all(np.isfinite(a).all() for a in arrays) or not (self.scale_ > 0).all():
-            raise ValueError("weights, bias, mean and scale must be finite and scale positive")
+        if not (self.scale_ > 0).all():
+            raise ValueError("scale must be positive")

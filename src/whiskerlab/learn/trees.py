@@ -54,6 +54,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..errors import check, check_array
+
 _MIN_GAIN = 1e-12
 # Columns per block of a squared-error histogram: one block's histogram, 100
 # columns of up to 128 bins in 100 KB, stays in cache while the node's rows
@@ -245,11 +247,10 @@ class Tree:
         if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left, tree.right, tree.value)):
             raise ValueError("tree arrays must be nonempty and of one length")
         for i, (f, lo, hi, v) in enumerate(zip(tree.feature, tree.left, tree.right, tree.value)):
-            if type(f) is not int or f < -1:
-                raise ValueError(f"node {i}: feature must be -1 (leaf) or a column index, got {f!r}")
+            check(f"node {i}: feature", f, int, "[-1, inf)")
             if f == -1 and v is None:
                 raise ValueError(f"node {i}: leaf has no value")
-            if f >= 0 and not all(type(c) is int and i < c < n for c in (lo, hi)):
+            if f >= 0 and not all(i < check(f"node {i}: child", c, int) < n for c in (lo, hi)):
                 raise ValueError(f"node {i}: children {lo!r}, {hi!r} are not later nodes below {n}")
         return tree
 
@@ -272,8 +273,8 @@ class PackedTrees:
 
     @classmethod
     def pack(cls, trees: list, value_dim: Optional[int]) -> "PackedTrees":
-        """Stack trees whose leaves hold ``value_dim`` numbers, or one number
-        when ``value_dim`` is None; ValueError for a leaf of another shape."""
+        """Stack trees whose leaves hold ``value_dim`` numbers, or one number when
+        ``value_dim`` is None; ValueError for a leaf of another shape or value."""
         n_nodes = max(len(t.feature) for t in trees)
         shape = (len(trees), n_nodes)
         feature = np.full(shape, -1, dtype=np.intp)
@@ -290,9 +291,9 @@ class PackedTrees:
             left[t, :n][split] = np.asarray(tree.left)[split] + t * n_nodes
             right[t, :n][split] = np.asarray(tree.right)[split] + t * n_nodes
             leaves = np.flatnonzero(~split)
-            leaf_values = np.array([tree.value[i] for i in leaves], dtype=np.float64)
-            if leaf_values.shape != (leaves.size, *leaf_shape) or not np.isfinite(leaf_values).all():
-                raise ValueError(f"tree {t}: leaf values must each be finite, of shape {leaf_shape}")
+            leaf_values = check_array(f"tree {t}: leaf", [tree.value[i] for i in leaves], float)
+            if leaf_values.shape != (leaves.size, *leaf_shape):
+                raise ValueError(f"tree {t}: leaf values must each be of shape {leaf_shape}")
             value[t, leaves] = leaf_values.reshape(leaves.size, -1)
         return cls(feature, threshold, left, right, value)
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import json
+import math
 import random
 import re
 import shutil
@@ -682,6 +683,58 @@ def test_malformed_artifacts_are_data_errors(files, argv, small_run, tmp_path, c
                "--out", str(tmp_path)])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
+
+
+def _edited_json(source, target, edit):
+    """Write source's JSON document to target with edit applied to it."""
+    doc = json.loads(source.read_text())
+    edit(doc)
+    target.write_text(json.dumps(doc))
+
+
+def _set_cell(matrix, value):
+    matrix[0][0] = value
+
+
+REPORT_EDITS = {  # case -> (field the error names, edit of the eval document)
+    "accuracy-string": ("accuracy", lambda d: d.update(accuracy="0.5")),
+    "accuracy-nan": ("accuracy", lambda d: d.update(accuracy=math.nan)),
+    "accuracy-above-1": ("accuracy", lambda d: d.update(accuracy=1.5)),
+    "n_test-float": ("n_test", lambda d: d.update(n_test=99.7)),
+    "n_test-zero": ("n_test", lambda d: d.update(n_test=0)),
+    "confusion-string": ("confusion", lambda d: _set_cell(d["confusion"], "1")),
+    "confusion-bool": ("confusion", lambda d: _set_cell(d["confusion"], True)),
+    "confusion-not-square": ("confusion", lambda d: d["confusion"].pop()),
+    "no-unknown_label_count": ("unknown_label_count", lambda d: d.pop("unknown_label_count")),
+}
+
+
+@pytest.mark.parametrize("field, edit", REPORT_EDITS.values(), ids=list(REPORT_EDITS))
+def test_report_refuses_an_eval_file_with_a_bad_value(field, edit, small_run, tmp_path, capsys):
+    """An eval JSON that no manifest records is checked value by value."""
+    _edited_json(small_run / EVAL, tmp_path / EVAL, edit)
+    rc = main(["report", "--config", str(small_run / "config.json"), "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFileError" and EVAL in err["message"] and field in err["message"], err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("seed", lambda m: m["model"].update(seed="x")),
+    ("weights", lambda m: _set_cell(m["model"]["weights"], "0.5")),
+    ("weights", lambda m: _set_cell(m["model"]["weights"], True)),
+    ("bias", lambda m: m["model"]["bias"].__setitem__(0, "0.5")),
+], ids=["seed-string", "weight-string", "weight-bool", "bias-string"])
+def test_eval_refuses_a_model_file_with_a_bad_value(field, edit, small_run, tmp_path, capsys):
+    shutil.copy(small_run / "dataset.jsonl", tmp_path)
+    _edited_json(small_run / MODEL, tmp_path / MODEL, edit)
+    rc = main(["eval", "--dataset", str(tmp_path / "dataset.jsonl"), "--model", str(tmp_path / MODEL),
+               "--config", str(small_run / "config.json"), "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFileError" and MODEL in err["message"] and field in err["message"], err
+    assert not (tmp_path / EVAL).exists()
 
 
 def _cli_eval(target, run):

@@ -229,3 +229,62 @@ def test_single_field_bounds_live_in_the_bound_tables():
         if (lines := literal_bounds(path.read_text()))
     }
     assert offenders == {}, f"move these bounds into their class's BOUNDS table: {offenders}"
+
+
+TYPE_NAMES = {"bool", "int", "float"}
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def _names(node) -> set:
+    """The bare names node is, or its tuple holds."""
+    return {n.id for n in (node.elts if isinstance(node, ast.Tuple) else [node])
+            if isinstance(n, ast.Name)}
+
+
+def type_rules(source: str) -> list[int]:
+    """Line numbers of a number type rule: ``isinstance(x, bool)`` (a bool in
+    a tuple too) and ``type(x)`` compared with int, float or bool."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if _calls(node, "isinstance") and len(node.args) == 2 and "bool" in _names(node.args[1]):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(_calls(side, "type") for side in sides) and any(_names(s) & TYPE_NAMES for s in sides):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source, rule", [
+    ("isinstance(x, bool)", True),
+    ("isinstance(v, (int, float)) and not isinstance(v, bool)", True),
+    ("isinstance(v, (bool, str))", True),
+    ("type(n) is int", True),
+    ("type(n) is not int", True),
+    ("type(x) == float", True),
+    ("bool is type(x)", True),
+    ("type(x) in (int, float)", True),
+    ("ok = [type(c) is int and c > 0 for c in cs]", True),
+    ("isinstance(x, str)", False),
+    ("isinstance(c, (int, str))", False),
+    ("type(exc).__name__", False),
+    ("type(value) is tuple", False),
+    ("x is None", False),
+    ("check('n', n, int, '[1, inf)')", False),
+])
+def test_type_rule_detector(source, rule):
+    assert bool(type_rules(source)) == rule
+
+
+def test_only_the_errors_module_spells_a_type_rule():
+    """One rule for a legal value: every other module calls errors.check."""
+    package = Path(whiskerlab.__file__).parent
+    offenders = {
+        str(path.relative_to(package)): lines
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "errors.py" and (lines := type_rules(path.read_text()))
+    }
+    assert offenders == {}, f"check values with whiskerlab.errors.check instead: {offenders}"

@@ -6,7 +6,7 @@ import pytest
 from whiskerlab.errors import CalibrationUnderrunError, ConfigError
 from whiskerlab.events import DetectorConfig, TactileSample, capture_samples, scan
 from whiskerlab.features import EPSILON, features_array
-from whiskerlab.learn.dataset import sample_to_dict
+from whiskerlab.learn.dataset import SampleLabel, sample_to_dict
 
 from oracles import capture_reference, record_values
 
@@ -218,6 +218,8 @@ def test_detection_is_deterministic_and_serializable(tmp_path):
     runs = []
     for _ in range(2):
         samples = capture_samples(values, cfg)
+        for s in samples:  # only labelled captures are saved
+            s.label, s.seed, s.config_digest = SampleLabel(3, "sinc", 3, 150.0, 90), 8, "abc"
         runs.append("\n".join(json.dumps(sample_to_dict(s), sort_keys=True) for s in samples))
     assert runs[0] == runs[1] and runs[0]
     records = [json.loads(line) for line in runs[0].splitlines()]

@@ -69,9 +69,6 @@ def blob_dataset(n_per_class, n_classes, separation, seed, n_features=700):
     return LabeledDataset(
         features=np.concatenate(features),
         specimen_ids=np.array(ids, dtype=np.int64),
-        speeds=np.zeros(n_per_class * n_classes),
-        directions=np.zeros(n_per_class * n_classes, dtype=np.int64),
-        seeds=np.zeros(n_per_class * n_classes, dtype=np.int64),
     )
 
 
@@ -150,13 +147,14 @@ def test_split_is_stratified_and_disjoint():
     train_set, test_set = split(labeled, 0.1, seed=9)
     assert train_set.n == 90 and test_set.n == 10
     assert sorted(test_set.specimen_ids.tolist()) == list(range(1, 11))
-    train_seeds = set(train_set.seeds.tolist())
-    assert not train_seeds & set(test_set.seeds.tolist())
+    def seeds(part):
+        return [s.seed for s in part.samples]
+    assert not set(seeds(train_set)) & set(seeds(test_set))
     # determinism
     again_train, again_test = split(labeled, 0.1, seed=9)
-    assert np.array_equal(again_test.seeds, test_set.seeds)
+    assert seeds(again_test) == seeds(test_set)
     other_train, other_test = split(labeled, 0.1, seed=10)
-    assert not np.array_equal(other_test.seeds, test_set.seeds)
+    assert seeds(other_test) != seeds(test_set)
 
 
 def test_split_degenerate_one_sample_per_class_warns():
@@ -171,9 +169,7 @@ def test_split_test_counts_match_the_oracle():
     for _ in range(300):
         sizes = {c: int(rng.integers(1, 15)) for c in range(1, int(rng.integers(1, 8)) + 1)}
         ids = np.repeat(list(sizes), list(sizes.values()))
-        data = LabeledDataset(features=np.zeros((ids.size, 1)), specimen_ids=ids,
-                              speeds=np.zeros(ids.size), directions=np.zeros(ids.size, dtype=np.int64),
-                              seeds=np.arange(ids.size))
+        data = LabeledDataset(features=np.zeros((ids.size, 1)), specimen_ids=ids)
         fraction = float(rng.uniform(0.01, 0.99))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # every class here is under 15 rows
@@ -287,9 +283,6 @@ def dense_blob_dataset(n_per_class, n_classes, separation, seed, n_features=700)
     return LabeledDataset(
         features=np.concatenate(feats),
         specimen_ids=np.array(ids, dtype=np.int64),
-        speeds=np.zeros(n),
-        directions=np.zeros(n, dtype=np.int64),
-        seeds=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -408,7 +401,8 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, small_dataset):
 
 def test_load_model_rejects_garbage(tmp_path):
     # Valid headers whose model part cannot be rebuilt: no trees, an unknown param,
-    # a broken tree, leaves of the wrong shape, a short boosting round.
+    # a broken tree, leaves of the wrong shape, a short boosting round, leaf values
+    # that are strings or bools.
     header = {"format": "whiskerlab-model", "format_version": 1, "task": "patterns4"}
     no_trees = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256},
                 "seed": 0, "classes": ["flat", "sinc"]}
@@ -428,9 +422,11 @@ def test_load_model_rejects_garbage(tmp_path):
                 "seed": 0, "classes": ["flat", "sinc"]}
     listed_boost_leaf = {**boosting, "trees": [[leaf_tree([0.5])] * 2]}  # a leaf must be one number
     one_tree_round = {**boosting, "trees": [[leaf_tree(0.5)]]}  # two classes need two trees a round
+    string_probs = {**no_trees, "trees": [leaf_tree(["0.5", "0.5"])]}
+    bool_boost_leaf = {**boosting, "trees": [[leaf_tree(True), leaf_tree(0.5)]]}
     malformed = [json.dumps({**header, "model": m})
                  for m in (no_trees, unknown_param, dangling_child, three_probs, listed_boost_leaf,
-                           one_tree_round, empty_forest)]
+                           one_tree_round, empty_forest, string_probs, bool_boost_leaf)]
     path = tmp_path / "model.json"
     for text in ["{}", "not json", *malformed]:
         path.write_text(text)
@@ -518,8 +514,9 @@ def _edit_second_line(path, samples, field, value):
     ("pattern", 3), ("pattern", None),
     ("trigger_frame", 30.7), ("trigger_frame", "30"), ("trigger_frame", True),
     ("trigger_channel", 1.0), ("trigger_channel", None),
-    ("seed", "12"), ("seed", 12.0), ("seed", True),
-    ("config_digest", 5), ("config_digest", True),
+    ("seed", "12"), ("seed", 12.0), ("seed", True), ("seed", None),
+    ("config_digest", 5), ("config_digest", True), ("config_digest", None),
+    ("label", None),
 ])
 def test_load_dataset_rejects_mistyped_fields(tmp_path, small_dataset, field, value):
     path = tmp_path / "dataset.jsonl"
@@ -528,15 +525,24 @@ def test_load_dataset_rejects_mistyped_fields(tmp_path, small_dataset, field, va
         load_dataset(path)
 
 
-@pytest.mark.parametrize("field, value", [("speed_mm_s", 150), ("seed", None),
-                                          ("config_digest", None)])
-def test_load_dataset_takes_int_numbers_and_null_provenance(tmp_path, small_dataset, field, value):
+@pytest.mark.parametrize("missing", ["label", "seed", "config_digest"])
+def test_save_dataset_refuses_an_unlabelled_capture(tmp_path, small_dataset, missing):
+    """The writer refuses what the reader would, before the previous file is touched."""
     path = tmp_path / "dataset.jsonl"
-    _edit_second_line(path, small_dataset[0].samples, field, value)
+    path.write_bytes(b"previous\n")
+    samples = list(small_dataset[0].samples)
+    samples[1] = replace(samples[1], **{missing: None})
+    with pytest.raises(ConfigError, match="every sample must carry its label, seed and config digest"):
+        save_dataset(path, samples)
+    assert path.read_bytes() == b"previous\n" and list(tmp_path.iterdir()) == [path]
+
+
+def test_load_dataset_takes_int_numbers(tmp_path, small_dataset):
+    path = tmp_path / "dataset.jsonl"
+    _edit_second_line(path, small_dataset[0].samples, "speed_mm_s", 150)
     loaded = load_dataset(path)
     assert loaded.n == small_dataset[0].n
-    if field == "speed_mm_s":
-        assert loaded.speeds[1] == 150.0
+    assert loaded.samples[1].label.speed_mm_s == 150.0
 
 
 def _values_edit(value):
@@ -636,7 +642,7 @@ def test_dataset_jsonl_round_trip(tmp_path, small_dataset):
     assert again.n == labeled.n
     assert again.features.tobytes() == labeled.features.tobytes()
     assert np.array_equal(again.specimen_ids, labeled.specimen_ids)
-    assert np.array_equal(again.speeds, labeled.speeds)
+    assert [s.label for s in again.samples] == [s.label for s in labeled.samples]
 
 
 def test_jsonl_round_trip(tmp_path):
