@@ -22,9 +22,10 @@ def check(name: str, value, kind, interval: Optional[str] = None):
     """value if it is legal, else a ConfigError naming ``name``: the one rule
     for config fields and every scalar read back from a package file.  In
     order: the type (int: not a bool; float: an int or a float, not a bool,
-    kept as given; ``tuple[float, float]``: two of those; any other class:
-    an instance), finite floats, and ``interval`` such as ``"[1, inf)"``
-    (for each number of a pair)."""
+    kept as given; ``np.float64``: the same, where ±inf and NaN are legal;
+    ``tuple[float, float]``: two floats; any other class: an instance),
+    finite floats, and ``interval`` such as ``"[1, inf)"`` (for each number
+    of a pair)."""
     return _rule(kind, interval)(name, value)
 
 
@@ -66,8 +67,8 @@ def _rule(kind, interval: Optional[str]):
     """:func:`check` for one kind and interval, as a function of (name, value)."""
     if kind == tuple[float, float]:
         return partial(_pair, _rule(float, interval))
-    classes = (int, float) if kind is float else kind
-    number, inside = kind in (int, float), interval and _interval(interval)
+    classes = (int, float) if kind in (float, np.float64) else kind
+    number, inside = kind in (int, float, np.float64), interval and _interval(interval)
 
     def rule(name, value):
         if not isinstance(value, classes) or number and isinstance(value, bool):

@@ -66,9 +66,8 @@ class Classifier:
     @classmethod
     def from_dict(cls, obj: dict) -> "Classifier":
         model = cls(cls.params_cls(**obj["params"]), check("seed", obj["seed"], int))
-        model.classes_ = obj["classes"]
-        if not (isinstance(model.classes_, list)
-                and all(isinstance(c, (int, str)) for c in model.classes_)):
-            raise ValueError(f"classes must be a list of labels, got {model.classes_!r}")
+        model.classes_ = check("classes", obj["classes"], list)
+        for c in model.classes_:  # a label is an int or a str, never a bool
+            check("class label", c, str if isinstance(c, str) else int)
         model._load_state(obj)
         return model

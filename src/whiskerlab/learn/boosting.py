@@ -28,8 +28,8 @@ import numpy as np
 
 from ..errors import Validated
 from .base import Classifier
-from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, grow_regression_tree,
-                    offset_bins, quantile_bin_edges, running_sum)
+from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, bin_matrix,
+                    grow_regression_tree, running_sum)
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class BoostedTreesClassifier(Classifier):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreesClassifier":
         yi = self._encode_labels(y)
         n_classes, rounds = len(self.classes_), self.params.rounds
-        edges = quantile_bin_edges(X, self.params.max_bins)
-        codes = BlockedCodes(*offset_bins(X, edges))
+        binned = bin_matrix(X, self.params.max_bins)
+        codes = BlockedCodes(binned)
         root_counts = codes.cumulate()  # every tree's root holds every row
 
         workers, buffers = _workers(n_classes), queue.SimpleQueue()
@@ -69,7 +69,7 @@ class BoostedTreesClassifier(Classifier):
                 column = []
                 for _ in range(rounds):
                     tree, fitted = grow_regression_tree(
-                        codes, target - scores, edges, self.params.max_depth, root_counts, work)
+                        codes, target - scores, binned.edges, self.params.max_depth, root_counts, work)
                     column.append(tree)
                     scores += self.params.learning_rate * fitted
                 return column

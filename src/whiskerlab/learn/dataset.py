@@ -93,6 +93,10 @@ class LabeledDataset:
 
     The specimen id is the one label column; pattern and depth are read
     from it through the specimen table, and the rest stays on the samples.
+    The dataset holds its features as a read-only copy of the array it is
+    given, which no other array views, so they cannot change while they
+    live and every tree fit on them shares one binning (see
+    :func:`~whiskerlab.learn.trees.bin_matrix`).
     """
 
     features: np.ndarray  # (n, channels * frames) channel-major flattened captures
@@ -100,6 +104,8 @@ class LabeledDataset:
     samples: Optional[list] = None  # original TactileSamples, kept for serialization
 
     def __post_init__(self):
+        self.features = np.array(self.features)
+        self.features.flags.writeable = False
         if self.features.ndim != 2:
             raise ConfigError(f"features must be (samples, values), got {self.features.shape}")
 

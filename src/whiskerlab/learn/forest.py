@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import Validated
 from .base import Classifier
-from .trees import PackedTrees, Tree, grow_gini_tree, offset_bins, quantile_bin_edges, running_sum
+from .trees import PackedTrees, Tree, bin_matrix, grow_gini_tree, running_sum
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class BaggedTreesClassifier(Classifier):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedTreesClassifier":
         yi = self._encode_labels(y)
-        edges = quantile_bin_edges(X, self.params.max_bins)
-        offset, max_bins = offset_bins(X, edges)
+        binned = bin_matrix(X, self.params.max_bins)
+        offset = binned.offsets()
         n, d = X.shape
         k = math.isqrt(d - 1) + 1  # ceil(sqrt(d)) candidate features per split
 
@@ -47,7 +47,7 @@ class BaggedTreesClassifier(Classifier):
             rng = np.random.default_rng(int(ts))
             boot = rng.integers(0, n, size=n)
             self.trees_.append(grow_gini_tree(
-                offset[boot], yi[boot], len(self.classes_), edges, max_bins,
+                offset[boot], yi[boot], len(self.classes_), binned.edges, binned.max_bins,
                 partial(rng.choice, d, size=k, replace=False)))
         self._pack()
         return self

@@ -1,9 +1,14 @@
 """Shared decision-tree machinery for the ensemble models.
 
-Split candidates come from per-feature quantile bins computed once on the
-training matrix (one sort per column, then numpy's linear quantile rule on a
-block of columns at once), then offset per feature so one flat histogram
-covers every feature.  Each ensemble has its own grower:
+Split candidates come from per-feature quantile bins (one sort per column,
+then numpy's linear quantile rule on a block of columns at once), offset
+per feature so one flat histogram covers every feature.  :func:`bin_matrix`
+bins a training matrix once per ``max_bins`` for as long as the matrix
+lives, when it is read-only and owns its data (a
+:class:`~whiskerlab.learn.dataset.LabeledDataset`'s features are): every
+fit on it at that ``max_bins`` shares one binning, kept as compact
+per-feature bins, and the binning is dropped when the matrix is freed.  A
+writable matrix is binned anew by each fit.  Each ensemble has its own grower:
 :func:`grow_gini_tree` grows the forest's full-depth gini trees on sampled
 candidate features, and :func:`grow_regression_tree` the booster's
 depth-limited squared-error trees on every feature.  Both score a node's
@@ -49,6 +54,7 @@ per-tree leaf values in tree order, so scores equal a per-tree loop bit for
 bit.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -101,36 +107,89 @@ def quantile_bin_edges(X: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
     return edges
 
 
-def offset_bins(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Bin codes offset per feature, so one flat histogram covers all features.
+def feature_bins(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Each value's bin, and one past the highest bin any feature has.
 
-    Value x of feature f falls in bin b when edges[f][b-1] <= x < edges[f][b],
-    and gets code f * max_bins + b.  The codes are ``intp``, the index type
-    ``np.bincount`` counts in, so no per-node histogram casts them; the
-    squared-error grower reuses these integer counts (see the module
-    docstring) and the gini grower sorts a small node's codes directly.
+    Value x of feature f falls in bin b when edges[f][b-1] <= x < edges[f][b].
+    The bins are of the smallest unsigned dtype that holds them (uint8 up to
+    256 bins).
     """
     max_bins = max(len(e) for e in edges) + 1
-    offset = np.empty(X.shape, dtype=np.intp)
+    bins = np.empty(X.shape, dtype=np.min_scalar_type(max_bins - 1))
     for f, e in enumerate(edges):
-        offset[:, f] = np.searchsorted(e, X[:, f], side="right") + f * max_bins
-    return offset, max_bins
+        bins[:, f] = np.searchsorted(e, X[:, f], side="right")
+    bins.flags.writeable = False  # a kept binning serves every later fit
+    return bins, max_bins
+
+
+@dataclass(frozen=True)
+class BinnedMatrix:
+    """A training matrix's quantile binning: its features' bin ``edges``
+    (see :func:`quantile_bin_edges`) and each value's bin (see
+    :func:`feature_bins`), below ``max_bins``."""
+
+    edges: list
+    bins: np.ndarray
+    max_bins: int
+
+    def offsets(self) -> np.ndarray:
+        """Bin codes offset per feature, so one flat histogram covers all features.
+
+        Value x of feature f in bin b gets code f * max_bins + b.  The codes
+        are ``intp``, the index type ``np.bincount`` counts in, so no per-node
+        histogram casts them, and the gini grower sorts a small node's codes
+        directly.
+        """
+        return self.bins + np.arange(self.bins.shape[1], dtype=np.intp) * self.max_bins
+
+
+# The binnings of read-only arrays by (id(array), max_bins), each dropped when
+# its array is freed, so no later array can take its id while it is here.
+_BINNED: dict[tuple[int, int], BinnedMatrix] = {}
+
+
+def bin_matrix(X: np.ndarray, max_bins: int = 256) -> BinnedMatrix:
+    """X's quantile binning at (at most) ``max_bins`` bins per feature: the one
+    way a fit bins its training matrix.
+
+    A read-only X that owns its data is binned once per ``max_bins`` while it
+    lives: the result is kept until X is freed, and every later call returns
+    it.  Such an array can change only by setting its flag back or through a
+    writable view taken before it was made read-only;
+    :class:`~whiskerlab.learn.dataset.LabeledDataset` holds its features as
+    a private read-only copy, which has neither.  Any other X is binned anew
+    on every call.
+    """
+    memo = not X.flags.writeable and X.flags.owndata
+    key = (id(X), max_bins)
+    if memo and key in _BINNED:
+        return _BINNED[key]
+    edges = quantile_bin_edges(X, max_bins)
+    binned = BinnedMatrix(edges, *feature_bins(X, edges))
+    if memo:
+        _BINNED[key] = binned
+        weakref.finalize(X, _BINNED.pop, key, None)
+    return binned
 
 
 class BlockedCodes:
-    """An offset bin matrix (see :func:`offset_bins`) stored as contiguous
-    blocks of ``_HIST_BLOCK`` columns: the squared-error grower's layout.
+    """A binned matrix's offset codes (see :meth:`BinnedMatrix.offsets`) stored
+    as contiguous blocks of ``_HIST_BLOCK`` columns: the squared-error
+    grower's layout.
 
     A block holds its columns' codes less the block's first code, so the
     codes of a node's rows of one block, gathered into a buffer, are one
-    ``bincount`` away from that block's histogram.
+    ``bincount`` away from that block's histogram.  Each block is built
+    from its columns' bins alone.
     """
 
-    def __init__(self, offset: np.ndarray, max_bins: int):
-        self.shape = offset.shape
-        self.max_bins = max_bins
-        self.starts = range(0, offset.shape[1], _HIST_BLOCK)
-        self.blocks = [offset[:, j:j + _HIST_BLOCK] - j * max_bins for j in self.starts]
+    def __init__(self, binned: BinnedMatrix):
+        bins = binned.bins
+        self.shape = bins.shape
+        self.max_bins = binned.max_bins
+        self.starts = range(0, bins.shape[1], _HIST_BLOCK)
+        column = np.arange(_HIST_BLOCK, dtype=np.intp) * self.max_bins
+        self.blocks = [bins[:, j:j + _HIST_BLOCK] + column[:bins.shape[1] - j] for j in self.starts]
 
     def at_or_below(self, rows: np.ndarray, f: int, b: int) -> np.ndarray:
         """Whether each of ``rows`` has column ``f`` in bin ``b`` or below."""
@@ -234,11 +293,12 @@ class Tree:
 
         The five arrays must be equally long and nonempty; a split (feature
         >= 0) must point to two later nodes, so routing ends, and a leaf
-        (feature -1) must hold a value.
+        (feature -1) must hold a value.  A threshold is a number, and may be
+        ±inf or NaN, as a fit on features holding those can write.
         """
         tree = cls(
             feature=list(obj["feature"]),
-            threshold=[float(t) for t in obj["threshold"]],
+            threshold=[float(check("threshold", t, np.float64)) for t in obj["threshold"]],
             left=list(obj["left"]),
             right=list(obj["right"]),
             value=list(obj["value"]),

@@ -6,6 +6,7 @@ bug would have to appear twice (and identically) to slip through.
 """
 
 import base64
+import bisect
 import math
 import re
 import struct
@@ -248,6 +249,22 @@ def quantile_edges_oracle(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
     return edges
 
 
+def offset_codes_oracle(X: np.ndarray, edges: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Each value's bin code by a binary search per value: x of feature f gets
+    f * max_bins + (the number of edges[f] at or below x), with NaN above
+    every number as in numpy's sort order, and max_bins one more than the
+    most edges a feature has."""
+    max_bins = max(len(e) for e in edges) + 1
+
+    def key(v):
+        return (True, 0.0) if math.isnan(v) else (False, v)
+
+    offset = np.empty(X.shape, dtype=np.intp)
+    for (i, f), x in np.ndenumerate(X):
+        offset[i, f] = f * max_bins + bisect.bisect_right(edges[f].tolist(), key(x), key=key)
+    return offset, max_bins
+
+
 def _axis_offsets(direction_deg: int, array: WhiskerArraySpec) -> np.ndarray:
     """Per-whisker offset (mm) along the slide axis, shape (rows, cols).
 
@@ -354,7 +371,7 @@ def grow_tree_oracle(
     max_depth: Optional[int] = None,
     sample_features: Optional[Callable[[], np.ndarray]] = None,
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree over an offset bin matrix (see :func:`offset_bins`).
+    """Grow one tree over an offset bin matrix (see :func:`offset_codes_oracle`).
 
     ``y`` holds integer labels below ``n_classes`` (gini: the statistics are
     class indicators, leaves store class probability lists) or, with

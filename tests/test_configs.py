@@ -5,11 +5,12 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import whiskerlab
 from whiskerlab.analysis import DurationConfig
-from whiskerlab.errors import ConfigError, Validated, _interval
+from whiskerlab.errors import ConfigError, Validated, _interval, check
 from whiskerlab.events import DetectorConfig
 from whiskerlab.harness.config import MAX_SLIDE_POSITIONS, ExperimentConfig, ModelParamsConfig
 from whiskerlab.learn.boosting import BoostParams
@@ -101,6 +102,22 @@ def test_values_are_checked_not_converted():
     assert type(cfg.reg) is int and type(cfg.learning_rate) is int
     plan = CollectionPlan(speed_range=(100, 200.5))
     assert plan.speed_range == (100, 200.5) and type(plan.speed_range[0]) is int
+
+
+@pytest.mark.parametrize("value, legal", [
+    (0.5, True), (-2, True), (math.inf, True), (-math.inf, True), (math.nan, True),
+    ("0.5", False), (True, False), (None, False), ([0.5], False),
+])
+def test_a_float64_is_any_float_but_still_a_number(value, legal):
+    """The float64 kind (tree thresholds) admits ±inf and NaN, which float refuses."""
+    if legal:
+        assert check("t", value, np.float64) is value
+    else:
+        with pytest.raises(ConfigError, match="t must be float64"):
+            check("t", value, np.float64)
+    if legal and not math.isfinite(value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            check("t", value, float)
 
 
 @each_class

@@ -1,5 +1,6 @@
 import base64
 import copy
+import gc
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from whiskerlab.learn.dataset import (
     split,
 )
 from whiskerlab.learn.evaluate import (
+    TASKS,
     EvalReport,
     ModelSpec,
     evaluate,
@@ -42,6 +44,7 @@ from whiskerlab.learn.evaluate import (
     task_labels,
     train,
 )
+from whiskerlab.learn import trees
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
 from whiskerlab.learn.linear import LinearMarginClassifier, LinearParams, _block_rows
 from whiskerlab.sim import SPECIMENS, specimen_by_id
@@ -305,6 +308,74 @@ def test_each_family_learns_blobs_in_its_regime():
         assert np.mean(model.predict(test_set.features) == y_test) >= 0.9, model.kind
 
 
+TREE_SPECS = [ModelSpec("bagged_trees", 4, ForestParams(n_trees=3)),
+              ModelSpec("boosted_trees", 4, BoostParams(rounds=3))]
+
+
+@pytest.fixture
+def binning_calls(monkeypatch):
+    """The matrices binned from here on: one entry per run of the binning core."""
+    calls, core = [], trees.quantile_bin_edges
+
+    def counted(X, max_bins):
+        calls.append((X, max_bins))
+        return core(X, max_bins)
+
+    monkeypatch.setattr(trees, "quantile_bin_edges", counted)
+    return calls
+
+
+def test_fits_on_one_dataset_bin_it_once_per_max_bins(binning_calls):
+    """The six tree models of the three tasks bin the dataset's features once
+    per family's max_bins, and equal fits on a writable copy of them, which
+    bin anew each time, byte for byte."""
+    data = blob_dataset(n_per_class=6, n_classes=10, separation=4.0, seed=21, n_features=40)
+    models = [json.dumps(train(spec, data, task).to_dict()) for spec in TREE_SPECS for task in TASKS]
+    assert [(X is data.features, m) for X, m in binning_calls] == [(True, 256), (True, 128)]
+    assert [json.dumps(spec.build().fit(np.array(data.features), task_labels(data, task)).to_dict())
+            for spec in TREE_SPECS for task in TASKS] == models
+    assert len(binning_calls) == 8
+
+
+def test_only_a_read_only_array_that_owns_its_data_keeps_its_binning(binning_calls):
+    """A writable array, a read-only view of one and a read-only copy of the
+    dataset's features with equal contents are each binned anew; the copy
+    then keeps its own binning."""
+    data = blob_dataset(n_per_class=4, n_classes=3, separation=4.0, seed=22, n_features=12)
+    writable = np.array(data.features)
+    view = writable[:]
+    view.flags.writeable = False
+    copy_ = np.array(data.features)
+    copy_.flags.writeable = False
+    for X in (data.features, writable, writable, view, view, copy_, copy_, data.features):
+        trees.bin_matrix(X, 16)
+    assert [id(X) for X, _ in binning_calls] == [
+        id(X) for X in (data.features, writable, writable, view, view, copy_)]
+
+
+def test_a_binning_is_dropped_with_its_dataset(binning_calls):
+    before = set(trees._BINNED)
+    data = blob_dataset(n_per_class=4, n_classes=3, separation=4.0, seed=23, n_features=12)
+    for spec in TREE_SPECS:
+        train(spec, data, "specimens10")
+    assert len(set(trees._BINNED) - before) == 2
+    del data, binning_calls[:]  # the call log holds the features too
+    gc.collect()
+    assert set(trees._BINNED) == before
+
+
+def test_dataset_features_are_a_read_only_copy():
+    X = np.arange(60.0).reshape(20, 3)
+    data = LabeledDataset(features=X, specimen_ids=np.arange(20) % 2 + 1)
+    train_set, test_set = split(data)
+    X[0, 0] = 99.0
+    assert data.features[0, 0] == 0.0
+    for features in (data.features, train_set.features, test_set.features):
+        assert features.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 1.0
+
+
 def test_training_is_deterministic_under_seed(small_dataset):
     labeled, _ = small_dataset
     y = task_labels(labeled, "patterns4")
@@ -399,6 +470,27 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, small_dataset):
                               again.predict(test_set.features))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as inside np.quantile
+@pytest.mark.parametrize("model", [BaggedTreesClassifier(ForestParams(n_trees=3), seed=1),
+                                   BoostedTreesClassifier(BoostParams(rounds=2))])
+def test_fitted_non_finite_thresholds_round_trip(tmp_path, model):
+    """Features holding ±inf and NaN fit split thresholds of +inf and NaN,
+    which the model file keeps."""
+    rng = np.random.default_rng(0)
+    y = np.arange(60) % 2
+    X = rng.normal(size=(60, 2))
+    X[y == 1, 0] = np.nan
+    X[::2, 1], X[1::4, 1] = np.inf, -np.inf
+    model.fit(X, y)
+    model.task = "specimens10"
+    thresholds = {t for tree in model.router_.threshold for t in tree.tolist()}
+    assert math.inf in thresholds or any(map(math.isnan, thresholds))
+    save_model(tmp_path / "model.json", model)
+    again = load_model(tmp_path / "model.json")
+    assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
+    assert again.predict(X).tolist() == model.predict(X).tolist()
+
+
 def test_load_model_rejects_garbage(tmp_path):
     # Valid headers whose model part cannot be rebuilt: no trees, an unknown param,
     # a broken tree, leaves of the wrong shape, a short boosting round, leaf values
@@ -424,9 +516,16 @@ def test_load_model_rejects_garbage(tmp_path):
     one_tree_round = {**boosting, "trees": [[leaf_tree(0.5)]]}  # two classes need two trees a round
     string_probs = {**no_trees, "trees": [leaf_tree(["0.5", "0.5"])]}
     bool_boost_leaf = {**boosting, "trees": [[leaf_tree(True), leaf_tree(0.5)]]}
+    stump = {"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1],
+             "value": [None, [1.0, 0.0], [0.0, 1.0]]}
+    string_threshold = {**no_trees, "trees": [{**stump, "threshold": ["0.5", 0.0, 0.0]}]}
+    bool_threshold = {**no_trees, "trees": [{**stump, "threshold": [True, 0.0, 0.0]}]}
+    bool_classes = {**no_trees, "classes": [True, 3, 4, False],
+                    "trees": [leaf_tree([0.25, 0.25, 0.25, 0.25])]}
     malformed = [json.dumps({**header, "model": m})
                  for m in (no_trees, unknown_param, dangling_child, three_probs, listed_boost_leaf,
-                           one_tree_round, empty_forest, string_probs, bool_boost_leaf)]
+                           one_tree_round, empty_forest, string_probs, bool_boost_leaf,
+                           string_threshold, bool_threshold, bool_classes)]
     path = tmp_path / "model.json"
     for text in ["{}", "not json", *malformed]:
         path.write_text(text)

@@ -1,14 +1,18 @@
+import ast
 import json
 import math
 import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import grow_tree_oracle, quantile_edges_oracle, route_oracle, split_oracle
+import whiskerlab
+from oracles import (grow_tree_oracle, offset_codes_oracle, quantile_edges_oracle, route_oracle,
+                     split_oracle)
 from whiskerlab.learn import boosting
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
@@ -20,10 +24,9 @@ from whiskerlab.learn.trees import (
     Tree,
     _best_split,
     _gini_split,
+    bin_matrix,
     grow_gini_tree,
     grow_regression_tree,
-    offset_bins,
-    quantile_bin_edges,
     running_sum,
 )
 
@@ -181,9 +184,7 @@ def random_problem(rng, max_bins):
     y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] > 0.7)
     flip = rng.random(n) < 0.2
     y[flip] = rng.integers(0, 3, size=int(flip.sum()))
-    edges = quantile_bin_edges(X, max_bins)
-    offset, bins = offset_bins(X, edges)
-    return offset, y, edges, bins
+    return bin_matrix(X, max_bins), y
 
 
 @pytest.mark.parametrize("max_bins", [2, 3, 16, 256])
@@ -192,7 +193,8 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
     trees; nodes fall on both sides of the sorted path's n < max_bins."""
     rng = np.random.default_rng(max_bins)
     for trial in range(10):
-        offset, y, edges, bins = random_problem(rng, max_bins)
+        binned, y = random_problem(rng, max_bins)
+        offset, edges, bins = binned.offsets(), binned.edges, binned.max_bins
         n, d = offset.shape
         boot = rng.integers(0, n, size=n)
         k, seed = int(rng.integers(1, d + 1)), int(rng.integers(2**32))
@@ -205,19 +207,20 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
         assert got.to_dict() == want.to_dict()
 
 
-def grow_regression(offset, target, edges, bins, max_depth):
-    """grow_regression_tree over an offset matrix, with its codes, root counts
+def grow_regression(binned, target, max_depth):
+    """grow_regression_tree over a binned matrix, with its codes, root counts
     (one flat histogram, cumulated) and buffers built as the booster builds them."""
-    codes = BlockedCodes(offset, bins)
-    flat_counts = np.bincount(offset.ravel(), minlength=offset.shape[1] * bins)
+    codes, bins = BlockedCodes(binned), binned.max_bins
+    flat_counts = np.bincount(binned.offsets().ravel(), minlength=binned.bins.shape[1] * bins)
     root_counts = np.cumsum(flat_counts.reshape(-1, bins), axis=1, dtype=np.float64)
-    return grow_regression_tree(codes, target, edges, max_depth, root_counts,
+    return grow_regression_tree(codes, target, binned.edges, max_depth, root_counts,
                                 SplitBuffers(codes, max_depth))
 
 
-def assert_regression_matches_oracle(offset, target, edges, bins, max_depth):
-    got, got_fitted = grow_regression(offset, target, edges, bins, max_depth)
-    want, want_leaves = grow_tree_oracle(offset, target, None, edges, bins, max_depth=max_depth)
+def assert_regression_matches_oracle(binned, target, max_depth):
+    got, got_fitted = grow_regression(binned, target, max_depth)
+    want, want_leaves = grow_tree_oracle(binned.offsets(), target, None, binned.edges,
+                                         binned.max_bins, max_depth=max_depth)
     assert got.to_dict() == want.to_dict()
     assert got_fitted.tobytes() == want_leaves[:, 0].tobytes()
     return want
@@ -229,10 +232,10 @@ def test_grower_matches_oracle_on_regression_trees(max_depth):
     "rows" no tree can reach the depth limit."""
     rng = np.random.default_rng(5 if max_depth == "rows" else max_depth)
     for trial in range(10):
-        offset, labels, edges, bins = random_problem(rng, [2, 3, 16, 128][trial % 4])
+        binned, labels = random_problem(rng, [2, 3, 16, 128][trial % 4])
         target = labels - np.round(rng.normal(size=labels.size), int(rng.integers(0, 3)))
         depth = labels.size if max_depth == "rows" else max_depth
-        assert_regression_matches_oracle(offset, target, edges, bins, depth)
+        assert_regression_matches_oracle(binned, target, depth)
 
 
 @pytest.mark.parametrize("d", [1, _HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1])
@@ -246,10 +249,9 @@ def test_grower_matches_oracle_at_histogram_block_edges(d):
     target = X[:, 0] - 2.0 * (X[:, -1] > 0.3) + np.round(rng.normal(size=90), 1)
     split_on = set()
     for max_bins in (4, 64):
-        edges = quantile_bin_edges(X, max_bins)
-        offset, bins = offset_bins(X, edges)
+        binned = bin_matrix(X, max_bins)
         for max_depth in (1, 3, 90):
-            want = assert_regression_matches_oracle(offset, target, edges, bins, max_depth)
+            want = assert_regression_matches_oracle(binned, target, max_depth)
             split_on.update(want.feature)
     assert {0, d - 1} <= split_on
 
@@ -260,7 +262,7 @@ def test_split_buffers_hold_no_deeper_level_than_a_tree_can_reach():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 6))
     y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
-    codes = BlockedCodes(*offset_bins(X, quantile_bin_edges(X, 16)))
+    codes = BlockedCodes(bin_matrix(X, 16))
     assert len(SplitBuffers(codes, 3).child_counts) == 2
     assert len(SplitBuffers(codes, 10**6).child_counts) == 39
     deep, rows = (BoostedTreesClassifier(BoostParams(rounds=3, max_depth=m)).fit(X, y)
@@ -270,9 +272,9 @@ def test_split_buffers_hold_no_deeper_level_than_a_tree_can_reach():
 
 def boost_fit_oracle(X, yi, n_classes, params):
     """The booster's trees by its former serial loop: rounds, then classes, on
-    the oracle grower."""
-    edges = quantile_bin_edges(X, params.max_bins)
-    offset, bins = offset_bins(X, edges)
+    the oracle grower and the oracle binning."""
+    edges = quantile_edges_oracle(X, params.max_bins)
+    offset, bins = offset_codes_oracle(X, edges)
     onehot = np.eye(n_classes)[yi]
     scores = np.zeros_like(onehot)
     rounds = []
@@ -314,9 +316,9 @@ def test_boosting_is_the_same_for_every_worker_count(monkeypatch, n_classes):
 
 def forest_fit_oracle(X, yi, n_classes, params, seed):
     """The forest's trees on the oracle grower, under the forest's own tree
-    seeds, bootstrap rows and ceil(sqrt(d)) feature sampler."""
-    edges = quantile_bin_edges(X, params.max_bins)
-    offset, bins = offset_bins(X, edges)
+    seeds, bootstrap rows and ceil(sqrt(d)) feature sampler, on the oracle binning."""
+    edges = quantile_edges_oracle(X, params.max_bins)
+    offset, bins = offset_codes_oracle(X, edges)
     n, d = X.shape
     trees = []
     for tree_seed in np.random.default_rng(seed).integers(0, 2**63 - 1, size=params.n_trees):
@@ -420,11 +422,35 @@ def edge_matrices(rng):
 def test_quantile_bin_edges_match_numpy_quantile_bit_for_bit(max_bins):
     rng = np.random.default_rng(max_bins)
     for X in edge_matrices(rng):
-        got = quantile_bin_edges(X, max_bins)
+        got = bin_matrix(X, max_bins).edges
         want = quantile_edges_oracle(X, max_bins)
         assert len(got) == len(want) == X.shape[1]
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (X, g, w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as inside np.quantile
+@pytest.mark.parametrize("max_bins", [2, 3, 128, 256])
+def test_bin_codes_match_the_oracle(max_bins):
+    """Compact bins, uint8 at up to 256 bins, whose offset codes are the oracle's."""
+    rng = np.random.default_rng(max_bins)
+    for X in edge_matrices(rng):
+        binned = bin_matrix(X, max_bins)
+        offset, bins = offset_codes_oracle(X, binned.edges)
+        assert binned.bins.dtype == np.uint8 and binned.max_bins == bins
+        assert binned.offsets().dtype == np.intp
+        assert np.array_equal(binned.offsets(), offset), X
+
+
+def test_bins_widen_past_256_and_blocks_hold_the_offset_codes():
+    X = np.random.default_rng(0).normal(size=(600, _HIST_BLOCK + 30))
+    binned = bin_matrix(X, 512)
+    assert binned.bins.dtype == np.uint16 and binned.max_bins == 512
+    offset, _ = offset_codes_oracle(X, binned.edges)
+    codes = BlockedCodes(binned)
+    assert [b.dtype for b in codes.blocks] == [np.intp, np.intp]
+    assert np.array_equal(np.hstack([block + j * binned.max_bins
+                                     for j, block in zip(codes.starts, codes.blocks)]), offset)
 
 
 GOOD_TREE = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
@@ -552,3 +578,42 @@ def test_ensembles_score_as_the_per_tree_oracle_loop():
         for c, tree in enumerate(round_trees):
             scores[:, c] += 0.3 * route_oracle(tree, X_test, 1)[:, 0]
     assert boost.decision_function(X_test).tobytes() == scores.tobytes()
+
+
+BINNING_CORE = {"quantile_bin_edges", "feature_bins"}
+
+
+def binning_outside_bin_matrix(source: str) -> list[int]:
+    """Line numbers of calls to the binning core, as a name or a method,
+    outside a function named ``bin_matrix``."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "bin_matrix" for node in ast.walk(f)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in BINNING_CORE]
+
+
+@pytest.mark.parametrize("source, outside", [
+    ("quantile_bin_edges(X, 8)", True),
+    ("trees.feature_bins(X, edges)", True),
+    ("def fit(X):\n    return quantile_bin_edges(X, 8)", True),
+    ("def bin_matrix(X):\n    pass\nfeature_bins(X, e)", True),
+    ("def bin_matrix(X, m):\n    e = quantile_bin_edges(X, m)\n    return feature_bins(X, e)", False),
+    ("bin_matrix(X, 8).edges", False),
+    ("core = quantile_bin_edges", False),
+])
+def test_binning_call_detector(source, outside):
+    assert bool(binning_outside_bin_matrix(source)) == outside
+
+
+def test_only_bin_matrix_runs_the_binning_core():
+    """Every fit bins through bin_matrix, so none re-bins a matrix it keeps;
+    the test oracles are the one exception."""
+    package, tests = Path(whiskerlab.__file__).parent, Path(__file__).parent
+    offenders = {
+        f"{path.parent.name}/{path.name}": lines
+        for path in sorted([*package.rglob("*.py"), *tests.glob("*.py")])
+        if path.name != "oracles.py" and (lines := binning_outside_bin_matrix(path.read_text()))
+    }
+    assert offenders == {}, f"bin through whiskerlab.learn.trees.bin_matrix instead: {offenders}"
