@@ -22,18 +22,28 @@ def check(name: str, value, kind, interval: Optional[str] = None):
     """value if it is legal, else a ConfigError naming ``name``: the one rule
     for config fields and every scalar read back from a package file.  In
     order: the type (int: not a bool; float: an int or a float, not a bool,
-    kept as given; ``np.float64``: the same, where ±inf and NaN are legal;
-    ``tuple[float, float]``: two floats; any other class: an instance),
-    finite floats, and ``interval`` such as ``"[1, inf)"`` (for each number
-    of a pair)."""
+    kept as given; ``tuple[float, float]``: two floats; any other class: an
+    instance), finite floats, and ``interval`` such as ``"[1, inf)"`` (for
+    each number of a pair)."""
     return _rule(kind, interval)(name, value)
 
 
 def check_array(name: str, value, kind, interval: Optional[str] = None) -> np.ndarray:
-    """A JSON number or nested list of them as an array of ``kind``, each by :func:`check`."""
-    cells, rule = np.array(value, dtype=object), _rule(kind, interval)
-    for cell in cells.flat:
-        rule(name, cell)
+    """A JSON number or nested list of them as an array of ``kind`` (int or
+    float), each number legal by :func:`check`: one scan of the cells' types,
+    then numpy's finiteness and interval tests.  Only an array they refuse is
+    checked cell by cell, so the error names its first bad cell (``name[i, j]``)."""
+    cells = np.array(value, dtype=object)
+    try:
+        if set(map(type, cells.flat)) <= ({int, float} if kind is float else {int}):  # no bools
+            array = cells.astype(kind)
+            if np.isfinite(array).all() and (interval is None or _interval(interval)(array).all()):
+                return array
+    except OverflowError:  # an int beyond the dtype
+        pass
+    rule = _rule(kind, interval)
+    for index, cell in np.ndenumerate(cells):
+        rule(f"{name}{list(index)}", cell)
     return cells.astype(kind)
 
 
@@ -59,7 +69,7 @@ def _interval(text: str):
     lo, hi = (float(end) for end in text[1:-1].split(","))
     above = partial(operator.le if text[0] == "[" else operator.lt, lo)
     below = partial(operator.ge if text[-1] == "]" else operator.gt, hi)
-    return lambda x: above(x) and below(x)
+    return lambda x: above(x) & below(x)
 
 
 @cache
@@ -67,8 +77,8 @@ def _rule(kind, interval: Optional[str]):
     """:func:`check` for one kind and interval, as a function of (name, value)."""
     if kind == tuple[float, float]:
         return partial(_pair, _rule(float, interval))
-    classes = (int, float) if kind in (float, np.float64) else kind
-    number, inside = kind in (int, float, np.float64), interval and _interval(interval)
+    classes = (int, float) if kind is float else kind
+    number, inside = kind in (int, float), interval and _interval(interval)
 
     def rule(name, value):
         if not isinstance(value, classes) or number and isinstance(value, bool):

@@ -1,10 +1,11 @@
 """Plumbing shared by the three classifier families.
 
-A family supplies ``kind``, its params dataclass, ``fit``, a per-class
-``decision_function`` and its fitted state as JSON; this base encodes the
-labels, predicts the argmax class and round-trips the whole model.  Both
-``fit`` and the state loader set ``n_features_``, the input width
-``predict`` then requires (DataFileError otherwise).
+A family supplies ``kind``, its params dataclass, ``_fit``, a per-class
+``decision_function`` and its fitted state as JSON; this base checks each
+input X (:meth:`Classifier._check_input`), encodes the labels, predicts the
+argmax class and round-trips the whole model.  Both ``_fit`` and the state
+loader set ``n_features_``, the input width ``predict`` then requires
+(DataFileError otherwise).
 """
 
 from dataclasses import asdict
@@ -26,20 +27,39 @@ class Classifier:
         self.seed = seed
         self.classes_: list = []
 
-    def _encode_labels(self, y: np.ndarray) -> np.ndarray:
-        """Set ``classes_`` from the training labels; return their class indices."""
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "Classifier":
+        """Train on rows X with labels y, which set ``classes_``."""
+        self._check_input(X)
         self.classes_ = sorted(set(y.tolist()))
         if len(self.classes_) < 2:
             raise DegenerateModelError("training set contains a single class")
         class_index = {c: i for i, c in enumerate(self.classes_)}
-        return np.array([class_index[v] for v in y.tolist()], dtype=np.int64)
+        self._fit(X, np.array([class_index[v] for v in y.tolist()], dtype=np.int64))
+        return self
+
+    def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
+        """The family's training on checked X and class indices yi."""
+        raise NotImplementedError
+
+    def _check_input(self, X) -> None:
+        """DataFileError unless X is a 2-D float array whose values are all
+        finite, naming the first bad row and column; it runs before any state
+        changes."""
+        if not (isinstance(X, np.ndarray) and X.ndim == 2 and X.dtype.kind == "f"):
+            raise DataFileError(f"{self.kind} input must be a 2-D float array, got "
+                                f"{getattr(X, 'dtype', type(X).__name__)} {getattr(X, 'shape', '')}")
+        if not np.isfinite(X).all():
+            row, column = np.argwhere(~np.isfinite(X))[0]
+            raise DataFileError(f"{self.kind} input must be finite, got {X[row, column]} "
+                                f"at row {row}, column {column}")
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Per-class scores, shape (rows, classes); the highest one wins."""
         raise NotImplementedError
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        width = X.shape[1] if X.ndim == 2 else -1
+        self._check_input(X)
+        width = X.shape[1]
         if width < self.n_features_ or (self.exact_width and width != self.n_features_):
             raise DataFileError(
                 f"{self.kind} model reads {self.n_features_} columns, input has shape {X.shape}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Validated
+from ..errors import Validated, check
 from .base import Classifier
 from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, bin_matrix,
                     grow_regression_tree, running_sum)
@@ -47,11 +47,12 @@ class BoostedTreesClassifier(Classifier):
     kind = "boosted_trees"
     params_cls = BoostParams
     exact_width = False
-    trees_: list[list[Tree]]  # trees_[round][class]
+    # The grown trees, trees_[round][class], kept after a fit only for the node
+    # count of bench/workloads.py; predictions and the model file use router_ alone.
+    trees_: list[list[Tree]]
     router_: PackedTrees  # the trees round-major, class-minor
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedTreesClassifier":
-        yi = self._encode_labels(y)
+    def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
         n_classes, rounds = len(self.classes_), self.params.rounds
         binned = bin_matrix(X, self.params.max_bins)
         codes = BlockedCodes(binned)
@@ -80,26 +81,24 @@ class BoostedTreesClassifier(Classifier):
         with ThreadPoolExecutor(workers) as pool:
             columns = list(pool.map(chain, range(n_classes)))
         self.trees_ = [list(row) for row in zip(*columns)]
-        self._pack()
-        return self
-
-    def _pack(self) -> None:
         self.router_ = PackedTrees.pack([t for row in self.trees_ for t in row], None)
-        self.n_features_ = self.router_.n_features
+        self.n_features_ = X.shape[1]
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         # (rounds * classes, rows, 1) leaf values -> (rounds, rows, classes) steps.
-        leaves = self.router_.route(X).reshape(len(self.trees_), len(self.classes_), X.shape[0])
+        n_classes = len(self.classes_)
+        leaves = self.router_.route(X).reshape(self.router_.n_trees // n_classes, n_classes, X.shape[0])
         return running_sum(self.params.learning_rate * leaves.transpose(0, 2, 1))
 
     def _state_dict(self) -> dict:
-        return {"trees": [[t.to_dict() for t in row] for row in self.trees_]}
+        return {"n_features": self.n_features_, "trees": self.router_.to_dict()}
 
     def _load_state(self, obj: dict) -> None:
-        self.trees_ = [[Tree.from_dict(t) for t in row] for row in obj["trees"]]
-        if not self.trees_ or any(len(row) != len(self.classes_) for row in self.trees_):
-            raise ValueError("a boosted-trees model needs rounds of one tree per class")
-        self._pack()
+        self.n_features_ = check("n_features", obj["n_features"], int, "[0, inf)")
+        self.router_ = PackedTrees.from_dict(obj["trees"], None, self.n_features_)
+        if self.router_.n_trees != self.params.rounds * len(self.classes_):
+            raise ValueError(f"a boosted-trees model holds rounds x classes = {self.params.rounds} x "
+                             f"{len(self.classes_)} trees, round-major, not {self.router_.n_trees}")
 
 
 def _workers(n_classes: int) -> int:

@@ -20,7 +20,7 @@ _MODEL_CLASSES = {
 TASKS = ("specimens10", "patterns4", "depths4")
 MODEL_KINDS = tuple(_MODEL_CLASSES)
 MODEL_FORMAT = "whiskerlab-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,8 @@ def load_model(path):
     if doc.get("format") != MODEL_FORMAT:
         raise DataFileError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataFileError(f"{path}: unsupported model format version")
+        raise DataFileError(f"{path}: model format version {doc.get('format_version')!r} is not "
+                            f"{MODEL_FORMAT_VERSION}; retrain the model with whiskerlab train")
     if doc.get("task") not in TASKS:
         raise DataFileError(f"{path}: model carries no valid task tag")
     try:

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import Validated
+from ..errors import Validated, check
 from .base import Classifier
 from .trees import PackedTrees, Tree, bin_matrix, grow_gini_tree, running_sum
 
@@ -30,11 +30,12 @@ class BaggedTreesClassifier(Classifier):
     kind = "bagged_trees"
     params_cls = ForestParams
     exact_width = False
+    # The grown trees, kept after a fit only for the node count of
+    # bench/workloads.py; predictions and the model file use router_ alone.
     trees_: list[Tree]
     router_: PackedTrees
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "BaggedTreesClassifier":
-        yi = self._encode_labels(y)
+    def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
         binned = bin_matrix(X, self.params.max_bins)
         offset = binned.offsets()
         n, d = X.shape
@@ -49,21 +50,15 @@ class BaggedTreesClassifier(Classifier):
             self.trees_.append(grow_gini_tree(
                 offset[boot], yi[boot], len(self.classes_), binned.edges, binned.max_bins,
                 partial(rng.choice, d, size=k, replace=False)))
-        self._pack()
-        return self
-
-    def _pack(self) -> None:
         self.router_ = PackedTrees.pack(self.trees_, len(self.classes_))
-        self.n_features_ = self.router_.n_features
+        self.n_features_ = d
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return running_sum(self.router_.route(X)) / len(self.trees_)
+        return running_sum(self.router_.route(X)) / self.router_.n_trees
 
     def _state_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees_]}
+        return {"n_features": self.n_features_, "trees": self.router_.to_dict()}
 
     def _load_state(self, obj: dict) -> None:
-        self.trees_ = [Tree.from_dict(t) for t in obj["trees"]]
-        if not self.trees_:
-            raise ValueError("a bagged-trees model needs at least one tree")
-        self._pack()
+        self.n_features_ = check("n_features", obj["n_features"], int, "[0, inf)")
+        self.router_ = PackedTrees.from_dict(obj["trees"], len(self.classes_), self.n_features_)

@@ -45,9 +45,7 @@ class LinearMarginClassifier(Classifier):
     mean_: np.ndarray
     scale_: np.ndarray
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearMarginClassifier":
-        yi = self._encode_labels(y)
-
+    def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
         self.mean_ = X.mean(axis=0)
         std = X.std(axis=0)
         self.scale_ = np.where(std > 0, std, 1.0)
@@ -82,7 +80,6 @@ class LinearMarginClassifier(Classifier):
             b -= lr * grad_b
         self.weights_, self.bias_ = W, b
         self.n_features_ = d
-        return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         try:  # finite but huge loaded weights can overflow; fitted ones do not

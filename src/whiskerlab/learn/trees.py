@@ -46,12 +46,11 @@ positions, however they were formed:
   each split counts only its smaller child; the larger child's are the
   parent's minus those.  Children at ``max_depth`` get no counts.
 
-Trees serialize to plain dicts (feature/threshold/child arrays) so models
-round-trip through JSON.  For prediction an ensemble packs its trees into one
-:class:`PackedTrees` router (padded (trees, nodes) arrays) that moves every
-row down every tree one level per step; :func:`running_sum` then adds the
+An ensemble packs its grown :class:`Tree` lists into one
+:class:`PackedTrees`, the per-node arrays of every tree back to back: the
+router, and the form a model file stores.  :func:`running_sum` adds the
 per-tree leaf values in tree order, so scores equal a per-tree loop bit for
-bit.
+bit.  The classifiers refuse non-finite features, so thresholds are finite.
 """
 
 import weakref
@@ -60,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import check, check_array
+from ..errors import check_array
 
 _MIN_GAIN = 1e-12
 # Columns per block of a squared-error histogram: one block's histogram, 100
@@ -81,9 +80,8 @@ def quantile_bin_edges(X: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
     from one sort of each column instead of one partition per feature: the
     same virtual indices, neighbour indices and interpolation that numpy's
     default ``linear`` method uses, applied to a block of columns at once.
-    A column holding NaN gets NaN at every quantile, as in numpy.  The one
-    difference: where a column holds both 0.0 and -0.0, which of the two
-    (equal) zeros an edge carries may differ from numpy's partition order.
+    The one difference: where a column holds both 0.0 and -0.0, which of the
+    two (equal) zeros an edge carries may differ from numpy's partition order.
     """
     n = X.shape[0]
     qs = np.arange(1, max_bins) / max_bins
@@ -101,8 +99,6 @@ def quantile_bin_edges(X: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
         diff = above - below
         q = below + diff * gamma
         np.subtract(above, diff * (1 - gamma), out=q, where=gamma >= 0.5)
-        has_nan = np.isnan(sorted_x[-1])  # NaN sorts last
-        q[:, has_nan] = sorted_x[-1, has_nan]
         edges += [np.unique(column).astype(np.float64) for column in q.T]
     return edges
 
@@ -256,7 +252,9 @@ class SplitBuffers:
 
 @dataclass
 class Tree:
-    """Flat tree arrays; feature -1 marks a leaf, whose value is stored."""
+    """One grown tree's flat node lists, as a grower builds them; feature -1
+    marks a leaf, whose value is stored.  :meth:`PackedTrees.pack` turns an
+    ensemble's trees into arrays."""
 
     feature: list = field(default_factory=list)
     threshold: list = field(default_factory=list)
@@ -278,105 +276,93 @@ class Tree:
         self.value.append(value)
         return len(self.feature) - 1
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Tree":
-        """Rebuild a tree, raising ValueError unless :class:`PackedTrees` can route it.
-
-        The five arrays must be equally long and nonempty; a split (feature
-        >= 0) must point to two later nodes, so routing ends, and a leaf
-        (feature -1) must hold a value.  A threshold is a number, and may be
-        ±inf or NaN, as a fit on features holding those can write.
-        """
-        tree = cls(
-            feature=list(obj["feature"]),
-            threshold=[float(check("threshold", t, np.float64)) for t in obj["threshold"]],
-            left=list(obj["left"]),
-            right=list(obj["right"]),
-            value=list(obj["value"]),
-        )
-        n = len(tree.feature)
-        if n == 0 or any(len(a) != n for a in (tree.threshold, tree.left, tree.right, tree.value)):
-            raise ValueError("tree arrays must be nonempty and of one length")
-        for i, (f, lo, hi, v) in enumerate(zip(tree.feature, tree.left, tree.right, tree.value)):
-            check(f"node {i}: feature", f, int, "[-1, inf)")
-            if f == -1 and v is None:
-                raise ValueError(f"node {i}: leaf has no value")
-            if f >= 0 and not all(i < check(f"node {i}: child", c, int) < n for c in (lo, hi)):
-                raise ValueError(f"node {i}: children {lo!r}, {hi!r} are not later nodes below {n}")
-        return tree
-
 
 @dataclass(frozen=True)
 class PackedTrees:
-    """An ensemble's trees stacked into padded (trees, nodes) arrays: one router.
+    """An ensemble's trees' per-node arrays back to back: one router, and the
+    form a model file stores.  Child ids index the concatenated arrays; a
+    split's children are later nodes of its own tree, and a leaf (feature
+    -1) is its own child, so :meth:`route` moves every (tree, row) pair one
+    level down per step until all of them stand on leaves."""
 
-    Child ids index the raveled arrays (tree t's node i is t * nodes + i).
-    Leaves and padding have feature -1 and are their own children, so
-    :meth:`route` moves every (tree, row) pair one level down per step until
-    all of them stand on leaves.
-    """
-
-    feature: np.ndarray  # (trees, nodes) split column, -1 at leaves and padding
-    threshold: np.ndarray  # (trees, nodes) rows go left when x < threshold
-    left: np.ndarray  # (trees, nodes) raveled child ids
+    feature: np.ndarray  # (nodes,) split column, -1 at leaves
+    threshold: np.ndarray  # (nodes,) rows go left when x < threshold; 0.0 at leaves
+    left: np.ndarray  # (nodes,) child ids
     right: np.ndarray
-    value: np.ndarray  # (trees, nodes, value_dim) leaf values, 0 elsewhere
+    value: np.ndarray  # (nodes,) or (nodes, value_dim) leaf values, 0.0 at splits
+    roots: np.ndarray  # (trees,) each tree's first node
 
     @classmethod
     def pack(cls, trees: list, value_dim: Optional[int]) -> "PackedTrees":
-        """Stack trees whose leaves hold ``value_dim`` numbers, or one number when
-        ``value_dim`` is None; ValueError for a leaf of another shape or value."""
-        n_nodes = max(len(t.feature) for t in trees)
-        shape = (len(trees), n_nodes)
-        feature = np.full(shape, -1, dtype=np.intp)
-        threshold = np.zeros(shape)
-        own = np.arange(len(trees) * n_nodes).reshape(shape)
-        left, right = own.copy(), own.copy()
-        value = np.zeros((*shape, value_dim or 1))
-        leaf_shape = () if value_dim is None else (value_dim,)
-        for t, tree in enumerate(trees):
-            n = len(tree.feature)
-            feature[t, :n] = tree.feature
-            threshold[t, :n] = tree.threshold
-            split = feature[t, :n] >= 0
-            left[t, :n][split] = np.asarray(tree.left)[split] + t * n_nodes
-            right[t, :n][split] = np.asarray(tree.right)[split] + t * n_nodes
-            leaves = np.flatnonzero(~split)
-            leaf_values = check_array(f"tree {t}: leaf", [tree.value[i] for i in leaves], float)
-            if leaf_values.shape != (leaves.size, *leaf_shape):
-                raise ValueError(f"tree {t}: leaf values must each be of shape {leaf_shape}")
-            value[t, leaves] = leaf_values.reshape(leaves.size, -1)
-        return cls(feature, threshold, left, right, value)
+        """Concatenate grown trees whose leaves hold ``value_dim`` numbers each,
+        or one number when ``value_dim`` is None."""
+        counts = [len(t.feature) for t in trees]
+        roots = np.cumsum([0, *counts[:-1]])
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        threshold = np.concatenate([t.threshold for t in trees])
+        split, own, start = feature >= 0, np.arange(feature.size), np.repeat(roots, counts)
+        left, right = (np.where(split, np.concatenate([getattr(t, side) for t in trees]) + start, own)
+                       for side in ("left", "right"))
+        value = np.zeros((feature.size, *(() if value_dim is None else (value_dim,))))
+        value[~split] = [v for t in trees for v in t.value if v is not None]
+        return cls(feature, threshold, left, right, value, roots)
 
     @property
-    def n_features(self) -> int:
-        """Input width the trees need: one past the highest split feature."""
-        return int(self.feature.max()) + 1
+    def n_trees(self) -> int:
+        return len(self.roots)
+
+    def to_dict(self) -> dict:
+        """The arrays as JSON lists; ``value`` holds the leaves' rows only, in node order."""
+        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
+                "left": self.left.tolist(), "right": self.right.tolist(),
+                "value": self.value[self.feature < 0].tolist(), "roots": self.roots.tolist()}
+
+    @classmethod
+    def from_dict(cls, obj: dict, value_dim: Optional[int], width: int) -> "PackedTrees":
+        """Rebuild a router from :meth:`to_dict`'s form, checking whole arrays:
+        ValueError unless the four node lists are of one length, features
+        are ints in [-1, ``width``), thresholds and leaf values are finite
+        numbers, ``roots`` rise from 0 below the node count, each node's
+        children are as the class says, and ``value`` holds one number
+        (``value_dim`` None) or ``value_dim`` of them per leaf."""
+        feature = check_array("feature", obj["feature"], int, f"[-1, {width})")
+        threshold = check_array("threshold", obj["threshold"], float)
+        left, right = (check_array(side, obj[side], int) for side in ("left", "right"))
+        roots = check_array("roots", obj["roots"], int)
+        leaf_values = check_array("value", obj["value"], float)
+        n = feature.size
+        if any(a.shape != (n,) for a in (feature, threshold, left, right)):
+            raise ValueError("feature, threshold, left and right must be lists of one length")
+        if not (roots.ndim == 1 and roots.size and roots[0] == 0 and (np.diff(roots, append=n) > 0).all()):
+            raise ValueError(f"roots must rise from 0 below the node count {n}, got {roots.tolist()}")
+        split, own = feature >= 0, np.arange(n)
+        end = np.repeat(np.append(roots[1:], n), np.diff(roots, append=n))  # each node's tree end
+        routed = np.where(split, (own < left) & (left < end) & (own < right) & (right < end),
+                          (left == own) & (right == own))
+        if not routed.all():
+            i = int(np.argmin(routed))
+            raise ValueError(f"node {i}: children {left[i]}, {right[i]} are not "
+                             + ("later nodes of its tree" if split[i] else "the leaf itself"))
+        leaf_shape = () if value_dim is None else (value_dim,)
+        if leaf_values.shape != (n - np.count_nonzero(split), *leaf_shape):
+            raise ValueError(f"value must hold a leaf value of shape {leaf_shape} per leaf, "
+                             f"got shape {leaf_values.shape}")
+        value = np.zeros((n, *leaf_shape))
+        value[~split] = leaf_values
+        return cls(feature, threshold, left, right, value, roots)
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """Every tree's leaf value for every row, shape (trees, rows, value_dim)."""
-        n_trees, n_nodes = self.feature.shape
-        feature, threshold = self.feature.ravel(), self.threshold.ravel()
-        left, right = self.left.ravel(), self.right.ravel()
         rows = X.shape[0]
-        node = np.repeat(np.arange(n_trees) * n_nodes, rows)
-        row = np.tile(np.arange(rows), n_trees)
-        f = feature[node]
+        node = np.repeat(self.roots, rows)
+        row = np.tile(np.arange(rows), self.n_trees)
+        f = self.feature[node]
         while (f >= 0).any():  # a leaf's -1 reads the last column, then stays put
-            go_left = X[row, f] < threshold[node]
-            node = np.where(go_left, left[node], right[node])
-            f = feature[node]
-        value_dim = self.value.shape[2]
-        return self.value.reshape(-1, value_dim)[node].reshape(n_trees, rows, value_dim)
+            go_left = X[row, f] < self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+            f = self.feature[node]
+        value = self.value.reshape(len(self.value), -1)
+        return value[node].reshape(self.n_trees, rows, value.shape[1])
 
 
 def running_sum(terms: np.ndarray) -> np.ndarray:
@@ -393,7 +379,7 @@ def grow_gini_tree(
     max_bins: int,
     sample_features: Callable[[], np.ndarray],
 ) -> Tree:
-    """Grow one full-depth gini tree over an offset bin matrix (see :func:`offset_bins`).
+    """Grow one full-depth gini tree over offset bin codes (see :meth:`BinnedMatrix.offsets`).
 
     ``y`` holds integer labels below ``n_classes``, and each leaf stores its
     class probabilities as a list.  Growth stops at nodes of one class and

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from whiskerlab.errors import ConfigError
+from whiskerlab.errors import ConfigError, check
 from whiskerlab.learn.trees import Tree
 from whiskerlab.sim import (
     DIRECTIONS_DEG,
@@ -543,3 +543,12 @@ def record_x(values) -> str:
     float64 bytes, packed with struct."""
     flat = [float(v) for v in np.ravel(values)]
     return base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")
+
+
+def check_array_oracle(name: str, value, kind, interval: Optional[str] = None) -> np.ndarray:
+    """The per-cell check_array: every number of a JSON number or nested list
+    through check, in row-major order, then the array of ``kind``."""
+    cells = np.array(value, dtype=object)
+    for cell in cells.flat:
+        check(name, cell, kind, interval)
+    return cells.astype(kind)

@@ -307,19 +307,18 @@ def test_missing_model_file_is_data_error(tmp_path, capsys):
     # A valid header over a model part that cannot be rebuilt (no "trees").
     model_path = out / "model.json"
     model = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256},
-             "seed": 0, "classes": ["flat", "sinc"]}
-    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+             "seed": 0, "classes": ["flat", "sinc"], "n_features": 1}
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 2,
                                       "task": "patterns4", "model": model}))
     rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
                "--model", str(model_path)])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
 
-    # A tree whose split points past the end of its arrays.
-    model["trees"] = [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
-                       "left": [5, -1, -1], "right": [2, -1, -1],
-                       "value": [None, [1.0, 0.0], [0.0, 1.0]]}]
-    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+    # A split whose child points past the end of the arrays.
+    model["trees"] = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [5, 1, 2],
+                      "right": [2, 1, 2], "value": [[1.0, 0.0], [0.0, 1.0]], "roots": [0]}
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 2,
                                       "task": "patterns4", "model": model}))
     rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
                "--model", str(model_path)])
@@ -328,15 +327,26 @@ def test_missing_model_file_is_data_error(tmp_path, capsys):
     assert err["error"] == "DataFileError" and "children" in err["message"]
 
     # A forest leaf with three values for two classes.
-    model["trees"] = [{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
-                       "value": [[0.2, 0.3, 0.5]]}]
-    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+    model["trees"] = {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0],
+                      "value": [[0.2, 0.3, 0.5]], "roots": [0]}
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 2,
                                       "task": "patterns4", "model": model}))
     rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
                "--model", str(model_path)])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataFileError" and "leaf" in err["message"]
+
+    # A version-1 file, whose trees were dicts of node lists: retrain it.
+    model["trees"] = [{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                       "value": [[0.5, 0.5]]}]
+    model_path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1,
+                                      "task": "patterns4", "model": model}))
+    rc = main(["eval", "--out", str(out), "--dataset", str(out / "d.jsonl"),
+               "--model", str(model_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFileError" and "retrain" in err["message"]
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

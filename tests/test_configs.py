@@ -10,7 +10,8 @@ import pytest
 
 import whiskerlab
 from whiskerlab.analysis import DurationConfig
-from whiskerlab.errors import ConfigError, Validated, _interval, check
+from oracles import check_array_oracle
+from whiskerlab.errors import ConfigError, Validated, _interval, check_array
 from whiskerlab.events import DetectorConfig
 from whiskerlab.harness.config import MAX_SLIDE_POSITIONS, ExperimentConfig, ModelParamsConfig
 from whiskerlab.learn.boosting import BoostParams
@@ -104,20 +105,62 @@ def test_values_are_checked_not_converted():
     assert plan.speed_range == (100, 200.5) and type(plan.speed_range[0]) is int
 
 
-@pytest.mark.parametrize("value, legal", [
-    (0.5, True), (-2, True), (math.inf, True), (-math.inf, True), (math.nan, True),
-    ("0.5", False), (True, False), (None, False), ([0.5], False),
-])
-def test_a_float64_is_any_float_but_still_a_number(value, legal):
-    """The float64 kind (tree thresholds) admits ±inf and NaN, which float refuses."""
-    if legal:
-        assert check("t", value, np.float64) is value
-    else:
-        with pytest.raises(ConfigError, match="t must be float64"):
-            check("t", value, np.float64)
-    if legal and not math.isfinite(value):
-        with pytest.raises(ConfigError, match="must be finite"):
-            check("t", value, float)
+# (kind, interval, cells, refusal): the first bad cell in row-major order is named.
+ARRAY_REFUSALS = [
+    (float, None, [0.5, True], r"x\[1\] must be float, got True"),
+    (float, None, [[0.5, "1"], [2, 3]], r"x\[0, 1\] must be float, got '1'"),
+    (float, None, [0.5, None], r"x\[1\] must be float, got None"),
+    (float, None, [[1.0, 2.0], [3.0]], r"x\[0\] must be float, got \[1.0, 2.0\]"),  # ragged
+    (float, None, [1.0, math.nan, math.inf], r"x\[1\] must be finite, got nan"),
+    (float, None, [[2.0], [-math.inf]], r"x\[1, 0\] must be finite, got -inf"),
+    (float, None, [1, 10**400], r"x\[1\] must be finite"),
+    (int, None, [1, 2.0], r"x\[1\] must be int, got 2.0"),
+    (int, None, [1, False], r"x\[1\] must be int, got False"),
+    (int, "[0, inf)", [[1, 2], [-1, 3]], r"x\[1, 0\] must lie in \[0, inf\), got -1"),
+    (float, "[0, 1]", [0.5, 1.5, "x"], r"x\[1\] must lie in \[0, 1\], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("kind, interval, cells, refusal", ARRAY_REFUSALS)
+def test_check_array_names_the_first_bad_cell(kind, interval, cells, refusal):
+    with pytest.raises(ConfigError, match=refusal):
+        check_array("x", cells, kind, interval)
+
+
+def test_check_array_takes_legal_numbers_as_arrays():
+    got = check_array("x", [[1, 2.5], [-3, 1e300]], float)
+    assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.5], [-3.0, 1e300]]
+    got = check_array("x", [[0, 2]], int, "[0, inf)")
+    assert got.dtype == np.int64 and got.tolist() == [[0, 2]]
+    assert check_array("x", [], float).shape == (0,)
+
+
+CELLS = [0, 1, -1, 2.5, -0.0, 1e308, 2**70, 10**400, True, False, "1", None, math.nan, math.inf,
+         -math.inf, [1.0]]
+
+
+@pytest.mark.parametrize("seed, kind, interval", [(0, float, None), (1, float, "[0, 1]"),
+                                                  (2, int, None), (3, int, "[-1, 2)")])
+def test_check_array_refuses_what_a_per_cell_check_refuses(seed, kind, interval):
+    """On random lists and grids of legal and illegal cells, check_array
+    accepts, refuses (by the same exception type) and converts as the former
+    per-cell loop."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(400):
+        pool, width = CELLS[:8] if rng.random() < 0.5 else CELLS, int(rng.integers(0, 4))
+        rows = [[pool[i] for i in rng.integers(0, len(pool), size=width + (rng.random() < 0.1))]
+                for _ in range(int(rng.integers(1, 4)))]  # now and then a ragged row
+        value = rows[0] if rng.random() < 0.5 else rows
+        outcomes = []
+        for fn in (check_array, check_array_oracle):
+            try:
+                outcomes.append(("ok", fn("x", value, kind, interval).tobytes()))
+            except (ConfigError, OverflowError) as exc:
+                outcomes.append((type(exc).__name__, None))
+        assert outcomes[0] == outcomes[1], value
+        seen.add(outcomes[0][0])
+    assert {"ok", "ConfigError"} <= seen
 
 
 @each_class

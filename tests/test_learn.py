@@ -34,6 +34,7 @@ from whiskerlab.learn.dataset import (
     split,
 )
 from whiskerlab.learn.evaluate import (
+    MODEL_KINDS,
     TASKS,
     EvalReport,
     ModelSpec,
@@ -470,67 +471,139 @@ def test_save_load_round_trip_preserves_predictions(tmp_path, small_dataset):
                               again.predict(test_set.features))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as inside np.quantile
-@pytest.mark.parametrize("model", [BaggedTreesClassifier(ForestParams(n_trees=3), seed=1),
-                                   BoostedTreesClassifier(BoostParams(rounds=2))])
-def test_fitted_non_finite_thresholds_round_trip(tmp_path, model):
-    """Features holding ±inf and NaN fit split thresholds of +inf and NaN,
-    which the model file keeps."""
+def small_model(kind):
+    return ModelSpec(kind, params={"linear_margin": LinearParams(epochs=20),
+                                   "bagged_trees": ForestParams(n_trees=5),
+                                   "boosted_trees": BoostParams(rounds=5)}[kind]).build()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_the_nan_toy_is_refused_at_fit(kind):
+    """100 rows in two classes, one column NaN exactly on class 1.  Fitted,
+    the forest and the booster scored 0.5 on their own training rows (a NaN
+    threshold trained one way and routed the other), and the linear model
+    saved NaN weights that load_model then refused."""
     rng = np.random.default_rng(0)
-    y = np.arange(60) % 2
-    X = rng.normal(size=(60, 2))
-    X[y == 1, 0] = np.nan
-    X[::2, 1], X[1::4, 1] = np.inf, -np.inf
+    y = np.arange(100) % 2
+    X = rng.normal(size=(100, 3))
+    X[y == 1, 1] = np.nan
+    model = small_model(kind)
+    with pytest.raises(DataFileError, match="must be finite, got nan at row 1, column 1"):
+        model.fit(X, y)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_features_are_refused_at_fit_and_predict(kind, bad):
+    """The first non-finite cell is named; a refused fit changes no state, so a
+    new model stays unfitted and a fitted one keeps its fit."""
+    rng = np.random.default_rng(1)
+    X, y = rng.normal(size=(40, 4)), np.arange(40) % 3
+    X_bad = X.copy()
+    X_bad[7, 2] = X_bad[9, 0] = bad
+    refusal = f"{kind} input must be finite, got {bad} at row 7, column 2"
+    model = small_model(kind)
+    unfitted = dict(vars(model))
+    with pytest.raises(DataFileError, match=refusal):
+        model.fit(X_bad, y)
+    assert vars(model) == unfitted
     model.fit(X, y)
-    model.task = "specimens10"
-    thresholds = {t for tree in model.router_.threshold for t in tree.tolist()}
-    assert math.inf in thresholds or any(map(math.isnan, thresholds))
-    save_model(tmp_path / "model.json", model)
-    again = load_model(tmp_path / "model.json")
-    assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
-    assert again.predict(X).tolist() == model.predict(X).tolist()
+    fitted, preds = json.dumps(model.to_dict()), model.predict(X).tolist()
+    with pytest.raises(DataFileError, match=refusal):
+        model.predict(X_bad)
+    with pytest.raises(DataFileError, match=refusal):
+        model.fit(X_bad, y)
+    assert json.dumps(model.to_dict()) == fitted and model.predict(X).tolist() == preds
 
 
-def test_load_model_rejects_garbage(tmp_path):
-    # Valid headers whose model part cannot be rebuilt: no trees, an unknown param,
-    # a broken tree, leaves of the wrong shape, a short boosting round, leaf values
-    # that are strings or bools.
-    header = {"format": "whiskerlab-model", "format_version": 1, "task": "patterns4"}
-    no_trees = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256},
-                "seed": 0, "classes": ["flat", "sinc"]}
-    unknown_param = {"kind": "boosted_trees", "params": {"depth": 3}, "seed": 0,
-                     "classes": ["flat", "sinc"], "trees": []}
-    dangling_child = {**no_trees, "trees": [{
-        "feature": [0, -1], "threshold": [0.5, 0.0], "left": [5], "right": [1, -1],
-        "value": [None, [1.0, 0.0]]}]}
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_and_predict_take_only_two_dimensional_float_arrays(kind):
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(30, 4)), np.arange(30) % 2
+    model = small_model(kind).fit(X, y)
+    for bad in (X[0], X[None], X.tolist(), X.astype(int), X.astype(object), "x"):
+        with pytest.raises(DataFileError, match="must be a 2-D float array"):
+            model.fit(bad, y)
+        with pytest.raises(DataFileError, match="must be a 2-D float array"):
+            model.predict(bad)
+    assert model.predict(X.astype(np.float32)).tolist() == model.predict(X).tolist()
 
-    def leaf_tree(value):
-        return {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [value]}
 
-    three_probs = {**no_trees, "trees": [leaf_tree([0.2, 0.3, 0.5])]}  # three values, two classes
-    empty_forest = {**no_trees, "trees": []}
-    boosting = {"kind": "boosted_trees",
-                "params": {"rounds": 1, "max_depth": 3, "learning_rate": 0.1, "max_bins": 128},
-                "seed": 0, "classes": ["flat", "sinc"]}
-    listed_boost_leaf = {**boosting, "trees": [[leaf_tree([0.5])] * 2]}  # a leaf must be one number
-    one_tree_round = {**boosting, "trees": [[leaf_tree(0.5)]]}  # two classes need two trees a round
-    string_probs = {**no_trees, "trees": [leaf_tree(["0.5", "0.5"])]}
-    bool_boost_leaf = {**boosting, "trees": [[leaf_tree(True), leaf_tree(0.5)]]}
-    stump = {"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1],
-             "value": [None, [1.0, 0.0], [0.0, 1.0]]}
-    string_threshold = {**no_trees, "trees": [{**stump, "threshold": ["0.5", 0.0, 0.0]}]}
-    bool_threshold = {**no_trees, "trees": [{**stump, "threshold": [True, 0.0, 0.0]}]}
-    bool_classes = {**no_trees, "classes": [True, 3, 4, False],
-                    "trees": [leaf_tree([0.25, 0.25, 0.25, 0.25])]}
-    malformed = [json.dumps({**header, "model": m})
-                 for m in (no_trees, unknown_param, dangling_child, three_probs, listed_boost_leaf,
-                           one_tree_round, empty_forest, string_probs, bool_boost_leaf,
-                           string_threshold, bool_threshold, bool_classes)]
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
+         "right": [2, 1, 2], "value": [[1.0, 0.0], [0.0, 1.0]], "roots": [0]}
+FOREST = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256}, "seed": 0,
+          "classes": ["flat", "sinc"], "n_features": 1, "trees": STUMP}
+BOOSTER = {"kind": "boosted_trees",
+           "params": {"rounds": 1, "max_depth": 3, "learning_rate": 0.1, "max_bins": 128},
+           "seed": 0, "classes": ["flat", "sinc"], "n_features": 1,
+           "trees": {"feature": [-1, -1], "threshold": [0.0, 0.0], "left": [0, 1], "right": [0, 1],
+                     "value": [0.5, -0.5], "roots": [0, 1]}}
+
+
+def with_trees(model, **change):
+    return {**model, "trees": {**model["trees"], **change}}
+
+
+# Valid headers whose model part cannot be rebuilt, by what is wrong with it.
+MALFORMED_MODELS = {
+    "no_trees": {k: v for k, v in FOREST.items() if k != "trees"},
+    "no_width": {k: v for k, v in FOREST.items() if k != "n_features"},
+    "unknown_param": {**BOOSTER, "params": {"depth": 3}},
+    "dangling_child": with_trees(FOREST, left=[5, 1, 2]),
+    "child_back_up_its_tree": with_trees(FOREST, right=[0, 1, 2]),
+    "child_in_another_tree": {**FOREST, "params": {"n_trees": 2, "max_bins": 256}, "trees": {
+        "feature": [0, -1, -1, 0, -1, -1], "threshold": [0.5, 0.0, 0.0, 0.2, 0.0, 0.0],
+        "left": [4, 1, 2, 4, 4, 5], "right": [2, 1, 2, 5, 4, 5],
+        "value": [[1.0, 0.0], [0.0, 1.0]] * 2, "roots": [0, 3]}},
+    "feature_at_width": with_trees(FOREST, feature=[1, -1, -1]),
+    "three_probs": with_trees(FOREST, value=[[0.2, 0.3, 0.5]] * 2),  # three values, two classes
+    "empty_forest": with_trees(FOREST, **{k: [] for k in STUMP}),
+    "string_probs": with_trees(FOREST, value=[["0.5", "0.5"]] * 2),
+    "nan_probs": with_trees(FOREST, value=[[math.nan, 1.0], [0.0, 1.0]]),
+    "listed_boost_leaf": with_trees(BOOSTER, value=[[0.5], [-0.5]]),  # a leaf must be one number
+    "bool_boost_leaf": with_trees(BOOSTER, value=[True, 0.5]),
+    "one_tree_round": with_trees(BOOSTER, feature=[-1], threshold=[0.0], left=[0], right=[0],
+                                 value=[0.5], roots=[0]),  # two classes need two trees a round
+    "short_second_round": {**BOOSTER, "params": {**BOOSTER["params"], "rounds": 2}},
+    "string_threshold": with_trees(FOREST, threshold=["0.5", 0.0, 0.0]),
+    "bool_threshold": with_trees(FOREST, threshold=[True, 0.0, 0.0]),
+    "nan_threshold": with_trees(FOREST, threshold=[math.nan, 0.0, 0.0]),
+    "inf_threshold": with_trees(FOREST, threshold=[math.inf, 0.0, 0.0]),
+    "minus_inf_threshold": with_trees(FOREST, threshold=[-math.inf, 0.0, 0.0]),
+    "bool_width": {**FOREST, "n_features": True},
+    "negative_width": {**FOREST, "n_features": -1},
+    "bool_classes": {**FOREST, "classes": [True, 3, 4, False]},
+}
+
+
+@pytest.mark.parametrize("text", ["{}", "not json", *(
+    json.dumps({"format": "whiskerlab-model", "format_version": 2, "task": "patterns4", "model": m})
+    for m in MALFORMED_MODELS.values())], ids=["empty", "not_json", *MALFORMED_MODELS])
+def test_load_model_rejects_garbage(tmp_path, text):
     path = tmp_path / "model.json"
-    for text in ["{}", "not json", *malformed]:
-        path.write_text(text)
-        with pytest.raises(DataFileError):
-            load_model(path)
+    path.write_text(text)
+    with pytest.raises(DataFileError):
+        load_model(path)
+
+
+def test_the_bases_of_the_garbage_models_load(tmp_path):
+    """FOREST and BOOSTER, which each MALFORMED_MODELS entry breaks in one way, load."""
+    path = tmp_path / "model.json"
+    for model, want in ((FOREST, ["flat", "sinc"]), (BOOSTER, ["flat", "flat"])):
+        path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 2,
+                                    "task": "patterns4", "model": model}))
+        assert load_model(path).predict(np.array([[0.0], [1.0]])).tolist() == want
+
+
+def test_a_version_1_model_file_is_refused_with_a_request_to_retrain(tmp_path):
+    """Version 1 stored one dict of node lists per tree."""
+    v1_tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+               "right": [2, -1, -1], "value": [None, [1.0, 0.0], [0.0, 1.0]]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "whiskerlab-model", "format_version": 1, "task": "patterns4",
+                                "model": {**FOREST, "trees": [v1_tree]}}))
+    with pytest.raises(DataFileError, match="model format version 1 is not 2; retrain the model"):
+        load_model(path)
 
 
 class ConstantModel:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import sys
@@ -15,6 +16,7 @@ from oracles import (grow_tree_oracle, offset_codes_oracle, quantile_edges_oracl
                      split_oracle)
 from whiskerlab.learn import boosting
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
+from whiskerlab.learn.evaluate import load_model, save_model
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
 from whiskerlab.learn.trees import (
     _HIST_BLOCK,
@@ -204,7 +206,7 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
             samplers = [partial(np.arange, d)] * 2
         got = grow_gini_tree(offset[boot], y[boot], 3, edges, bins, samplers[0])
         want, _ = grow_tree_oracle(offset[boot], y[boot], 3, edges, bins, sample_features=samplers[1])
-        assert got.to_dict() == want.to_dict()
+        assert got == want
 
 
 def grow_regression(binned, target, max_depth):
@@ -221,7 +223,7 @@ def assert_regression_matches_oracle(binned, target, max_depth):
     got, got_fitted = grow_regression(binned, target, max_depth)
     want, want_leaves = grow_tree_oracle(binned.offsets(), target, None, binned.edges,
                                          binned.max_bins, max_depth=max_depth)
-    assert got.to_dict() == want.to_dict()
+    assert got == want
     assert got_fitted.tobytes() == want_leaves[:, 0].tobytes()
     return want
 
@@ -284,7 +286,7 @@ def boost_fit_oracle(X, yi, n_classes, params):
             tree, fitted = grow_tree_oracle(offset, onehot[:, c] - scores[:, c], None, edges, bins,
                                             max_depth=params.max_depth)
             scores[:, c] += params.learning_rate * fitted[:, 0]
-            rounds[-1].append(tree.to_dict())
+            rounds[-1].append(tree)
     return rounds
 
 
@@ -300,18 +302,18 @@ def test_boosting_is_the_same_for_every_worker_count(monkeypatch, n_classes):
     X[:, -1] -= 0.5 * y
     X_test = rng.normal(size=(40, X.shape[1]))
     params = BoostParams(rounds=4, max_bins=32)
-    fits = []
+    fits, models = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 3, n_classes):
             monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
-            model = BoostedTreesClassifier(params).fit(X, y)
-            fits.append((json.dumps(model.to_dict()), model.predict(X_test).tolist()))
+            models.append(BoostedTreesClassifier(params).fit(X, y))
+            fits.append((json.dumps(models[-1].to_dict()), models[-1].predict(X_test).tolist()))
     finally:
         sys.setswitchinterval(interval)
     assert all(fit == fits[0] for fit in fits[1:])
-    assert json.loads(fits[0][0])["trees"] == boost_fit_oracle(X, y, n_classes, params)
+    assert models[0].trees_ == boost_fit_oracle(X, y, n_classes, params)
 
 
 def forest_fit_oracle(X, yi, n_classes, params, seed):
@@ -327,7 +329,7 @@ def forest_fit_oracle(X, yi, n_classes, params, seed):
         sample = partial(rng.choice, d, size=math.ceil(math.sqrt(d)), replace=False)
         tree, _ = grow_tree_oracle(offset[boot], yi[boot], n_classes, edges, bins,
                                    sample_features=sample)
-        trees.append(tree.to_dict())
+        trees.append(tree)
     return trees
 
 
@@ -342,7 +344,7 @@ def test_forest_fit_matches_the_oracle_grower(n_classes):
     X[:, 7] = np.round(X[:, 7])  # ties
     params = ForestParams(n_trees=6, max_bins=32)
     model = BaggedTreesClassifier(params, seed=n_classes).fit(X, y)
-    assert [t.to_dict() for t in model.trees_] == forest_fit_oracle(X, y, n_classes, params, n_classes)
+    assert model.trees_ == forest_fit_oracle(X, y, n_classes, params, n_classes)
 
 
 @pytest.mark.parametrize("failing", ["one", "every"])
@@ -398,7 +400,7 @@ def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monke
 
 
 def edge_matrices(rng):
-    """Random feature matrices: heavy ties, a constant column, one row, inf and NaN."""
+    """Random finite feature matrices: heavy ties, a constant column, one row."""
     for trial in range(60):
         n = 1 if trial % 10 == 0 else int(rng.integers(2, 80))
         d = int(rng.integers(1, 6))
@@ -408,16 +410,9 @@ def edge_matrices(rng):
             X = rng.normal(size=(n, d))
         if trial % 4 == 0:
             X[:, -1] = 1.5
-        if trial % 5 == 1:
-            X[rng.integers(0, n), rng.integers(0, d)] = np.inf
-        if trial % 5 == 2:
-            X[rng.integers(0, n), rng.integers(0, d)] = -np.inf
-        if trial % 7 == 3:
-            X[rng.integers(0, n), rng.integers(0, d)] = np.nan
         yield X
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as inside np.quantile
 @pytest.mark.parametrize("max_bins", [2, 3, 128, 256])
 def test_quantile_bin_edges_match_numpy_quantile_bit_for_bit(max_bins):
     rng = np.random.default_rng(max_bins)
@@ -429,7 +424,6 @@ def test_quantile_bin_edges_match_numpy_quantile_bit_for_bit(max_bins):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (X, g, w)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, as inside np.quantile
 @pytest.mark.parametrize("max_bins", [2, 3, 128, 256])
 def test_bin_codes_match_the_oracle(max_bins):
     """Compact bins, uint8 at up to 256 bins, whose offset codes are the oracle's."""
@@ -451,32 +445,6 @@ def test_bins_widen_past_256_and_blocks_hold_the_offset_codes():
     assert [b.dtype for b in codes.blocks] == [np.intp, np.intp]
     assert np.array_equal(np.hstack([block + j * binned.max_bins
                                      for j, block in zip(codes.starts, codes.blocks)]), offset)
-
-
-GOOD_TREE = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
-             "left": [1, -1, -1], "right": [2, -1, -1], "value": [None, [1.0, 0.0], [0.0, 1.0]]}
-
-
-def test_tree_from_dict_round_trips_a_valid_tree():
-    tree = Tree.from_dict(GOOD_TREE)
-    assert tree.to_dict() == GOOD_TREE
-    leaves = PackedTrees.pack([tree], 2).route(np.array([[0.0], [1.0]]))
-    assert leaves.tolist() == [[[1.0, 0.0], [0.0, 1.0]]]
-
-
-@pytest.mark.parametrize("change", [
-    {"left": [1, -1]},  # arrays of different lengths
-    {k: [] for k in GOOD_TREE},  # no nodes
-    {"left": [5, -1, -1]},  # child out of range
-    {"right": [0, -1, -1]},  # child not later than its parent: a cycle
-    {"left": [1.0, -1, -1]},  # child index not an int
-    {"feature": [-2, -1, -1]},  # negative split feature
-    {"feature": [0, -1, "x"]},
-    {"value": [None, None, [0.0, 1.0]]},  # leaf without a value
-])
-def test_tree_from_dict_rejects_broken_structure(change):
-    with pytest.raises(ValueError):
-        Tree.from_dict({**GOOD_TREE, **change})
 
 
 # Thresholds and inputs share a few values, so rows land exactly on thresholds.
@@ -520,18 +488,141 @@ def test_router_matches_route_oracle_bit_for_bit(value_dim):
             assert got[t].tobytes() == route_oracle(tree, X, value_dim or 1).tobytes()
 
 
+def finite_rows(rng, n, d):
+    X = random_rows(rng, n, d)
+    X[np.isnan(X)] = 0.25
+    return X
+
+
+@pytest.mark.parametrize("value_dim", [None, 1, 3])
+def test_router_round_trips_through_the_model_file_byte_for_byte(tmp_path, value_dim):
+    """Random routers, and forests (value_dim 1 and 3) and boosters (None) made
+    of them: the stored form rebuilds every array, dtype and byte, and the
+    loaded model predicts as the saved one."""
+    rng = np.random.default_rng(10 + (value_dim or 0))
+    for trial in range(25):
+        d = int(rng.integers(1, 6))
+        classes = list(range(value_dim or int(rng.integers(1, 4))))
+        n_trees = int(rng.integers(1, 13))
+        if value_dim is None:
+            n_trees = max(1, n_trees // len(classes)) * len(classes)
+        trees = [random_tree(rng, d, value_dim, int(rng.integers(0, 7))) for _ in range(n_trees)]
+        packed = PackedTrees.pack(trees, value_dim)
+        again = PackedTrees.from_dict(json.loads(json.dumps(packed.to_dict())), value_dim, d)
+        for f in dataclasses.fields(PackedTrees):
+            want, got = getattr(packed, f.name), getattr(again, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+
+        if value_dim is None:
+            model = BoostedTreesClassifier(BoostParams(rounds=n_trees // len(classes)))
+        else:
+            model = BaggedTreesClassifier(ForestParams(n_trees=n_trees))
+        model.classes_, model.router_, model.n_features_, model.task = classes, packed, d, "patterns4"
+        save_model(tmp_path / "model.json", model)
+        loaded = load_model(tmp_path / "model.json")
+        for f in dataclasses.fields(PackedTrees):
+            assert getattr(loaded.router_, f.name).tobytes() == getattr(packed, f.name).tobytes()
+        X = finite_rows(rng, int(rng.integers(0, 30)), d)
+        assert loaded.decision_function(X).tobytes() == model.decision_function(X).tobytes()
+        assert loaded.predict(X).tolist() == model.predict(X).tolist()
+
+
+def test_fitted_ensembles_round_trip_their_router_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(150, 8))
+    y = (X[:, 0] > 0).astype(int) + (X[:, 3] > 0.5)
+    for model in (BaggedTreesClassifier(ForestParams(n_trees=7), seed=3).fit(X, y),
+                  BoostedTreesClassifier(BoostParams(rounds=5, max_depth=4)).fit(X, y)):
+        model.task = "depths4"
+        save_model(tmp_path / "model.json", model)
+        loaded = load_model(tmp_path / "model.json")
+        assert not hasattr(loaded, "trees_")  # a loaded model needs only its router
+        for f in dataclasses.fields(PackedTrees):
+            want, got = getattr(model.router_, f.name), getattr(loaded.router_, f.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+        assert loaded.n_features_ == model.n_features_ == 8
+        assert loaded.decision_function(X).tobytes() == model.decision_function(X).tobytes()
+
+
 def test_leaf_only_trees_route_any_input_width():
-    trees = [Tree.from_dict({"feature": [-1], "threshold": [0.0], "left": [-1],
-                             "right": [-1], "value": [[0.25, 0.75]]})] * 3
-    packed = PackedTrees.pack(trees, 2)
-    assert packed.n_features == 0
+    tree = Tree()
+    tree.add_leaf([0.25, 0.75])
+    packed = PackedTrees.pack([tree] * 3, 2)
     for X in (np.empty((4, 0)), np.empty((0, 0)), np.ones((2, 3))):
         assert packed.route(X).tolist() == [[[0.25, 0.75]] * X.shape[0]] * 3
     forest = BaggedTreesClassifier.from_dict({
         "kind": "bagged_trees", "params": {"n_trees": 3, "max_bins": 256}, "seed": 0,
-        "classes": ["a", "b"], "trees": [t.to_dict() for t in trees]})
+        "classes": ["a", "b"], "n_features": 0, "trees": packed.to_dict()})
     assert forest.n_features_ == 0
     assert forest.predict(np.empty((4, 0))).tolist() == ["b"] * 4
+
+
+# A stump in the stored form: node 0 splits column 0 at 0.5, and leaves 1
+# and 2 are their own children.
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
+         "right": [2, 1, 2], "value": [[1.0, 0.0], [0.0, 1.0]], "roots": [0]}
+# Two stumps back to back, on columns 0 and 1: tree 1 starts at node 3.
+TWO_STUMPS = {"feature": [0, -1, -1, 1, -1, -1], "threshold": [0.5, 0.0, 0.0, -1.0, 0.0, 0.0],
+              "left": [1, 1, 2, 4, 4, 5], "right": [2, 1, 2, 5, 4, 5],
+              "value": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]], "roots": [0, 3]}
+
+
+def test_router_from_dict_round_trips_a_valid_router():
+    for good, width in ((STUMP, 1), (TWO_STUMPS, 2), (TWO_STUMPS, 5)):
+        packed = PackedTrees.from_dict(good, 2, width)
+        assert packed.to_dict() == good
+    leaves = PackedTrees.from_dict(STUMP, 2, 1).route(np.array([[0.0], [1.0]]))
+    assert leaves.tolist() == [[[1.0, 0.0], [0.0, 1.0]]]
+    leaves = PackedTrees.from_dict(TWO_STUMPS, 2, 2).route(np.array([[0.0, -2.0], [1.0, 0.0]]))
+    assert leaves.tolist() == [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.25, 0.75]]]
+
+
+@pytest.mark.parametrize("good, change", [
+    (STUMP, {"left": [1, 1]}),  # arrays of different lengths
+    (STUMP, {k: [] for k in STUMP}),  # no nodes
+    (STUMP, {"left": [5, 1, 2]}),  # child out of range
+    (STUMP, {"right": [0, 1, 2]}),  # child not later than its parent: a cycle
+    (STUMP, {"left": [1.0, 1, 2]}),  # child index not an int
+    (STUMP, {"left": [True, 1, 2]}),
+    (STUMP, {"feature": [-2, -1, -1]}),  # negative split feature
+    (STUMP, {"feature": [0, -1, "x"]}),
+    (STUMP, {"feature": [1, -1, -1]}),  # a split feature at the model width
+    (STUMP, {"value": [[0.0, 1.0]]}),  # a leaf without a value
+    (STUMP, {"left": [1, 2, 2]}),  # a leaf that is not its own child
+    (STUMP, {"threshold": [math.nan, 0.0, 0.0]}),  # thresholds are finite numbers
+    (STUMP, {"threshold": [math.inf, 0.0, 0.0]}),
+    (STUMP, {"threshold": [-math.inf, 0.0, 0.0]}),
+    (STUMP, {"threshold": [0.5, math.nan, 0.0]}),  # a leaf's too
+    (STUMP, {"threshold": [True, 0.0, 0.0]}),
+    (STUMP, {"threshold": ["0.5", 0.0, 0.0]}),
+    (STUMP, {"threshold": [[0.5], 0.0, 0.0]}),
+    (STUMP, {"value": [[1.0, 0.0], [False, True]]}),  # leaf values are finite numbers
+    (STUMP, {"value": [[1.0, 0.0], ["0", "1"]]}),
+    (STUMP, {"value": [[1.0, 0.0], [math.nan, 1.0]]}),
+    (STUMP, {"value": [[1.0, 0.0], [0.0, math.inf]]}),
+    (STUMP, {"roots": []}),  # no tree
+    (STUMP, {"roots": [1]}),  # nodes before the first root
+    (STUMP, {"roots": [0, 0]}),  # a tree of no nodes
+    (STUMP, {"roots": [0, 3]}),  # a root past the last node
+    (STUMP, {"roots": [[0]]}),
+    (STUMP, {"roots": 0}),
+    (TWO_STUMPS, {"left": [4, 1, 2, 4, 4, 5]}),  # a child in the next tree
+    (TWO_STUMPS, {"left": [1, 1, 2, 1, 4, 5]}),  # a child back up in the previous tree
+    (TWO_STUMPS, {"right": [2, 1, 2, 3, 4, 5]}),  # a split that is its own child
+    (TWO_STUMPS, {"roots": [0, 2]}),  # tree 0's split would reach into tree 1
+    (TWO_STUMPS, {"feature": [0, -1, -1, 2, -1, -1]}),  # past the width of 2
+])
+def test_router_from_dict_rejects_broken_structure(good, change):
+    width = 1 if good is STUMP else 2
+    with pytest.raises(ValueError):
+        PackedTrees.from_dict({**good, **change}, 2, width)
+
+
+def test_router_from_dict_needs_every_array():
+    for key in STUMP:
+        with pytest.raises(KeyError):
+            PackedTrees.from_dict({k: v for k, v in STUMP.items() if k != key}, 2, 1)
 
 
 @pytest.mark.parametrize("value_dim, leaf", [
@@ -540,11 +631,22 @@ def test_leaf_only_trees_route_any_input_width():
     (2, [[1.0, 0.0]]),
     (None, [0.5]),  # a list where one number is due
     (None, "x"),
+    (None, True),
 ])
-def test_pack_rejects_leaves_of_the_wrong_shape(value_dim, leaf):
-    tree = Tree.from_dict({**GOOD_TREE, "value": [None, leaf, leaf]})
+def test_router_from_dict_rejects_leaves_of_the_wrong_shape(value_dim, leaf):
     with pytest.raises(ValueError):
-        PackedTrees.pack([tree], value_dim)
+        PackedTrees.from_dict({**STUMP, "value": [leaf, leaf]}, value_dim, 1)
+
+
+def test_bad_router_numbers_are_named_by_their_first_index():
+    with pytest.raises(ValueError, match=r"threshold\[2\] must be finite, got nan"):
+        PackedTrees.from_dict({**TWO_STUMPS, "threshold": [0.5, 0.0, math.nan, 1.0, "x", 0.0]}, 2, 2)
+    with pytest.raises(ValueError, match=r"value\[1, 0\] must be float, got True"):
+        PackedTrees.from_dict({**STUMP, "value": [[1.0, 0.0], [True, 1.0]]}, 2, 1)
+    with pytest.raises(ValueError, match=r"feature\[3\] must lie in \[-1, 2\), got 2"):
+        PackedTrees.from_dict({**TWO_STUMPS, "feature": [0, -1, -1, 2, -1, -1]}, 2, 2)
+    with pytest.raises(ValueError, match="node 0: children 4, 2 are not later nodes of its tree"):
+        PackedTrees.from_dict({**TWO_STUMPS, "left": [4, 1, 2, 4, 4, 5]}, 2, 2)
 
 
 def test_running_sum_adds_in_order_from_zero():
@@ -617,3 +719,45 @@ def test_only_bin_matrix_runs_the_binning_core():
         if path.name != "oracles.py" and (lines := binning_outside_bin_matrix(path.read_text()))
     }
     assert offenders == {}, f"bin through whiskerlab.learn.trees.bin_matrix instead: {offenders}"
+
+
+def reads_or_writes_files(source: str) -> bool:
+    """Whether a module imports the package's file module (``artifacts``) or calls ``open``."""
+    return any(isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "artifacts"
+               or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+               for node in ast.walk(ast.parse(source)))
+
+
+def tree_references(source: str) -> list[int]:
+    """Line numbers that name ``Tree``: as a name, an attribute or an import."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "Tree"
+            or isinstance(node, ast.Attribute) and node.attr == "Tree"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "Tree" for a in node.names)]
+
+
+@pytest.mark.parametrize("source, files, names_tree", [
+    ("from ..artifacts import read_json", True, False),
+    ("from .artifacts import write_csv\nfrom .learn.trees import PackedTrees", True, False),
+    ("with open(p) as fh:\n    pass", True, False),
+    ("from .learn.trees import Tree", False, True),
+    ("from .learn.trees import PackedTrees, Tree as T", False, True),
+    ("t = trees.Tree()", False, True),
+    ("def f(t: Tree):\n    pass", False, True),
+    ("router = PackedTrees.pack(trees_, None)", False, False),
+    ("x = fh.open()", False, False),
+])
+def test_tree_and_file_detectors(source, files, names_tree):
+    assert reads_or_writes_files(source) == files
+    assert bool(tree_references(source)) == names_tree
+
+
+def test_no_module_that_reads_or_writes_files_names_tree():
+    """Model IO sees an ensemble only as its PackedTrees arrays, never as
+    per-node Tree objects, so the per-node form cannot come back into a file."""
+    package = Path(whiskerlab.__file__).parent
+    io_modules = {str(path.relative_to(package)): path.read_text() for path in sorted(package.rglob("*.py"))
+                  if reads_or_writes_files(path.read_text())}
+    assert {"learn/evaluate.py", "learn/dataset.py", "harness/cli.py"} <= set(io_modules)
+    offenders = {name: lines for name, source in io_modules.items() if (lines := tree_references(source))}
+    assert offenders == {}, f"read and write ensembles as PackedTrees, not Tree: {offenders}"
