@@ -5,7 +5,8 @@ A family supplies ``kind``, its params dataclass, ``_fit``, a per-class
 input X (:meth:`Classifier._check_input`), encodes the labels, predicts the
 argmax class and round-trips the whole model.  Both ``_fit`` and the state
 loader set ``n_features_``, the input width ``predict`` then requires
-(DataFileError otherwise).
+(DataFileError otherwise); without it ``predict`` and ``to_dict`` raise
+DegenerateModelError.  A refused ``fit`` leaves the model as it was.
 """
 
 from dataclasses import asdict
@@ -30,11 +31,19 @@ class Classifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Classifier":
         """Train on rows X with labels y, which set ``classes_``."""
         self._check_input(X)
-        self.classes_ = sorted(set(y.tolist()))
-        if len(self.classes_) < 2:
+        classes = sorted(set(y.tolist()))
+        if len(classes) < 2:
             raise DegenerateModelError("training set contains a single class")
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        self._fit(X, np.array([class_index[v] for v in y.tolist()], dtype=np.int64))
+        class_index = {c: i for i, c in enumerate(classes)}
+        yi = np.array([class_index[v] for v in y.tolist()], dtype=np.int64)
+        before = dict(vars(self))
+        self.classes_ = classes
+        try:
+            self._fit(X, yi)
+        except Exception:  # a refused fit leaves the model as it was
+            vars(self).clear()
+            vars(self).update(before)
+            raise
         return self
 
     def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
@@ -57,7 +66,13 @@ class Classifier:
         """Per-class scores, shape (rows, classes); the highest one wins."""
         raise NotImplementedError
 
+    def _check_fitted(self) -> None:
+        """DegenerateModelError unless a fit or a model file set the state."""
+        if not hasattr(self, "n_features_"):
+            raise DegenerateModelError(f"{self.kind} model is not fitted")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
         self._check_input(X)
         width = X.shape[1]
         if width < self.n_features_ or (self.exact_width and width != self.n_features_):
@@ -75,6 +90,7 @@ class Classifier:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
+        self._check_fitted()
         return {
             "kind": self.kind,
             "params": asdict(self.params),

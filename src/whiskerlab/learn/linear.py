@@ -46,10 +46,14 @@ class LinearMarginClassifier(Classifier):
     scale_: np.ndarray
 
     def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
-        self.mean_ = X.mean(axis=0)
-        std = X.std(axis=0)
-        self.scale_ = np.where(std > 0, std, 1.0)
-        Xs = (X - self.mean_) / self.scale_
+        try:  # finite but huge features can overflow the statistics
+            with np.errstate(over="raise", invalid="raise"):
+                self.mean_ = X.mean(axis=0)
+                std = X.std(axis=0)
+                self.scale_ = np.where(std > 0, std, 1.0)
+                Xs = (X - self.mean_) / self.scale_
+        except FloatingPointError as exc:
+            raise DataFileError(f"{self.kind} cannot standardize its input ({exc})") from exc
 
         n, d = Xs.shape
         n_classes = len(self.classes_)

@@ -6,8 +6,11 @@ grid layout is fixed by configuration: the image is divided into rows x cols
 cells and the ROI sits centered in each cell.  Extraction reduces a frame to
 a rows x cols matrix of normalized green intensities; rendering is the
 inverse map used for end-to-end tests.  Both see the frame's ROIs as one
-strided (rows, roi_side, cols, roi_side) view of the selected channel, so
-each is one array operation per frame.
+strided (rows, roi_side, cols, roi_side, 3) view that keeps all three
+channels, so each is one array operation per frame.  Extraction sums each
+ROI's contiguous RGB row bands, then the selected channel, in the narrowest
+unsigned integers that cannot overflow; integer sums that cannot overflow
+are exact in any order, so every taxel is the exact ROI sum over one divisor.
 
 A taxel stream is one (frames, rows, cols) float64 array; every stream
 function reads its input through :func:`taxel_array`, one ``np.asarray``.
@@ -157,19 +160,19 @@ def taxel_array(taxels) -> np.ndarray:
 
 
 def _roi_view(pixels: np.ndarray, cfg: TaxelGridConfig) -> np.ndarray:
-    """The selected channel's ROIs as a (rows, roi_side, cols, roi_side) view.
+    """The frame's ROIs, all three channels, as a (rows, roi_side, cols,
+    roi_side, 3) view.
 
-    Element [i, r, j, c] is pixel (r, c) of the ROI of grid cell (i, j), i.e.
-    the pixel at ``cfg.roi_origin(i, j)`` + (r, c).  Splitting the frame's
-    row and column axes into (cell, offset) pairs is a view whatever the
-    frame's strides, and a centered ROI never leaves its cell, so the view
-    stays inside the frame even when ``image_side`` is not a multiple of the
-    grid size (the leftover last pixels belong to no cell).
+    Element [i, r, j, c, k] is channel k of pixel (r, c) of the ROI of grid
+    cell (i, j), i.e. of the pixel at ``cfg.roi_origin(i, j)`` + (r, c).
+    Splitting the frame's row and column axes into (cell, offset) pairs is a
+    view whatever the frame's strides, and a centered ROI never leaves its
+    cell, so the view stays inside the frame even when ``image_side`` is not
+    a multiple of the grid size (the leftover last pixels belong to no cell).
     """
     top, left = cfg.roi_origin(0, 0)
     h, w = cfg.cell_height, cfg.cell_width
-    plane = pixels[: cfg.rows * h, : cfg.cols * w, CHANNELS[cfg.channel]]
-    cells = plane.reshape(cfg.rows, h, cfg.cols, w)
+    cells = pixels[: cfg.rows * h, : cfg.cols * w].reshape(cfg.rows, h, cfg.cols, w, 3)
     return cells[:, top : top + cfg.roi_side, :, left : left + cfg.roi_side]
 
 
@@ -179,24 +182,33 @@ def extract_taxels(
     """Reduce a frame to its taxel matrix.
 
     Each taxel is the mean of the selected color channel over its ROI,
-    normalized by 255.  The mean is computed by exact integer accumulation
-    followed by a single division so results are platform-deterministic.
+    normalized by 255: the exact integer ROI sum, divided once by
+    ``roi_side**2 * 255``, so results are platform-deterministic.  The sum
+    over the ROI's rows runs in ``np.min_scalar_type(roi_side * 255)``
+    (uint16 up to ``roi_side`` 257) on all three channels; the sum of the
+    selected channel's row sums runs in ``np.min_scalar_type(roi_side**2 *
+    255)``.  Neither type can overflow, so each sum equals the one a wider
+    accumulator would give, bit for bit.
     """
     if frame.width != cfg.image_side or frame.height != cfg.image_side:
         raise ConfigError(
             f"frame is {frame.width}x{frame.height}, config expects "
             f"{cfg.image_side}x{cfg.image_side}"
         )
-    # Exact integer sums, then one division; summing each ROI's row band first
-    # measured faster than one reduction over both ROI axes.
-    sums = _roi_view(frame.pixels, cfg).sum(axis=1, dtype=np.int64).sum(axis=2)
-    values = sums / (cfg.roi_side * cfg.roi_side * 255)
+    # Each ROI row is roi_side * 3 adjacent bytes in a C-ordered frame, so the
+    # first sum adds whole RGB row bands; the channel is taken from the much
+    # smaller band sums.  This measured faster than summing one channel's
+    # strided pixels, and narrow accumulators faster than int64.
+    side = cfg.roi_side
+    bands = _roi_view(frame.pixels, cfg).sum(axis=1, dtype=np.min_scalar_type(side * 255))
+    sums = bands[..., CHANNELS[cfg.channel]].sum(axis=2, dtype=np.min_scalar_type(side * side * 255))
+    values = sums / (side * side * 255)
     return TaxelMatrix(values, frame_index)
 
 
 def render_frame(taxels, cfg: TaxelGridConfig = TaxelGridConfig()) -> TactileFrame:
     """Render a synthetic frame from a (rows, cols) array-like of values in
-    [0, 1]: each ROI filled with green = round(255 * value).  A value
+    [0, 1]: each ROI's selected channel filled with round(255 * value).  A value
     outside [0, 1], NaN included, raises ConfigError."""
     vals = np.asarray(taxels, dtype=np.float64)
     if vals.shape != (cfg.rows, cfg.cols):
@@ -205,7 +217,7 @@ def render_frame(taxels, cfg: TaxelGridConfig = TaxelGridConfig()) -> TactileFra
         raise ConfigError("taxel values must lie in [0, 1]")
     pixels = np.zeros((cfg.image_side, cfg.image_side, 3), dtype=np.uint8)
     levels = np.rint(vals * 255).astype(np.uint8)
-    _roi_view(pixels, cfg)[...] = levels[:, None, :, None]
+    _roi_view(pixels, cfg)[..., CHANNELS[cfg.channel]] = levels[:, None, :, None]
     return TactileFrame(pixels)
 
 

@@ -507,6 +507,8 @@ def test_non_finite_features_are_refused_at_fit_and_predict(kind, bad):
     with pytest.raises(DataFileError, match=refusal):
         model.fit(X_bad, y)
     assert vars(model) == unfitted
+    with pytest.raises(DegenerateModelError, match=f"{kind} model is not fitted"):
+        model.predict(X)
     model.fit(X, y)
     fitted, preds = json.dumps(model.to_dict()), model.predict(X).tolist()
     with pytest.raises(DataFileError, match=refusal):
@@ -514,6 +516,38 @@ def test_non_finite_features_are_refused_at_fit_and_predict(kind, bad):
     with pytest.raises(DataFileError, match=refusal):
         model.fit(X_bad, y)
     assert json.dumps(model.to_dict()) == fitted and model.predict(X).tolist() == preds
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_an_unfitted_model_neither_predicts_nor_saves(kind, tmp_path):
+    model, path = small_model(kind), tmp_path / "model.json"
+    with pytest.raises(DegenerateModelError, match="single class"):
+        model.fit(np.zeros((4, 2)), np.zeros(4, dtype=int))
+    for model in (model, small_model(kind)):
+        with pytest.raises(DegenerateModelError, match=f"{kind} model is not fitted"):
+            model.predict(np.zeros((3, 2)))
+        with pytest.raises(DegenerateModelError, match=f"{kind} model is not fitted"):
+            save_model(path, model)
+    assert not path.exists()
+
+
+def test_linear_fit_refuses_features_whose_statistics_overflow(tmp_path):
+    """Finite features of magnitude 1.5e308 overflow the mean; the fit is
+    refused rather than saving NaN weights that load_model would refuse."""
+    X = np.where(np.arange(40) % 2, 1.5e308, -1.5e308)[:, None]
+    y, path = np.arange(40) % 2, tmp_path / "model.json"
+    model = small_model("linear_margin")
+    unfitted = dict(vars(model))
+    with pytest.raises(DataFileError, match="linear_margin cannot standardize its input"):
+        model.fit(X, y)
+    assert vars(model) == unfitted
+    with pytest.raises(DegenerateModelError):
+        save_model(path, model)
+    assert not path.exists()
+    fitted = json.dumps(model.fit(X / 1e300, np.arange(40) % 3).to_dict())
+    with pytest.raises(DataFileError, match="linear_margin cannot standardize its input"):
+        model.fit(X, y)
+    assert json.dumps(model.to_dict()) == fitted
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -235,6 +235,25 @@ def test_round_trip_within_one_count_on_every_geometry(cfg):
             assert np.max(np.abs(recovered - values)) <= 1 / 255
 
 
+# One ROI row sums in uint16 up to roi_side 257 (257 * 255 = 65535) and in
+# uint32 from 258.  Random pixels (mean 127.5) keep even a 400-pixel row below
+# 65535, so only saturated pixels reach the top of each accumulator.
+BOUNDARY_GRIDS = [TaxelGridConfig(rows=1, cols=1, roi_side=side, image_side=side + 3, channel=channel)
+                  for side in (257, 258, 400) for channel in CHANNELS]
+
+
+@pytest.mark.parametrize("cfg", BOUNDARY_GRIDS, ids=lambda c: f"1x1-{c.roi_side}-{c.channel}")
+def test_extraction_is_exact_at_the_accumulator_boundaries(cfg):
+    side = cfg.image_side
+    random = np.random.default_rng(cfg.roi_side).integers(0, 256, size=(side, side, 3), dtype=np.uint8)
+    saturated = np.full((side, side, 3), 255, dtype=np.uint8)
+    for pixels in (saturated, random):
+        expected = roi_mean_oracle(pixels, 1, 1, cfg.roi_side, CHANNELS[cfg.channel])
+        for frame in (TactileFrame(pixels), TactileFrame(non_contiguous(pixels))):
+            assert extract_taxels(frame, cfg).values.tobytes() == expected.tobytes()
+    assert extract_taxels(TactileFrame(saturated), cfg).values.tolist() == [[1.0]]
+
+
 def test_taxel_stream_iterates_frames_as_views():
     values = np.random.default_rng(8).uniform(size=(7, 4, 5))
     s = TaxelStream(values)
