@@ -47,6 +47,16 @@ def check_array(name: str, value, kind, interval: Optional[str] = None) -> np.nd
     return cells.astype(kind)
 
 
+def check_labels(name: str, labels: list) -> list:
+    """A list of class labels if all are ints or all are strs, none a bool,
+    else a ConfigError naming the first label of another kind (``name[i]``)."""
+    kind = str if labels and isinstance(labels[0], str) else int
+    if not set(map(type, labels)) <= {kind}:
+        for i, label in enumerate(labels):
+            check(f"{name}[{i}]", label, kind)
+    return labels
+
+
 class Validated:
     """Base of the frozen config dataclasses: building one (``dataclasses.replace``
     included) passes each field to :func:`check`, with its annotated type and

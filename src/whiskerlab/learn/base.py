@@ -2,7 +2,7 @@
 
 A family supplies ``kind``, its params dataclass, ``_fit``, a per-class
 ``decision_function`` and its fitted state as JSON; this base checks each
-input X (:meth:`Classifier._check_input`), encodes the labels, predicts the
+input X (:meth:`Classifier._check_input`) and labels y, encodes y, predicts the
 argmax class and round-trips the whole model.  Both ``_fit`` and the state
 loader set ``n_features_``, the input width ``predict`` then requires
 (DataFileError otherwise); without it ``predict`` and ``to_dict`` raise
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import DataFileError, DegenerateModelError, check
+from ..errors import ConfigError, DataFileError, DegenerateModelError, check, check_labels
 
 
 class Classifier:
@@ -29,13 +29,21 @@ class Classifier:
         self.classes_: list = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Classifier":
-        """Train on rows X with labels y, which set ``classes_``."""
+        """Train on rows X with labels y, which set ``classes_``: one per row,
+        all ints or all strs, none a bool (:func:`~whiskerlab.errors.check_labels`)."""
         self._check_input(X)
-        classes = sorted(set(y.tolist()))
+        if not (isinstance(y, np.ndarray) and y.shape == X.shape[:1]):
+            raise DataFileError(f"{self.kind} labels must be a 1-D array of one label per row, "
+                                f"{X.shape[0]} labels, got {getattr(y, 'shape', type(y).__name__)}")
+        try:
+            labels = check_labels("label", y.tolist())
+        except ConfigError as exc:
+            raise DataFileError(f"{self.kind} {exc}") from None
+        classes = sorted(set(labels))
         if len(classes) < 2:
             raise DegenerateModelError("training set contains a single class")
         class_index = {c: i for i, c in enumerate(classes)}
-        yi = np.array([class_index[v] for v in y.tolist()], dtype=np.int64)
+        yi = np.array([class_index[v] for v in labels], dtype=np.int64)
         before = dict(vars(self))
         self.classes_ = classes
         try:
@@ -102,8 +110,6 @@ class Classifier:
     @classmethod
     def from_dict(cls, obj: dict) -> "Classifier":
         model = cls(cls.params_cls(**obj["params"]), check("seed", obj["seed"], int))
-        model.classes_ = check("classes", obj["classes"], list)
-        for c in model.classes_:  # a label is an int or a str, never a bool
-            check("class label", c, str if isinstance(c, str) else int)
+        model.classes_ = check_labels("classes", check("classes", obj["classes"], list))
         model._load_state(obj)
         return model

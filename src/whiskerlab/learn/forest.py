@@ -37,7 +37,6 @@ class BaggedTreesClassifier(Classifier):
 
     def _fit(self, X: np.ndarray, yi: np.ndarray) -> None:
         binned = bin_matrix(X, self.params.max_bins)
-        offset = binned.offsets()
         n, d = X.shape
         k = math.isqrt(d - 1) + 1  # ceil(sqrt(d)) candidate features per split
 
@@ -48,7 +47,7 @@ class BaggedTreesClassifier(Classifier):
             rng = np.random.default_rng(int(ts))
             boot = rng.integers(0, n, size=n)
             self.trees_.append(grow_gini_tree(
-                offset[boot], yi[boot], len(self.classes_), binned.edges, binned.max_bins,
+                binned.bins[boot], yi[boot], len(self.classes_), binned.edges, binned.max_bins,
                 partial(rng.choice, d, size=k, replace=False)))
         self.router_ = PackedTrees.pack(self.trees_, len(self.classes_))
         self.n_features_ = d

@@ -1,14 +1,15 @@
 """Shared decision-tree machinery for the ensemble models.
 
 Split candidates come from per-feature quantile bins (one sort per column,
-then numpy's linear quantile rule on a block of columns at once), offset
-per feature so one flat histogram covers every feature.  :func:`bin_matrix`
-bins a training matrix once per ``max_bins`` for as long as the matrix
-lives, when it is read-only and owns its data (a
-:class:`~whiskerlab.learn.dataset.LabeledDataset`'s features are): every
-fit on it at that ``max_bins`` shares one binning, kept as compact
-per-feature bins, and the binning is dropped when the matrix is freed.  A
-writable matrix is binned anew by each fit.  Each ensemble has its own grower:
+then numpy's linear quantile rule on a block of columns at once), kept as
+compact bins (uint8 up to 256 bins).  Both growers read them and send a
+split's rows left by one rule, ``bins[rows, f] <= b``; codes offset per
+feature are built only for a histogram.  :func:`bin_matrix` bins a training
+matrix once per ``max_bins`` for as long as the matrix lives, when it is
+read-only and owns its data (a :class:`~whiskerlab.learn.dataset.LabeledDataset`'s
+features are): every fit on it at that ``max_bins`` shares one binning,
+dropped when the matrix is freed.  A writable matrix is binned anew by each
+fit.  Each ensemble has its own grower:
 :func:`grow_gini_tree` grows the forest's full-depth gini trees on sampled
 candidate features, and :func:`grow_regression_tree` the booster's
 depth-limited squared-error trees on every feature.  Both score a node's
@@ -128,16 +129,6 @@ class BinnedMatrix:
     bins: np.ndarray
     max_bins: int
 
-    def offsets(self) -> np.ndarray:
-        """Bin codes offset per feature, so one flat histogram covers all features.
-
-        Value x of feature f in bin b gets code f * max_bins + b.  The codes
-        are ``intp``, the index type ``np.bincount`` counts in, so no per-node
-        histogram casts them, and the gini grower sorts a small node's codes
-        directly.
-        """
-        return self.bins + np.arange(self.bins.shape[1], dtype=np.intp) * self.max_bins
-
 
 # The binnings of read-only arrays by (id(array), max_bins), each dropped when
 # its array is freed, so no later array can take its id while it is here.
@@ -169,28 +160,19 @@ def bin_matrix(X: np.ndarray, max_bins: int = 256) -> BinnedMatrix:
 
 
 class BlockedCodes:
-    """A binned matrix's offset codes (see :meth:`BinnedMatrix.offsets`) stored
-    as contiguous blocks of ``_HIST_BLOCK`` columns: the squared-error
-    grower's layout.
-
-    A block holds its columns' codes less the block's first code, so the
-    codes of a node's rows of one block, gathered into a buffer, are one
-    ``bincount`` away from that block's histogram.  Each block is built
-    from its columns' bins alone.
+    """The squared-error grower's histogram codes: a binned matrix's
+    contiguous blocks of ``_HIST_BLOCK`` columns, in which column j of a
+    block holds j * max_bins + its bin, so the codes of a node's rows of one
+    block, gathered into a buffer, are one ``bincount`` away from that
+    block's histogram.  ``bins`` keeps the compact bins, which route splits.
     """
 
     def __init__(self, binned: BinnedMatrix):
-        bins = binned.bins
-        self.shape = bins.shape
+        self.bins = bins = binned.bins
         self.max_bins = binned.max_bins
         self.starts = range(0, bins.shape[1], _HIST_BLOCK)
         column = np.arange(_HIST_BLOCK, dtype=np.intp) * self.max_bins
         self.blocks = [bins[:, j:j + _HIST_BLOCK] + column[:bins.shape[1] - j] for j in self.starts]
-
-    def at_or_below(self, rows: np.ndarray, f: int, b: int) -> np.ndarray:
-        """Whether each of ``rows`` has column ``f`` in bin ``b`` or below."""
-        block, column = divmod(f, _HIST_BLOCK)
-        return self.blocks[block][rows, column] <= column * self.max_bins + b
 
     def cumulate(self, rows=None, weights=None, out=None, work=None) -> np.ndarray:
         """Per-column cumulative bin totals over ``rows``, shape (columns, max_bins).
@@ -203,8 +185,8 @@ class BlockedCodes:
         holds the gathered codes and broadcast weights.
         """
         if out is None:
-            out = np.empty((self.shape[1], self.max_bins))
-        m = self.shape[0] if rows is None else rows.size
+            out = np.empty((self.bins.shape[1], self.max_bins))
+        m = self.bins.shape[0] if rows is None else rows.size
         filled = 0  # width of the weight matrix in work.weights
         for j, codes in zip(self.starts, self.blocks):
             width = codes.shape[1]
@@ -240,7 +222,7 @@ class SplitBuffers:
     """
 
     def __init__(self, codes: BlockedCodes, max_depth: int):
-        rows, columns = codes.shape
+        rows, columns = codes.bins.shape
         size = rows * min(columns, _HIST_BLOCK)
         self.codes = np.empty(size, dtype=np.intp)
         self.weights = np.empty(size)
@@ -372,14 +354,14 @@ def running_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def grow_gini_tree(
-    offset: np.ndarray,
+    bins: np.ndarray,
     y: np.ndarray,
     n_classes: int,
     edges: list[np.ndarray],
     max_bins: int,
     sample_features: Callable[[], np.ndarray],
 ) -> Tree:
-    """Grow one full-depth gini tree over offset bin codes (see :meth:`BinnedMatrix.offsets`).
+    """Grow one full-depth gini tree over compact bins below ``max_bins`` (see :func:`feature_bins`).
 
     ``y`` holds integer labels below ``n_classes``, and each leaf stores its
     class probabilities as a list.  Growth stops at nodes of one class and
@@ -387,20 +369,20 @@ def grow_gini_tree(
     of each node that holds two classes or more, before its split search.
     """
     tree = Tree()
-    stack = [(np.arange(offset.shape[0]), None, None)]  # (indices, parent, side)
+    stack = [(np.arange(bins.shape[0]), None, None)]  # (indices, parent, side)
     while stack:
         idx, parent, side = stack.pop()
         totals = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
         best = None
         if np.count_nonzero(totals) > 1:
             feats = sample_features()
-            best = _gini_split(offset, y, idx, feats, n_classes, max_bins, totals)
+            best = _gini_split(bins, y, idx, feats, n_classes, max_bins, totals)
         if best is None:
             node = tree.add_leaf((totals / idx.size).tolist())
         else:
             f, b = best
             node = tree.add_split(f, edges[f][b])
-            go_left = offset[idx, f] <= f * max_bins + b
+            go_left = bins[idx, f] <= b
             # Push right first so left is processed first (cosmetic only).
             stack.append((idx[~go_left], node, "right"))
             stack.append((idx[go_left], node, "left"))
@@ -409,16 +391,16 @@ def grow_gini_tree(
     return tree
 
 
-def _gini_split(offset, y, idx, feats, n_classes, max_bins, totals):
+def _gini_split(bins, y, idx, feats, n_classes, max_bins, totals):
     """A gini node's best split as (feature, bin), or None when none gains.
 
-    The candidates are the sampled ``feats``, whose columns are re-offset by
-    their position among them, so candidate j's codes are j * max_bins + bin.
+    The candidates are the sampled ``feats``; candidate j's codes are its
+    bins offset by its position, j * max_bins + bin, in ``intp``.
     A node of fewer rows than bins is scored from its sorted codes, a larger
     one from its histograms.
     """
     n, k = idx.size, feats.size
-    codes = offset[np.ix_(idx, feats)] + (np.arange(k) - feats) * max_bins
+    codes = bins[np.ix_(idx, feats)] + np.arange(k) * max_bins
     if n < max_bins:
         # Sort each candidate's rows by (code, label), one key, and cumulate
         # class counts down them.  A split can fall only after the last row
@@ -465,9 +447,9 @@ def grow_regression_tree(
     Returns the tree and each row's leaf value.
     """
     tree = Tree()
-    fitted = np.empty(codes.shape[0])
+    fitted = np.empty(codes.bins.shape[0])
     # (indices, depth, parent, side, cumulative counts, None at max_depth)
-    stack = [(np.arange(codes.shape[0]), 0, None, None, root_counts)]
+    stack = [(np.arange(codes.bins.shape[0]), 0, None, None, root_counts)]
     while stack:
         idx, depth, parent, side, counts = stack.pop()
         n = idx.size
@@ -475,7 +457,7 @@ def grow_regression_tree(
         best = None
         if n >= 2 and depth < max_depth:
             # Only the root holds every row, and its idx is in order: no gather.
-            codes.cumulate(None if n == codes.shape[0] else idx, y[idx], work.sums, work)
+            codes.cumulate(None if n == codes.bins.shape[0] else idx, y[idx], work.sums, work)
             best = _best_split(counts[:, :-1], work.sums[None, :, :-1], n, totals, out=work.score)
         if best is None:
             value = float(totals[0] / n)
@@ -484,7 +466,7 @@ def grow_regression_tree(
         else:
             f, b = best
             node = tree.add_split(f, edges[f][b])
-            go_left = codes.at_or_below(idx, f, b)
+            go_left = codes.bins[idx, f] <= b
             left, right = idx[go_left], idx[~go_left]
             left_counts = right_counts = None
             if depth + 1 < max_depth:

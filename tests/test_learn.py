@@ -563,6 +563,43 @@ def test_fit_and_predict_take_only_two_dimensional_float_arrays(kind):
     assert model.predict(X.astype(np.float32)).tolist() == model.predict(X).tolist()
 
 
+def labels_with(values, at, value):
+    y = np.array(values, dtype=object)
+    y[at] = value
+    return y
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("y, refusal", [
+    (np.full(30, math.nan), r"label\[0\] must be int, got nan"),
+    (labels_with(np.arange(30) % 3, 4, math.nan), r"label\[4\] must be int, got nan"),
+    (np.arange(30) % 2 == 0, r"label\[0\] must be int, got True"),
+    (labels_with(np.arange(30) % 3, 7, False), r"label\[7\] must be int, got False"),
+    (labels_with(np.arange(30) % 3, 5, "flat"), r"label\[5\] must be int, got 'flat'"),
+    (labels_with(["flat", "sinc"] * 15, 9, 2), r"label\[9\] must be str, got 2"),
+    (np.arange(35) % 3, r"30 labels, got \(35,\)"),
+    (np.arange(25) % 3, r"30 labels, got \(25,\)"),
+    (np.arange(30)[:, None] % 3, r"30 labels, got \(30, 1\)"),
+    ((np.arange(30) % 3).tolist(), "30 labels, got list"),
+])
+def test_fit_refuses_labels_that_are_not_one_int_or_one_str_per_row(kind, y, refusal):
+    """Each family refuses the labels before any state changes, so a new
+    model stays unfitted and a fitted one keeps its fit.  Without the check,
+    25 labels on fewer rows fitted a forest, 15 raised an IndexError, the
+    booster a broadcast ValueError and NaN labels a KeyError."""
+    X = np.random.default_rng(3).normal(size=(30, 4))
+    model = small_model(kind)
+    unfitted = dict(vars(model))
+    with pytest.raises(DataFileError, match=refusal):
+        model.fit(X, y)
+    assert vars(model) == unfitted
+    model.fit(X, np.arange(30) % 3)
+    fitted, preds = json.dumps(model.to_dict()), model.predict(X).tolist()
+    with pytest.raises(DataFileError, match=refusal):
+        model.fit(X, y)
+    assert json.dumps(model.to_dict()) == fitted and model.predict(X).tolist() == preds
+
+
 STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2],
          "right": [2, 1, 2], "value": [[1.0, 0.0], [0.0, 1.0]], "roots": [0]}
 FOREST = {"kind": "bagged_trees", "params": {"n_trees": 1, "max_bins": 256}, "seed": 0,
@@ -607,6 +644,8 @@ MALFORMED_MODELS = {
     "bool_width": {**FOREST, "n_features": True},
     "negative_width": {**FOREST, "n_features": -1},
     "bool_classes": {**FOREST, "classes": [True, 3, 4, False]},
+    "mixed_classes": {**FOREST, "classes": ["flat", 3]},
+    "nan_classes": {**FOREST, "classes": [math.nan, 3]},
 }
 
 

@@ -1,10 +1,12 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import sys
 import threading
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -111,7 +113,7 @@ def test_best_split_rejects_nodes_without_gain():
 
 
 def small_gini_node(rng, max_bins):
-    """A gini node of 2 .. max_bins rows inside a larger offset code matrix.
+    """A gini node of 2 .. max_bins rows inside a larger bin matrix.
 
     Columns take their bins from a random subset, so occupied bins have
     empty ones between them; some columns duplicate an earlier one or are
@@ -146,9 +148,8 @@ def test_sorted_small_node_split_matches_oracle_on_its_histogram(max_bins):
     found = 0
     for _ in range(300):
         bins, y, classes, idx, feats = small_gini_node(rng, max_bins)
-        offset = bins + np.arange(bins.shape[1]) * max_bins
         totals = np.bincount(y[idx], minlength=classes).astype(np.float64)
-        got = _gini_split(offset, y, idx, feats, classes, max_bins, totals)
+        got = _gini_split(bins, y, idx, feats, classes, max_bins, totals)
         cnt, sums = node_histograms(bins[np.ix_(idx, feats)],
                                     np.eye(classes, dtype=np.int64)[y[idx]], max_bins)
         want = split_oracle(cnt.tolist(), sums.tolist(), idx.size, totals.tolist())
@@ -162,15 +163,14 @@ def test_sorted_small_node_ties_go_to_first_candidate_then_first_occupied_bin():
     # after bin 0, 1 or 2 scores the same; 6 rows < 8 bins takes the sorted path.
     informative = np.array([0, 0, 3, 3, 5, 5])
     bins = np.stack([np.array([4, 1, 6, 1, 4, 6]), informative, informative], axis=1)
-    offset = bins + np.arange(3) * 8
     y = np.array([0, 0, 1, 1, 1, 2])
     totals = np.bincount(y).astype(np.float64)
-    assert _gini_split(offset, y, np.arange(6), np.arange(3), 3, 8, totals) == (1, 0)
+    assert _gini_split(bins, y, np.arange(6), np.arange(3), 3, 8, totals) == (1, 0)
     cnt, sums = node_histograms(bins, np.eye(3, dtype=np.int64)[y], 8)
     assert split_oracle(cnt.tolist(), sums.tolist(), 6, totals.tolist()) == (1, 0)
     # Each occupied bin holds one row of each class, so no split gains.
     y = np.array([0, 1, 1, 0, 1, 0])
-    assert _gini_split(offset, y, np.arange(6), np.arange(3), 2, 8, np.array([3.0, 3.0])) is None
+    assert _gini_split(bins, y, np.arange(6), np.arange(3), 2, 8, np.array([3.0, 3.0])) is None
 
 
 def random_problem(rng, max_bins):
@@ -186,7 +186,7 @@ def random_problem(rng, max_bins):
     y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] > 0.7)
     flip = rng.random(n) < 0.2
     y[flip] = rng.integers(0, 3, size=int(flip.sum()))
-    return bin_matrix(X, max_bins), y
+    return X, bin_matrix(X, max_bins), y
 
 
 @pytest.mark.parametrize("max_bins", [2, 3, 16, 256])
@@ -195,8 +195,8 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
     trees; nodes fall on both sides of the sorted path's n < max_bins."""
     rng = np.random.default_rng(max_bins)
     for trial in range(10):
-        binned, y = random_problem(rng, max_bins)
-        offset, edges, bins = binned.offsets(), binned.edges, binned.max_bins
+        X, binned, y = random_problem(rng, max_bins)
+        offset, bins = offset_codes_oracle(X, binned.edges)
         n, d = offset.shape
         boot = rng.integers(0, n, size=n)
         k, seed = int(rng.integers(1, d + 1)), int(rng.integers(2**32))
@@ -204,25 +204,28 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
                     for _ in range(2)]
         if trial % 4 == 0:  # every feature a candidate, in order
             samplers = [partial(np.arange, d)] * 2
-        got = grow_gini_tree(offset[boot], y[boot], 3, edges, bins, samplers[0])
-        want, _ = grow_tree_oracle(offset[boot], y[boot], 3, edges, bins, sample_features=samplers[1])
+        got = grow_gini_tree(binned.bins[boot], y[boot], 3, binned.edges, bins, samplers[0])
+        want, _ = grow_tree_oracle(offset[boot], y[boot], 3, binned.edges, bins,
+                                   sample_features=samplers[1])
         assert got == want
 
 
-def grow_regression(binned, target, max_depth):
+def grow_regression(binned, offset, target, max_depth):
     """grow_regression_tree over a binned matrix, with its codes, root counts
-    (one flat histogram, cumulated) and buffers built as the booster builds them."""
+    (one flat histogram of the offset codes, cumulated) and buffers built as
+    the booster builds them."""
     codes, bins = BlockedCodes(binned), binned.max_bins
-    flat_counts = np.bincount(binned.offsets().ravel(), minlength=binned.bins.shape[1] * bins)
+    flat_counts = np.bincount(offset.ravel(), minlength=offset.shape[1] * bins)
     root_counts = np.cumsum(flat_counts.reshape(-1, bins), axis=1, dtype=np.float64)
     return grow_regression_tree(codes, target, binned.edges, max_depth, root_counts,
                                 SplitBuffers(codes, max_depth))
 
 
-def assert_regression_matches_oracle(binned, target, max_depth):
-    got, got_fitted = grow_regression(binned, target, max_depth)
-    want, want_leaves = grow_tree_oracle(binned.offsets(), target, None, binned.edges,
-                                         binned.max_bins, max_depth=max_depth)
+def assert_regression_matches_oracle(X, binned, target, max_depth):
+    offset, bins = offset_codes_oracle(X, binned.edges)
+    got, got_fitted = grow_regression(binned, offset, target, max_depth)
+    want, want_leaves = grow_tree_oracle(offset, target, None, binned.edges, bins,
+                                         max_depth=max_depth)
     assert got == want
     assert got_fitted.tobytes() == want_leaves[:, 0].tobytes()
     return want
@@ -234,10 +237,10 @@ def test_grower_matches_oracle_on_regression_trees(max_depth):
     "rows" no tree can reach the depth limit."""
     rng = np.random.default_rng(5 if max_depth == "rows" else max_depth)
     for trial in range(10):
-        binned, labels = random_problem(rng, [2, 3, 16, 128][trial % 4])
+        X, binned, labels = random_problem(rng, [2, 3, 16, 128][trial % 4])
         target = labels - np.round(rng.normal(size=labels.size), int(rng.integers(0, 3)))
         depth = labels.size if max_depth == "rows" else max_depth
-        assert_regression_matches_oracle(binned, target, depth)
+        assert_regression_matches_oracle(X, binned, target, depth)
 
 
 @pytest.mark.parametrize("d", [1, _HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1])
@@ -253,7 +256,7 @@ def test_grower_matches_oracle_at_histogram_block_edges(d):
     for max_bins in (4, 64):
         binned = bin_matrix(X, max_bins)
         for max_depth in (1, 3, 90):
-            want = assert_regression_matches_oracle(binned, target, max_depth)
+            want = assert_regression_matches_oracle(X, binned, target, max_depth)
             split_on.update(want.feature)
     assert {0, d - 1} <= split_on
 
@@ -347,6 +350,42 @@ def test_forest_fit_matches_the_oracle_grower(n_classes):
     assert model.trees_ == forest_fit_oracle(X, y, n_classes, params, n_classes)
 
 
+def model_sha256(model) -> str:
+    return hashlib.sha256(json.dumps(model.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_fitted_model_bytes_are_pinned():
+    """A 7-tree forest and a 5-round booster on PCG64 normals, 4 classes from a
+    column rule: their model JSON hashes to the values recorded before the
+    growers moved from offset codes to compact bins.  The forest's nodes fall
+    on both gini paths (300 rows, 256 bins)."""
+    rng = np.random.Generator(np.random.PCG64(29))
+    X = rng.standard_normal((300, 40))
+    y = 2 * (X[:, 3] > 0) + (X[:, 17] + 0.5 * X[:, 30] > 0)
+    forest = BaggedTreesClassifier(ForestParams(n_trees=7), seed=5).fit(X, y)
+    booster = BoostedTreesClassifier(BoostParams(rounds=5)).fit(X, y)
+    assert model_sha256(forest) == "97537dccc1724056f7abdb242ec8b286431ff63e04fe2accf78dd77b8f50de3d"
+    assert model_sha256(booster) == "21c75d80ec99c1dbd3c9834c6cbbb2983f279b93ac3e88726d31087ab723730b"
+
+
+def test_a_forest_fit_on_a_kept_binning_needs_less_than_one_intp_copy_of_the_matrix():
+    """A 3-tree forest on a read-only 900 x 700 matrix whose binning is kept
+    grows on the compact bins: its traced peak stays below the matrix's own
+    8 bytes a value, the size of one intp code matrix."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(900, 700))
+    X.flags.writeable = False
+    y = rng.integers(0, 10, size=900)
+    bin_matrix(X, 256)  # kept while X lives, as a dataset's binning is
+    tracemalloc.start()
+    try:
+        BaggedTreesClassifier(ForestParams(n_trees=3)).fit(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("failing", ["one", "every"])
 def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monkeypatch, failing):
     """Ten one-tree chains on 2 workers.  Chain 1 fails at once; chain 0 waits
@@ -426,14 +465,17 @@ def test_quantile_bin_edges_match_numpy_quantile_bit_for_bit(max_bins):
 
 @pytest.mark.parametrize("max_bins", [2, 3, 128, 256])
 def test_bin_codes_match_the_oracle(max_bins):
-    """Compact bins, uint8 at up to 256 bins, whose offset codes are the oracle's."""
+    """Compact bins, uint8 at up to 256 bins, whose histogram blocks, each
+    shifted back by its start, are the oracle's offset codes."""
     rng = np.random.default_rng(max_bins)
     for X in edge_matrices(rng):
         binned = bin_matrix(X, max_bins)
         offset, bins = offset_codes_oracle(X, binned.edges)
         assert binned.bins.dtype == np.uint8 and binned.max_bins == bins
-        assert binned.offsets().dtype == np.intp
-        assert np.array_equal(binned.offsets(), offset), X
+        codes = BlockedCodes(binned)
+        assert all(block.dtype == np.intp for block in codes.blocks)
+        assert np.array_equal(np.hstack([block + j * bins for j, block in zip(codes.starts, codes.blocks)]),
+                              offset), X
 
 
 def test_bins_widen_past_256_and_blocks_hold_the_offset_codes():
