@@ -141,3 +141,7 @@ class DegenerateModelError(WhiskerlabError):
 
 class DataFileError(WhiskerlabError):
     """An input file is missing, malformed, or fails its digest check."""
+
+
+class WorkerError(WhiskerlabError):
+    """A forked worker ended without returning its share's results or error."""

@@ -7,21 +7,18 @@ learning rate.  Prediction takes the argmax of the class scores.  Training
 involves no sampling, so it is deterministic regardless of seed.
 
 A class's scores change only through its own trees, so a fit is one
-independent chain of rounds per class.  The chains run on a thread pool of
-one worker per usable core (at most one per class), each chain whole, in
-class order as the workers come free; the pool is shut down before ``fit``
-returns.  A chain runs the same operations on whichever worker takes it,
-so the trees do not depend on the worker count, bit for bit.  The workers
-share the training matrix's :class:`BlockedCodes` and root counts, read
-only.  The calling thread allocates one :class:`SplitBuffers` per worker;
-a chain borrows one for its run and returns it, even when the chain fails.
-An error in a chain is raised by ``fit``, and the chains not yet started
-do not run.
+independent chain of rounds per class.  The chains are forked across the
+usable cores (at most one process per class) by
+:func:`~whiskerlab.learn.workers.fork_map`, and their columns of trees come
+back in class order.  A chain runs the same operations in whichever process
+runs it, so the trees do not depend on the worker count, bit for bit.  The
+processes inherit the training matrix's :class:`BlockedCodes`, root counts
+and one :class:`SplitBuffers`, which each process writes in its own copy.  An
+error in a chain is raised by ``fit``: the first failed chain's in class
+order, as the serial loop would raise.  A process stops at its first failed
+chain, and every child has been reaped when ``fit`` returns or raises.
 """
 
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +27,7 @@ from ..errors import Validated, check
 from .base import Classifier
 from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, bin_matrix,
                     grow_regression_tree, running_sum)
+from .workers import _workers, fork_map
 
 
 @dataclass(frozen=True)
@@ -58,28 +56,20 @@ class BoostedTreesClassifier(Classifier):
         codes = BlockedCodes(binned)
         root_counts = codes.cumulate()  # every tree's root holds every row
 
-        workers, buffers = _workers(n_classes), queue.SimpleQueue()
-        for _ in range(workers):
-            buffers.put(SplitBuffers(codes, self.params.max_depth))
+        work = SplitBuffers(codes, self.params.max_depth)
 
         def chain(c: int) -> list[Tree]:
-            work = buffers.get()  # a worker holds at most one at a time
-            try:
-                target = (yi == c).astype(np.float64)
-                scores = np.zeros(X.shape[0])
-                column = []
-                for _ in range(rounds):
-                    tree, fitted = grow_regression_tree(
-                        codes, target - scores, binned.edges, self.params.max_depth, root_counts, work)
-                    column.append(tree)
-                    scores += self.params.learning_rate * fitted
-                return column
-            finally:
-                buffers.put(work)  # a failed chain's buffers serve the next chain
+            target = (yi == c).astype(np.float64)
+            scores = np.zeros(X.shape[0])
+            column = []
+            for _ in range(rounds):
+                tree, fitted = grow_regression_tree(
+                    codes, target - scores, binned.edges, self.params.max_depth, root_counts, work)
+                column.append(tree)
+                scores += self.params.learning_rate * fitted
+            return column
 
-        # map cancels the chains not yet started when one fails; the exit joins the workers.
-        with ThreadPoolExecutor(workers) as pool:
-            columns = list(pool.map(chain, range(n_classes)))
+        columns = fork_map(chain, n_classes, _workers(n_classes))
         self.trees_ = [list(row) for row in zip(*columns)]
         self.router_ = PackedTrees.pack([t for row in self.trees_ for t in row], None)
         self.n_features_ = X.shape[1]
@@ -100,9 +90,3 @@ class BoostedTreesClassifier(Classifier):
             raise ValueError(f"a boosted-trees model holds rounds x classes = {self.params.rounds} x "
                              f"{len(self.classes_)} trees, round-major, not {self.router_.n_trees}")
 
-
-def _workers(n_classes: int) -> int:
-    """Threads for a fit's class chains: one per core this process may run on,
-    at most one per chain."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, n_classes))

@@ -31,6 +31,7 @@ from ..features import features_array
 from ..seeding import derive_rng, derive_seed
 from ..sim import (DIRECTIONS_DEG, SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels,
                    specimen_by_id)
+from .workers import _workers, fork_map
 
 LOG_RANGE = (math.log(5e-324), math.log(np.finfo(np.float64).max))  # logs of positive float64s
 
@@ -213,20 +214,28 @@ def build_dataset(
     """Run the full collection protocol over all ten specimens.
 
     Every (specimen, slide) task derives its own randomness from the root
-    seed, so each slide's result does not depend on the others.
+    seed, so each slide's result does not depend on the others: the slides
+    are forked across the usable cores by
+    :func:`~whiskerlab.learn.workers.fork_map` and come back in plan order,
+    the same bytes whatever the worker count.  A slide with no clean capture
+    raises the first such slide's error in plan order, as a serial build does.
     """
     digest = plan_digest(plan, detector_cfg, base_slide, array)
+    tasks = [(sid, texture, slide_i) for sid, texture in enumerate(SPECIMENS, start=1)
+             for slide_i in range(plan.slides_per_specimen)]
+
+    def collect(t: int):
+        sid, texture, slide_i = tasks[t]
+        return _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
+                            digest, seed)
+
     diagnostics = BuildDiagnostics()
     samples = []
-    for sid, texture in enumerate(SPECIMENS, start=1):
-        for slide_i in range(plan.slides_per_specimen):
-            sample, attempts, retries = _collect_one(
-                texture, sid, slide_i, plan, base_slide, array,
-                detector_cfg, digest, seed,
-            )
-            samples.append(sample)
-            diagnostics.attempts[sid] = diagnostics.attempts.get(sid, 0) + attempts
-            diagnostics.retried_slides.extend(retries)
+    for (sid, _, _), (sample, attempts, retries) in zip(
+            tasks, fork_map(collect, len(tasks), _workers(len(tasks)))):
+        samples.append(sample)
+        diagnostics.attempts[sid] = diagnostics.attempts.get(sid, 0) + attempts
+        diagnostics.retried_slides.extend(retries)
 
     for sid in diagnostics.attempts:
         rate = diagnostics.capture_rate(sid, plan.slides_per_specimen)

@@ -9,6 +9,7 @@ import numpy as np
 from ..errors import Validated, check
 from .base import Classifier
 from .trees import PackedTrees, Tree, bin_matrix, grow_gini_tree, running_sum
+from .workers import _workers, fork_map
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,10 @@ class BaggedTreesClassifier(Classifier):
 
     Each tree sees a bootstrap resample of the training set and draws a fresh
     sqrt(d)-sized feature subset at every split.  Training is deterministic
-    under a fixed seed.
+    under a fixed seed: every tree's seed is drawn before any tree grows, so
+    the trees are forked across the usable cores by
+    :func:`~whiskerlab.learn.workers.fork_map` and come back the same, bit
+    for bit, whatever the worker count.
     """
 
     kind = "bagged_trees"
@@ -42,13 +46,14 @@ class BaggedTreesClassifier(Classifier):
 
         root = np.random.default_rng(self.seed)
         tree_seeds = root.integers(0, 2**63 - 1, size=self.params.n_trees)
-        self.trees_ = []
-        for ts in tree_seeds:
-            rng = np.random.default_rng(int(ts))
+
+        def grow(t: int) -> Tree:
+            rng = np.random.default_rng(int(tree_seeds[t]))
             boot = rng.integers(0, n, size=n)
-            self.trees_.append(grow_gini_tree(
-                binned.bins[boot], yi[boot], len(self.classes_), binned.edges, binned.max_bins,
-                partial(rng.choice, d, size=k, replace=False)))
+            return grow_gini_tree(binned.bins[boot], yi[boot], len(self.classes_), binned.edges,
+                                  binned.max_bins, partial(rng.choice, d, size=k, replace=False))
+
+        self.trees_ = fork_map(grow, len(tree_seeds), _workers(len(tree_seeds)))
         self.router_ = PackedTrees.pack(self.trees_, len(self.classes_))
         self.n_features_ = d
 

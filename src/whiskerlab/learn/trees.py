@@ -205,7 +205,7 @@ class BlockedCodes:
 
 
 class SplitBuffers:
-    """One worker's buffers for growing squared-error trees on one :class:`BlockedCodes`.
+    """One process's buffers for growing squared-error trees on one :class:`BlockedCodes`.
 
     A node's gathered block codes and its rows' targets broadcast to the
     block's width; its cumulative target sums, (columns, max_bins), and two
@@ -215,10 +215,8 @@ class SplitBuffers:
     (depth-first growth has finished with the previous pair by then).  A
     node at depth ``d`` holds at most ``rows - d`` rows, so no tree needs
     more than ``min(max_depth, rows) - 1`` pairs, however large ``max_depth``
-    is.  They are allocated once, by the thread that starts the fit, so a
-    worker thread's per-node allocations stay small: glibc keeps what a
-    thread frees in that thread's own arena, where it adds to the process's
-    peak resident memory.
+    is.  A fit allocates them once, before it forks its chains, and each
+    process writes its own copy.
     """
 
     def __init__(self, codes: BlockedCodes, max_depth: int):
@@ -439,10 +437,11 @@ def grow_regression_tree(
     ``y`` is a real target, and each leaf stores the mean of its rows.
     Growth stops at ``max_depth``, at nodes of one row and where no split
     gains.  ``work`` holds the buffers a node's split search reuses (one
-    per thread).  Each node's cumulative row counts of every feature are
-    carried down the tree: the root's are ``root_counts``, which must be
-    ``codes.cumulate()``, and a split counts its smaller child's rows and
-    gives the larger child the parent's counts minus those.
+    per process, reused by every tree it grows).  Each node's cumulative
+    row counts of every feature are carried down the tree: the root's are
+    ``root_counts``, which must be ``codes.cumulate()``, and a split counts
+    its smaller child's rows and gives the larger child the parent's counts
+    minus those.
 
     Returns the tree and each row's leaf value.
     """

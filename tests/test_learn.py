@@ -45,7 +45,7 @@ from whiskerlab.learn.evaluate import (
     task_labels,
     train,
 )
-from whiskerlab.learn import trees
+from whiskerlab.learn import dataset, trees
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
 from whiskerlab.learn.linear import LinearMarginClassifier, LinearParams, _block_rows
 from whiskerlab.sim import SPECIMENS, specimen_by_id
@@ -144,6 +144,32 @@ def test_impossible_capture_rate_fails_build():
             base_slide=SlideConfig(speed_mm_s=150.0, path_mm=10.0),
             seed=5,
         )
+
+
+def test_the_dataset_is_the_same_for_every_worker_count(monkeypatch, tmp_path):
+    """A build on 1 and 2 workers saves the same bytes with the same
+    diagnostics.  With every slide of specimens 4 to 10 too short to capture,
+    both raise the serial build's error, that of specimen 4 slide 0, which
+    the forked worker meets before this process meets specimen 4 slide 1."""
+    simulate, builds, errors = dataset.simulate_taxels, [], []
+
+    def short_from_4(texture, slide, array):
+        if SPECIMENS.index(texture) >= 3:
+            slide = replace(slide, path_mm=10.0)
+        return simulate(texture, slide, array)
+
+    for workers in (1, 2):
+        monkeypatch.setattr(dataset, "_workers", lambda n, w=workers: w)
+        labeled, diagnostics = build_dataset(plan=CollectionPlan(slides_per_specimen=3), seed=7)
+        save_dataset(tmp_path / f"{workers}.jsonl", labeled.samples)
+        builds.append(((tmp_path / f"{workers}.jsonl").read_bytes(), diagnostics))
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "simulate_taxels", short_from_4)
+            with pytest.raises(DatasetBuildError) as raised:
+                build_dataset(plan=CollectionPlan(slides_per_specimen=3, max_attempts=2), seed=7)
+        errors.append(str(raised.value))
+    assert builds[1] == builds[0]
+    assert errors == ["specimen 4 slide 0: no clean capture in 2 attempts"] * 2
 
 
 def test_split_is_stratified_and_disjoint():

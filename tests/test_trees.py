@@ -3,9 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import re
 import sys
 import threading
-import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -16,7 +17,8 @@ import pytest
 import whiskerlab
 from oracles import (grow_tree_oracle, offset_codes_oracle, quantile_edges_oracle, route_oracle,
                      split_oracle)
-from whiskerlab.learn import boosting
+from whiskerlab.errors import WorkerError
+from whiskerlab.learn import boosting, forest
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.evaluate import load_model, save_model
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
@@ -350,6 +352,25 @@ def test_forest_fit_matches_the_oracle_grower(n_classes):
     assert model.trees_ == forest_fit_oracle(X, y, n_classes, params, n_classes)
 
 
+@pytest.mark.parametrize("n_classes", [10, 4])
+def test_the_forest_is_the_same_for_every_worker_count(monkeypatch, n_classes):
+    """Seven trees on 1, 2 and 3 workers (shares of unequal size): the same
+    model JSON and predictions, and the oracle grower's trees."""
+    rng = np.random.default_rng(n_classes)
+    y = rng.permutation(np.arange(200) % n_classes)
+    X = rng.normal(size=(200, 30))
+    X[:, 2] += y
+    X_test = rng.normal(size=(40, X.shape[1]))
+    params = ForestParams(n_trees=7, max_bins=32)
+    fits, models = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forest, "_workers", lambda n, w=workers: w)
+        models.append(BaggedTreesClassifier(params, seed=n_classes).fit(X, y))
+        fits.append((json.dumps(models[-1].to_dict()), models[-1].predict(X_test).tolist()))
+    assert all(fit == fits[0] for fit in fits[1:])
+    assert models[0].trees_ == forest_fit_oracle(X, y, n_classes, params, n_classes)
+
+
 def model_sha256(model) -> str:
     return hashlib.sha256(json.dumps(model.to_dict(), sort_keys=True).encode()).hexdigest()
 
@@ -386,56 +407,81 @@ def test_a_forest_fit_on_a_kept_binning_needs_less_than_one_intp_copy_of_the_mat
     assert peak < X.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
+def fit_raises(model, X, y, seconds=30):
+    """The exceptions ``model.fit(X, y)`` raised, run in a thread joined with a
+    timeout, so a fit that hangs fails the test rather than stalling it."""
+    raised = []
+
+    def fit():
+        try:
+            model.fit(X, y)
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=fit, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), "fit hangs"
+    return raised
+
+
 @pytest.mark.parametrize("failing", ["one", "every"])
-def test_an_error_in_a_chain_reaches_the_caller_and_no_thread_outlives_fit(monkeypatch, failing):
-    """Ten one-tree chains on 2 workers.  Chain 1 fails at once; chain 0 waits
-    until chain 2 has started, on the worker that failed chain 1, and then
-    grows (one chain fails) or fails too (every worker's first chain fails).
-    fit raises the error of the first failed chain in class order, ends its
-    workers and starts few of the other chains.  Chain 2 starts only if the
-    failed chain 1 gave its buffers back; otherwise both workers' buffers are
-    lost by the time chain 0 fails and fit would hang, so it runs in a thread
-    joined with a timeout."""
-    grow, lock, chain_2_started = boosting.grow_regression_tree, threading.Lock(), threading.Event()
-    chains = []  # (class, worker) per chain started: one tree, so one call, per chain
+def test_an_error_in_a_chain_reaches_the_caller_and_no_process_outlives_fit(
+        monkeypatch, tmp_path, failing):
+    """Ten one-tree chains on 2 workers: this process runs chains 0, 2, ..., 8
+    and a forked child 1, 3, ..., 9.  Chain 1 fails (one failed chain), and
+    chain 0 fails too when every worker's first chain fails.  fit raises the
+    error of the first failed chain in class order, reaps the child and adds
+    no thread, and a failed worker starts none of its later chains.  Each
+    chain records its start in a file, since a child cannot append to this
+    process's list."""
+    grow, log = boosting.grow_regression_tree, tmp_path / "started"
 
     def grow_or_fail(codes, y, *args):
         c = int(np.argmax(y))  # y is the one-hot target of class c, and row c has label c
-        with lock:
-            chains.append((c, threading.current_thread()))
-        if c == 2:
-            chain_2_started.set()
-        if c == 1:
-            raise RuntimeError("chain 1 failed")
-        if c == 0:
-            chain_2_started.wait(timeout=5)
-            if failing == "every":
-                raise RuntimeError("chain 0 failed")
-        time.sleep(0.05)  # time for fit to see the error and cancel the chains not started
+        with open(log, "a") as fh:
+            fh.write(f"{c}\n")
+        if c == 1 or (c == 0 and failing == "every"):
+            raise RuntimeError(f"chain {c} failed")
         return grow(codes, y, *args)
 
     monkeypatch.setattr(boosting, "_workers", lambda n: 2)
     monkeypatch.setattr(boosting, "grow_regression_tree", grow_or_fail)
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(60, 5)), np.arange(60) % 10
-    raised = []
-
-    def fit():
-        try:
-            BoostedTreesClassifier(BoostParams(rounds=1)).fit(X, y)
-        except BaseException as exc:
-            raised.append(exc)
-
-    before = set(threading.enumerate())
-    runner = threading.Thread(target=fit, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive(), "fit hangs: a failed chain kept its buffers"
+    threads = set(threading.enumerate())
+    raised = fit_raises(BoostedTreesClassifier(BoostParams(rounds=1)), X, y)
     assert [str(e) for e in raised] == ["chain 0 failed" if failing == "every" else "chain 1 failed"]
-    assert set(threading.enumerate()) == before
-    started = dict(chains)
-    assert {0, 1, 2} <= set(started) and started[1] is started[2] is not started[0]
-    assert len(chains) < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(threading.enumerate()) == threads
+    started = sorted(map(int, log.read_text().split()))
+    assert started == ([0, 1] if failing == "every" else [0, 1, 2, 4, 6, 8])
+
+
+@pytest.mark.parametrize("death, status", [("exit", 3), ("unpicklable", 1)])
+def test_a_worker_that_returns_no_result_is_named_and_reaped(monkeypatch, death, status):
+    """Chain 1, on the forked worker 1 of 2, ends its process through
+    ``os._exit(3)`` or raises an error that cannot be pickled: fit raises a
+    WorkerError naming the worker and its exit status, and leaves no child."""
+    grow = boosting.grow_regression_tree
+
+    def grow_or_die(codes, y, *args):
+        if int(np.argmax(y)) == 1:
+            if death == "exit":
+                os._exit(3)
+            raise RuntimeError(lambda: None)  # a lambda does not pickle
+        return grow(codes, y, *args)
+
+    monkeypatch.setattr(boosting, "_workers", lambda n: 2)
+    monkeypatch.setattr(boosting, "grow_regression_tree", grow_or_die)
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(60, 5)), np.arange(60) % 10
+    [raised] = fit_raises(BoostedTreesClassifier(BoostParams(rounds=1)), X, y)
+    assert isinstance(raised, WorkerError)
+    assert re.match(rf"worker 1 \(pid \d+\) exited with status {status} ", str(raised))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def edge_matrices(rng):
