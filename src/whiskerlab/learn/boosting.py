@@ -12,11 +12,11 @@ usable cores (at most one process per class) by
 :func:`~whiskerlab.learn.workers.fork_map`, and their columns of trees come
 back in class order.  A chain runs the same operations in whichever process
 runs it, so the trees do not depend on the worker count, bit for bit.  The
-processes inherit the training matrix's :class:`BlockedCodes`, root counts
-and one :class:`SplitBuffers`, which each process writes in its own copy.  An
-error in a chain is raised by ``fit``: the first failed chain's in class
-order, as the serial loop would raise.  A process stops at its first failed
-chain, and every child has been reaped when ``fit`` returns or raises.
+processes inherit the training matrix's :class:`BlockedCodes` with its root
+counts, and each tree allocates its own arrays.  An error in a chain is
+raised by ``fit``: the first failed chain's in class order, as the serial
+loop would raise.  A process stops at its first failed chain, and every
+child has been reaped when ``fit`` returns or raises.
 """
 
 from dataclasses import dataclass
@@ -25,9 +25,8 @@ import numpy as np
 
 from ..errors import Validated, check
 from .base import Classifier
-from .trees import (BlockedCodes, PackedTrees, SplitBuffers, Tree, bin_matrix,
-                    grow_regression_tree, running_sum)
-from .workers import _workers, fork_map
+from .trees import BlockedCodes, PackedTrees, Tree, bin_matrix, grow_regression_tree, running_sum
+from .workers import fork_map
 
 
 @dataclass(frozen=True)
@@ -54,22 +53,19 @@ class BoostedTreesClassifier(Classifier):
         n_classes, rounds = len(self.classes_), self.params.rounds
         binned = bin_matrix(X, self.params.max_bins)
         codes = BlockedCodes(binned)
-        root_counts = codes.cumulate()  # every tree's root holds every row
-
-        work = SplitBuffers(codes, self.params.max_depth)
 
         def chain(c: int) -> list[Tree]:
             target = (yi == c).astype(np.float64)
             scores = np.zeros(X.shape[0])
             column = []
             for _ in range(rounds):
-                tree, fitted = grow_regression_tree(
-                    codes, target - scores, binned.edges, self.params.max_depth, root_counts, work)
+                tree, fitted = grow_regression_tree(codes, target - scores, binned.edges,
+                                                    self.params.max_depth)
                 column.append(tree)
                 scores += self.params.learning_rate * fitted
             return column
 
-        columns = fork_map(chain, n_classes, _workers(n_classes))
+        columns = fork_map(chain, n_classes)
         self.trees_ = [list(row) for row in zip(*columns)]
         self.router_ = PackedTrees.pack([t for row in self.trees_ for t in row], None)
         self.n_features_ = X.shape[1]

@@ -31,7 +31,7 @@ from ..features import features_array
 from ..seeding import derive_rng, derive_seed
 from ..sim import (DIRECTIONS_DEG, SPECIMENS, SlideConfig, WhiskerArraySpec, simulate_taxels,
                    specimen_by_id)
-from .workers import _workers, fork_map
+from .workers import fork_map
 
 LOG_RANGE = (math.log(5e-324), math.log(np.finfo(np.float64).max))  # logs of positive float64s
 
@@ -231,8 +231,7 @@ def build_dataset(
 
     diagnostics = BuildDiagnostics()
     samples = []
-    for (sid, _, _), (sample, attempts, retries) in zip(
-            tasks, fork_map(collect, len(tasks), _workers(len(tasks)))):
+    for (sid, _, _), (sample, attempts, retries) in zip(tasks, fork_map(collect, len(tasks))):
         samples.append(sample)
         diagnostics.attempts[sid] = diagnostics.attempts.get(sid, 0) + attempts
         diagnostics.retried_slides.extend(retries)

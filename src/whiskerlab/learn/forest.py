@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import Validated, check
 from .base import Classifier
 from .trees import PackedTrees, Tree, bin_matrix, grow_gini_tree, running_sum
-from .workers import _workers, fork_map
+from .workers import fork_map
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class BaggedTreesClassifier(Classifier):
             return grow_gini_tree(binned.bins[boot], yi[boot], len(self.classes_), binned.edges,
                                   binned.max_bins, partial(rng.choice, d, size=k, replace=False))
 
-        self.trees_ = fork_map(grow, len(tree_seeds), _workers(len(tree_seeds)))
+        self.trees_ = fork_map(grow, len(tree_seeds))
         self.router_ = PackedTrees.pack(self.trees_, len(self.classes_))
         self.n_features_ = d
 

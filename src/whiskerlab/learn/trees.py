@@ -37,15 +37,15 @@ positions, however they were formed:
   slower, so the choice reads the node size and ``max_bins``.
 * Squared error: one weighted ``bincount`` per block of ``_HIST_BLOCK``
   feature columns, on :class:`BlockedCodes`, whose blocks are contiguous,
-  so a node's rows of a block gather into a reused buffer and the block's
-  histogram stays in cache; its rows' targets are broadcast into one
-  reused weights buffer per node, not repeated per feature.  Each bin's sum
-  accumulates its rows in row order either way, and the cumsum runs along
-  each feature's bins, so blocking changes no float.  Row counts are exact
-  integers, and the cumsum of a difference is the difference of the
-  cumsums.  So the root's cumulative counts are computed once per fit, and
-  each split counts only its smaller child; the larger child's are the
-  parent's minus those.  Children at ``max_depth`` get no counts.
+  so a node's rows of a block gather in one step and the block's histogram
+  stays in cache; its rows' targets are repeated once per block width, not
+  per feature.  Each bin's sum accumulates its rows in row order either
+  way, and the cumsum runs along each feature's bins, so blocking changes
+  no float.  Row counts are exact integers, and the cumsum of a difference
+  is the difference of the cumsums.  So the root's cumulative counts are
+  computed once per binned matrix, and each split counts only its smaller
+  child; the larger child's are the parent's minus those.  Children at
+  ``max_depth`` get no counts.  Each call allocates its own arrays.
 
 An ensemble packs its grown :class:`Tree` lists into one
 :class:`PackedTrees`, the per-node arrays of every tree back to back: the
@@ -163,8 +163,9 @@ class BlockedCodes:
     """The squared-error grower's histogram codes: a binned matrix's
     contiguous blocks of ``_HIST_BLOCK`` columns, in which column j of a
     block holds j * max_bins + its bin, so the codes of a node's rows of one
-    block, gathered into a buffer, are one ``bincount`` away from that
-    block's histogram.  ``bins`` keeps the compact bins, which route splits.
+    block are one ``bincount`` away from that block's histogram.  ``bins``
+    keeps the compact bins, which route splits, and ``root_counts`` the
+    cumulative counts of every row, which every tree's root holds.
     """
 
     def __init__(self, binned: BinnedMatrix):
@@ -173,61 +174,29 @@ class BlockedCodes:
         self.starts = range(0, bins.shape[1], _HIST_BLOCK)
         column = np.arange(_HIST_BLOCK, dtype=np.intp) * self.max_bins
         self.blocks = [bins[:, j:j + _HIST_BLOCK] + column[:bins.shape[1] - j] for j in self.starts]
+        self.root_counts = self.cumulate()
 
-    def cumulate(self, rows=None, weights=None, out=None, work=None) -> np.ndarray:
+    def cumulate(self, rows=None, weights=None) -> np.ndarray:
         """Per-column cumulative bin totals over ``rows``, shape (columns, max_bins).
 
         The totals count the rows, or sum ``weights`` (one per row of
         ``rows``) when given, and are float64; each bin adds its rows in row
         order, so they equal one flat ``bincount`` per node cumulated over
         bins, bit for bit.  ``rows`` None means every row, in order, and
-        needs no gather; otherwise ``work`` (see :class:`SplitBuffers`)
-        holds the gathered codes and broadcast weights.
+        needs no gather.
         """
-        if out is None:
-            out = np.empty((self.bins.shape[1], self.max_bins))
-        m = self.bins.shape[0] if rows is None else rows.size
-        filled = 0  # width of the weight matrix in work.weights
+        out = np.empty((self.bins.shape[1], self.max_bins))
+        repeated = {}  # block width -> weights, each repeated that many times
         for j, codes in zip(self.starts, self.blocks):
             width = codes.shape[1]
             if rows is not None:
-                codes = np.take(codes, rows, axis=0, out=work.codes[:m * width].reshape(m, width))
-            w = None
-            if weights is not None:
-                w = work.weights[:m * width]
-                if filled != width:
-                    w.reshape(m, width)[...] = weights[:, None]
-                    filled = width
-            hist = np.bincount(codes.ravel(), w, minlength=width * self.max_bins)
+                codes = codes[rows]
+            if weights is not None and width not in repeated:
+                repeated[width] = np.repeat(weights, width)
+            hist = np.bincount(codes.ravel(), repeated.get(width), minlength=width * self.max_bins)
             np.cumsum(hist.reshape(width, self.max_bins), axis=1, dtype=np.float64,
                       out=out[j:j + width])
         return out
-
-
-class SplitBuffers:
-    """One process's buffers for growing squared-error trees on one :class:`BlockedCodes`.
-
-    A node's gathered block codes and its rows' targets broadcast to the
-    block's width; its cumulative target sums, (columns, max_bins), and two
-    (columns, max_bins - 1) grids, in which :func:`_best_split` computes the
-    score in place with them; and ``child_counts[d]``, a pair of cumulative
-    count grids for the two children of the node split last at depth ``d``
-    (depth-first growth has finished with the previous pair by then).  A
-    node at depth ``d`` holds at most ``rows - d`` rows, so no tree needs
-    more than ``min(max_depth, rows) - 1`` pairs, however large ``max_depth``
-    is.  A fit allocates them once, before it forks its chains, and each
-    process writes its own copy.
-    """
-
-    def __init__(self, codes: BlockedCodes, max_depth: int):
-        rows, columns = codes.bins.shape
-        size = rows * min(columns, _HIST_BLOCK)
-        self.codes = np.empty(size, dtype=np.intp)
-        self.weights = np.empty(size)
-        self.sums = np.empty((columns, codes.max_bins))
-        self.score = np.empty((2, columns, codes.max_bins - 1))
-        self.child_counts = [np.empty((2, columns, codes.max_bins))
-                             for _ in range(min(max_depth, rows) - 1)]
 
 
 @dataclass
@@ -429,26 +398,22 @@ def grow_regression_tree(
     y: np.ndarray,
     edges: list[np.ndarray],
     max_depth: int,
-    root_counts: np.ndarray,
-    work: SplitBuffers,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one squared-error tree of at most ``max_depth`` levels on every feature.
 
     ``y`` is a real target, and each leaf stores the mean of its rows.
     Growth stops at ``max_depth``, at nodes of one row and where no split
-    gains.  ``work`` holds the buffers a node's split search reuses (one
-    per process, reused by every tree it grows).  Each node's cumulative
-    row counts of every feature are carried down the tree: the root's are
-    ``root_counts``, which must be ``codes.cumulate()``, and a split counts
-    its smaller child's rows and gives the larger child the parent's counts
-    minus those.
+    gains.  Each node's cumulative row counts of every feature are carried
+    down the tree from ``codes.root_counts``: a split counts its smaller
+    child's rows and gives the larger child the parent's counts minus those.
 
     Returns the tree and each row's leaf value.
     """
     tree = Tree()
-    fitted = np.empty(codes.bins.shape[0])
+    rows = codes.bins.shape[0]
+    fitted = np.empty(rows)
     # (indices, depth, parent, side, cumulative counts, None at max_depth)
-    stack = [(np.arange(codes.bins.shape[0]), 0, None, None, root_counts)]
+    stack = [(np.arange(rows), 0, None, None, codes.root_counts)]
     while stack:
         idx, depth, parent, side, counts = stack.pop()
         n = idx.size
@@ -456,8 +421,8 @@ def grow_regression_tree(
         best = None
         if n >= 2 and depth < max_depth:
             # Only the root holds every row, and its idx is in order: no gather.
-            codes.cumulate(None if n == codes.bins.shape[0] else idx, y[idx], work.sums, work)
-            best = _best_split(counts[:, :-1], work.sums[None, :, :-1], n, totals, out=work.score)
+            sums = codes.cumulate(None if n == rows else idx, y[idx])
+            best = _best_split(counts[:, :-1], sums[None, :, :-1], n, totals)
         if best is None:
             value = float(totals[0] / n)
             node = tree.add_leaf(value)
@@ -469,11 +434,10 @@ def grow_regression_tree(
             left, right = idx[go_left], idx[~go_left]
             left_counts = right_counts = None
             if depth + 1 < max_depth:
-                small, large = work.child_counts[depth]
                 left_smaller = left.size <= right.size
-                codes.cumulate(left if left_smaller else right, out=small, work=work)
-                np.subtract(counts, small, out=large)
-                left_counts, right_counts = (small, large) if left_smaller else (large, small)
+                small = codes.cumulate(left if left_smaller else right)
+                left_counts, right_counts = ((small, counts - small) if left_smaller
+                                             else (counts - small, small))
             stack.append((right, depth + 1, node, "right", right_counts))
             stack.append((left, depth + 1, node, "left", left_counts))
         if parent is not None:
@@ -481,7 +445,7 @@ def grow_regression_tree(
     return tree, fitted
 
 
-def _best_split(n_left, s_left, n, totals, valid=None, out=None):
+def _best_split(n_left, s_left, n, totals, valid=None):
     """Best (candidate, position) split of a node, or None when none gains.
 
     ``n_left`` (candidates, positions) counts the rows left of each split
@@ -491,29 +455,16 @@ def _best_split(n_left, s_left, n, totals, valid=None, out=None):
     sum(S_left**2) / n_left + sum(S_right**2) / n_right is maximised, with
     ties going to the first candidate, then the first position; the winner
     must beat the unsplit node's sum(totals**2) / n by more than _MIN_GAIN.
-
-    With one statistic the score is computed in place: in ``out``, two
-    float64 buffers shaped like ``n_left`` for the score and n_right
-    (allocated when None), and in ``s_left``, which it overwrites.
     """
-    score, n_right = out if out is not None else (None, None)
-    n_right = np.subtract(n, n_left, out=n_right)
+    n_right = n - n_left
     if valid is None:
         valid = (n_left > 0) & (n_right > 0)
     if not valid.any():
         return None
+    s_right = totals[:, None, None] - s_left
     with np.errstate(divide="ignore", invalid="ignore"):
-        if totals.size == 1:  # one statistic: square and divide in place
-            score = np.square(s_left[0], out=score)
-            score /= n_left
-            right = np.subtract(totals[0], s_left[0], out=s_left[0])
-            np.square(right, out=right)
-        else:  # sum over statistics of S**2
-            score = np.einsum("skb,skb->kb", s_left, s_left) / n_left
-            s_right = totals[:, None, None] - s_left
-            right = np.einsum("skb,skb->kb", s_right, s_right)
-        right /= n_right
-        score += right
+        score = (np.einsum("skb,skb->kb", s_left, s_left) / n_left
+                 + np.einsum("skb,skb->kb", s_right, s_right) / n_right)
     score[~valid] = -np.inf
     j, b = divmod(int(np.argmax(score)), score.shape[1])
     if score[j, b] - float((totals**2).sum()) / n <= _MIN_GAIN:

@@ -159,7 +159,7 @@ def test_the_dataset_is_the_same_for_every_worker_count(monkeypatch, tmp_path):
         return simulate(texture, slide, array)
 
     for workers in (1, 2):
-        monkeypatch.setattr(dataset, "_workers", lambda n, w=workers: w)
+        monkeypatch.setattr("whiskerlab.learn.workers._workers", lambda n, w=workers: w)
         labeled, diagnostics = build_dataset(plan=CollectionPlan(slides_per_specimen=3), seed=7)
         save_dataset(tmp_path / f"{workers}.jsonl", labeled.samples)
         builds.append(((tmp_path / f"{workers}.jsonl").read_bytes(), diagnostics))

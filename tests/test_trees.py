@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,7 @@ import whiskerlab
 from oracles import (grow_tree_oracle, offset_codes_oracle, quantile_edges_oracle, route_oracle,
                      split_oracle)
 from whiskerlab.errors import WorkerError
-from whiskerlab.learn import boosting, forest
+from whiskerlab.learn import boosting
 from whiskerlab.learn.boosting import BoostedTreesClassifier, BoostParams
 from whiskerlab.learn.evaluate import load_model, save_model
 from whiskerlab.learn.forest import BaggedTreesClassifier, ForestParams
@@ -26,7 +27,6 @@ from whiskerlab.learn.trees import (
     _HIST_BLOCK,
     BlockedCodes,
     PackedTrees,
-    SplitBuffers,
     Tree,
     _best_split,
     _gini_split,
@@ -35,6 +35,7 @@ from whiskerlab.learn.trees import (
     grow_regression_tree,
     running_sum,
 )
+from whiskerlab.learn.workers import _workers
 
 
 def node_histograms(bins, stats, n_bins):
@@ -212,20 +213,15 @@ def test_grower_matches_oracle_on_gini_trees(max_bins):
         assert got == want
 
 
-def grow_regression(binned, offset, target, max_depth):
-    """grow_regression_tree over a binned matrix, with its codes, root counts
-    (one flat histogram of the offset codes, cumulated) and buffers built as
-    the booster builds them."""
-    codes, bins = BlockedCodes(binned), binned.max_bins
-    flat_counts = np.bincount(offset.ravel(), minlength=offset.shape[1] * bins)
-    root_counts = np.cumsum(flat_counts.reshape(-1, bins), axis=1, dtype=np.float64)
-    return grow_regression_tree(codes, target, binned.edges, max_depth, root_counts,
-                                SplitBuffers(codes, max_depth))
+def grow_regression(binned, target, max_depth):
+    """grow_regression_tree over a binned matrix, with its codes built as the
+    booster builds them."""
+    return grow_regression_tree(BlockedCodes(binned), target, binned.edges, max_depth)
 
 
 def assert_regression_matches_oracle(X, binned, target, max_depth):
     offset, bins = offset_codes_oracle(X, binned.edges)
-    got, got_fitted = grow_regression(binned, offset, target, max_depth)
+    got, got_fitted = grow_regression(binned, target, max_depth)
     want, want_leaves = grow_tree_oracle(offset, target, None, binned.edges, bins,
                                          max_depth=max_depth)
     assert got == want
@@ -263,15 +259,12 @@ def test_grower_matches_oracle_at_histogram_block_edges(d):
     assert {0, d - 1} <= split_on
 
 
-def test_split_buffers_hold_no_deeper_level_than_a_tree_can_reach():
+def test_a_depth_limit_beyond_the_row_count_grows_the_trees_the_row_count_does():
     """A node at depth d holds at most rows - d rows, so a depth limit beyond
-    the row count sizes the buffers, and grows the trees, as the row count does."""
+    the row count grows the trees, as the row count does."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 6))
     y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
-    codes = BlockedCodes(bin_matrix(X, 16))
-    assert len(SplitBuffers(codes, 3).child_counts) == 2
-    assert len(SplitBuffers(codes, 10**6).child_counts) == 39
     deep, rows = (BoostedTreesClassifier(BoostParams(rounds=3, max_depth=m)).fit(X, y)
                   for m in (10**6, 40))
     assert deep.to_dict()["trees"] == rows.to_dict()["trees"]
@@ -312,7 +305,7 @@ def test_boosting_is_the_same_for_every_worker_count(monkeypatch, n_classes):
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 3, n_classes):
-            monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
+            monkeypatch.setattr("whiskerlab.learn.workers._workers", lambda n, w=workers: w)
             models.append(BoostedTreesClassifier(params).fit(X, y))
             fits.append((json.dumps(models[-1].to_dict()), models[-1].predict(X_test).tolist()))
     finally:
@@ -364,7 +357,7 @@ def test_the_forest_is_the_same_for_every_worker_count(monkeypatch, n_classes):
     params = ForestParams(n_trees=7, max_bins=32)
     fits, models = [], []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(forest, "_workers", lambda n, w=workers: w)
+        monkeypatch.setattr("whiskerlab.learn.workers._workers", lambda n, w=workers: w)
         models.append(BaggedTreesClassifier(params, seed=n_classes).fit(X, y))
         fits.append((json.dumps(models[-1].to_dict()), models[-1].predict(X_test).tolist()))
     assert all(fit == fits[0] for fit in fits[1:])
@@ -432,9 +425,9 @@ def test_an_error_in_a_chain_reaches_the_caller_and_no_process_outlives_fit(
     and a forked child 1, 3, ..., 9.  Chain 1 fails (one failed chain), and
     chain 0 fails too when every worker's first chain fails.  fit raises the
     error of the first failed chain in class order, reaps the child and adds
-    no thread, and a failed worker starts none of its later chains.  Each
-    chain records its start in a file, since a child cannot append to this
-    process's list."""
+    no thread, and a failed worker starts none of its later chains.  Chain
+    1's error carries the child's traceback as a note.  Each chain records
+    its start in a file, since a child cannot append to this process's list."""
     grow, log = boosting.grow_regression_tree, tmp_path / "started"
 
     def grow_or_fail(codes, y, *args):
@@ -445,13 +438,15 @@ def test_an_error_in_a_chain_reaches_the_caller_and_no_process_outlives_fit(
             raise RuntimeError(f"chain {c} failed")
         return grow(codes, y, *args)
 
-    monkeypatch.setattr(boosting, "_workers", lambda n: 2)
+    monkeypatch.setattr("whiskerlab.learn.workers._workers", lambda n: 2)
     monkeypatch.setattr(boosting, "grow_regression_tree", grow_or_fail)
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(60, 5)), np.arange(60) % 10
     threads = set(threading.enumerate())
     raised = fit_raises(BoostedTreesClassifier(BoostParams(rounds=1)), X, y)
     assert [str(e) for e in raised] == ["chain 0 failed" if failing == "every" else "chain 1 failed"]
+    if failing == "one":
+        assert "in grow_or_fail" in "\n".join(raised[0].__notes__)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert set(threading.enumerate()) == threads
@@ -459,29 +454,45 @@ def test_an_error_in_a_chain_reaches_the_caller_and_no_process_outlives_fit(
     assert started == ([0, 1] if failing == "every" else [0, 1, 2, 4, 6, 8])
 
 
-@pytest.mark.parametrize("death, status", [("exit", 3), ("unpicklable", 1)])
+@pytest.mark.parametrize("death, status", [("exit", 3), ("unpicklable", 1), ("killed", "SIGKILL")])
 def test_a_worker_that_returns_no_result_is_named_and_reaped(monkeypatch, death, status):
     """Chain 1, on the forked worker 1 of 2, ends its process through
-    ``os._exit(3)`` or raises an error that cannot be pickled: fit raises a
-    WorkerError naming the worker and its exit status, and leaves no child."""
+    ``os._exit(3)``, raises an error that cannot be pickled or sends its
+    process SIGKILL: fit raises a WorkerError naming the worker and its exit
+    status or signal, and leaves no child."""
     grow = boosting.grow_regression_tree
 
     def grow_or_die(codes, y, *args):
         if int(np.argmax(y)) == 1:
             if death == "exit":
                 os._exit(3)
+            if death == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError(lambda: None)  # a lambda does not pickle
         return grow(codes, y, *args)
 
-    monkeypatch.setattr(boosting, "_workers", lambda n: 2)
+    monkeypatch.setattr("whiskerlab.learn.workers._workers", lambda n: 2)
     monkeypatch.setattr(boosting, "grow_regression_tree", grow_or_die)
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(60, 5)), np.arange(60) % 10
     [raised] = fit_raises(BoostedTreesClassifier(BoostParams(rounds=1)), X, y)
     assert isinstance(raised, WorkerError)
-    assert re.match(rf"worker 1 \(pid \d+\) exited with status {status} ", str(raised))
+    ended = f"was killed by {status}" if death == "killed" else f"exited with status {status}"
+    assert re.match(rf"worker 1 \(pid \d+\) {ended} ", str(raised))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpu_max, cores", [
+    ("", 64), ("max 100000\n", 64), ("200000 100000\n", 2), ("150000 100000\n", 2),
+    ("50000 100000\n", 1), ("6400000 100000\n", 64)])
+def test_the_worker_count_honours_a_cgroup_cpu_quota(monkeypatch, cpu_max, cores):
+    """On 64 usable cores: no cpu.max file, or "max", means no quota, and a
+    quota caps the processes at quota / period rounded up; each fork_map
+    still forks at most one process per unit."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr("whiskerlab.learn.workers._cpu_max", lambda: cpu_max)
+    assert [_workers(n) for n in (1000, 3, 1)] == [cores, min(cores, 3), 1]
 
 
 def edge_matrices(rng):
