@@ -1,12 +1,16 @@
-"""The one way files are written, and the one way JSON documents are read.
+"""The one way files are written, and the one boundary for malformed files.
 
 Every writer goes through :func:`atomic_open`: the bytes go to a temporary
 file beside the target (``.<name>.<pid>.tmp``), which replaces the target
 only once the write has finished, so an exception at any point leaves the
 previous file (or none) and no temporary.  Text is UTF-8 without newline
-translation, the same bytes on every platform.  :func:`read_json` turns
-every way a JSON document can be unusable (missing, unreadable, not JSON,
-not an object) into one :class:`DataFileError`.
+translation, the same bytes on every platform.
+
+Every reader parses inside :func:`reading`, which turns any error in
+:data:`MALFORMED` (a missing key, a wrong type or value, a ``ConfigError``,
+bad UTF-8 or CSV, nesting too deep for the decoder, an int beyond int64)
+into one :class:`DataFileError` naming the file.  :func:`read_json` adds
+the file that cannot be opened and the document that is not an object.
 """
 
 import csv
@@ -65,12 +69,28 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+# What parsing a file's content raises when the content is malformed.
+MALFORMED = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+             RecursionError, csv.Error)
+
+
+@contextmanager
+def reading(where, what: str):
+    """Raise DataFileError("<where>: bad <what> (<error>)") for any MALFORMED
+    error in the block; every other error passes through."""
+    try:
+        yield
+    except MALFORMED as exc:
+        raise DataFileError(f"{where}: bad {what} ({exc})") from exc
+
+
 def read_json(path) -> dict:
     """Decode a JSON object, or raise DataFileError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
-        raise DataFileError(f"{path}: cannot read JSON ({exc})") from exc
+    with reading(path, "JSON"):  # bad UTF-8 is a ValueError
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise DataFileError(f"{path}: cannot read JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DataFileError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

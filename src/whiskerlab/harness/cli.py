@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import analysis, sim
-from ..artifacts import file_digest, read_json, write_csv, write_json, write_text
+from ..artifacts import file_digest, read_json, reading, write_csv, write_json, write_text
 from ..errors import ConfigError, DataFileError, WhiskerlabError, check
 from ..features import features_array
 from ..learn import dataset as dataset_mod
@@ -164,10 +164,8 @@ def cmd_report(args, cfg, out, manifest):
     reports, inputs = [], {}
     for path in sorted(out.glob("eval_*.json")):
         inputs[str(path.relative_to(out))] = manifest.verify_input(path)
-        try:
+        with reading(path, "eval report"):
             reports.append(EvalReport.from_dict(read_json(path)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataFileError(f"{path}: malformed eval report ({exc!r})") from exc
     if not reports:
         raise DataFileError(f"no eval_*.json files in {out}")
 
@@ -243,22 +241,18 @@ def _read_speed_fit(durations_path, fit_path):
     """A durations CSV's (speed, duration) points and the fit's float (intercept,
     slope); a missing column, a speed <= 0 or a coefficient that is not a
     finite float raises DataFileError."""
-    try:
-        with open(durations_path, newline="", encoding="utf-8") as fh:
-            points = [(float(row["speed_mm_s"]), float(row["duration_frames"]))
-                      for row in csv.DictReader(fh) if row["duration_frames"]]
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
-        raise DataFileError(f"{durations_path}: bad durations CSV ({exc!r})") from exc
+    with (open(durations_path, newline="", encoding="utf-8") as fh,
+          reading(durations_path, "durations CSV")):
+        points = [(float(row["speed_mm_s"]), float(row["duration_frames"]))
+                  for row in csv.DictReader(fh) if row["duration_frames"]]
     if not points:
         raise DataFileError(f"{durations_path}: no usable duration rows")
     if not all(x > 0 for x, _ in points):
         raise DataFileError(f"{durations_path}: speeds must be positive")
     fit_doc = read_json(fit_path)
-    try:
+    with reading(fit_path, "speed fit"):
         return points, tuple(float(check(name, fit_doc.get(name), float))
                              for name in ("intercept", "slope"))
-    except ConfigError as exc:
-        raise DataFileError(f"{fit_path}: {exc}") from exc
 
 
 def cmd_plot(args, cfg, out, manifest):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import __version__
-from ..artifacts import file_digest, read_json, write_json
-from ..errors import DataFileError
+from ..artifacts import file_digest, read_json, reading, write_json
+from ..errors import DataFileError, check
 
 MANIFEST_NAME = "manifest.json"
 
@@ -37,13 +37,11 @@ class RunManifest:
         if path.exists():
             doc = read_json(path)
             stages = doc.get("stages", {})
-            if not (isinstance(stages, dict) and all(
-                    isinstance(st, dict) and all(
-                        isinstance(st.get(io), dict)
-                        and all(isinstance(v, str) for v in st[io].values())
-                        for io in ("inputs", "outputs"))
-                    for st in stages.values())):
-                raise DataFileError(f"{path}: corrupt manifest (malformed stages)")
+            with reading(path, "manifest stages"):  # each maps inputs and outputs to digests
+                for name, st in stages.items():
+                    for io in ("inputs", "outputs"):
+                        for key, digest in st[io].items():
+                            check(f"{name}.{io}[{key!r}]", digest, str)
             if doc.get("config_digest") == config_digest:
                 manifest.stages = stages
             # A different config in the same directory starts a fresh manifest.

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..artifacts import atomic_open
-from ..errors import ConfigError, DataFileError, DatasetBuildError, Validated, check
+from ..artifacts import atomic_open, reading
+from ..errors import ConfigError, DatasetBuildError, Validated, check
 from ..events import DetectorConfig, TactileSample, capture_samples
 from ..features import features_array
 from ..seeding import derive_rng, derive_seed
@@ -170,40 +170,6 @@ def plan_digest(plan: CollectionPlan, detector_cfg: DetectorConfig,
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
-                 digest, root_seed):
-    """Simulate one labeled capture, retrying with derived seeds as needed.
-
-    Returns (sample, attempts_used, retries) or raises DatasetBuildError.
-    """
-    retries = []
-    for attempt in range(plan.max_attempts):
-        rng = derive_rng(root_seed, "slide-params", sid, slide_i, attempt)
-        speed = rng.uniform(*plan.speed_range)
-        offset = rng.uniform(0.0, plan.offset_jitter_mm) if plan.offset_jitter_mm else 0.0
-        sim_seed = derive_seed(root_seed, "slide-noise", sid, slide_i, attempt)
-        slide = replace(base_slide, speed_mm_s=speed, direction_deg=plan.direction_deg,
-                        seed=sim_seed, start_offset_mm=offset)
-        stream = features_array(simulate_taxels(texture, slide, array))
-        captures = capture_samples(stream, detector_cfg)
-        if len(captures) == 1:
-            sample = captures[0]
-            sample.label = SampleLabel(
-                specimen_id=sid,
-                pattern=texture.pattern,
-                depth_mm=texture.depth_mm,
-                speed_mm_s=speed,
-                direction_deg=plan.direction_deg,
-            )
-            sample.seed = sim_seed
-            sample.config_digest = digest
-            return sample, attempt + 1, retries
-        retries.append((sid, slide_i, len(captures)))
-    raise DatasetBuildError(
-        f"specimen {sid} slide {slide_i}: no clean capture in {plan.max_attempts} attempts"
-    )
-
-
 def build_dataset(
     plan: CollectionPlan = CollectionPlan(),
     base_slide: SlideConfig = SlideConfig(speed_mm_s=150.0),
@@ -225,9 +191,35 @@ def build_dataset(
              for slide_i in range(plan.slides_per_specimen)]
 
     def collect(t: int):
+        """Simulate task t's labeled capture, retrying with derived seeds as
+        needed: (sample, attempts used, retries), or DatasetBuildError."""
         sid, texture, slide_i = tasks[t]
-        return _collect_one(texture, sid, slide_i, plan, base_slide, array, detector_cfg,
-                            digest, seed)
+        retries = []
+        for attempt in range(plan.max_attempts):
+            rng = derive_rng(seed, "slide-params", sid, slide_i, attempt)
+            speed = rng.uniform(*plan.speed_range)
+            offset = rng.uniform(0.0, plan.offset_jitter_mm) if plan.offset_jitter_mm else 0.0
+            sim_seed = derive_seed(seed, "slide-noise", sid, slide_i, attempt)
+            slide = replace(base_slide, speed_mm_s=speed, direction_deg=plan.direction_deg,
+                            seed=sim_seed, start_offset_mm=offset)
+            stream = features_array(simulate_taxels(texture, slide, array))
+            captures = capture_samples(stream, detector_cfg)
+            if len(captures) == 1:
+                sample = captures[0]
+                sample.label = SampleLabel(
+                    specimen_id=sid,
+                    pattern=texture.pattern,
+                    depth_mm=texture.depth_mm,
+                    speed_mm_s=speed,
+                    direction_deg=plan.direction_deg,
+                )
+                sample.seed = sim_seed
+                sample.config_digest = digest
+                return sample, attempt + 1, retries
+            retries.append((sid, slide_i, len(captures)))
+        raise DatasetBuildError(
+            f"specimen {sid} slide {slide_i}: no clean capture in {plan.max_attempts} attempts"
+        )
 
     diagnostics = BuildDiagnostics()
     samples = []
@@ -365,15 +357,11 @@ def load_dataset(path) -> LabeledDataset:
     """Read a dataset JSONL line by line.  A line that is not UTF-8 or not a
     good record (an unlabelled one included) raises DataFileError naming the
     line; an empty or mixed-shape file raises DataFileError naming the file."""
-    samples, line_no = [], 0
-    try:
-        with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if line.strip():
+    samples = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                with reading(f"{path}:{line_no}", "sample record"):
                     samples.append(sample_from_dict(json.loads(line.decode("utf-8"))))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataFileError(f"{path}:{line_no}: bad sample record ({exc})") from exc
-    try:
+    with reading(path, "dataset"):
         return LabeledDataset.from_samples(samples)
-    except ConfigError as exc:
-        raise DataFileError(f"{path}: {exc}") from exc

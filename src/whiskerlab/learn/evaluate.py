@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..artifacts import read_json, write_csv, write_text
+from ..artifacts import read_json, reading, write_csv, write_text
 from ..errors import ConfigError, DataFileError, check, check_array
 from .boosting import BoostedTreesClassifier
 from .dataset import LabeledDataset
@@ -155,14 +155,12 @@ def load_model(path):
                             f"{MODEL_FORMAT_VERSION}; retrain the model with whiskerlab train")
     if doc.get("task") not in TASKS:
         raise DataFileError(f"{path}: model carries no valid task tag")
-    try:
+    with reading(path, "model document"):
         obj = doc["model"]
         kind = obj.get("kind")
         if kind not in _MODEL_CLASSES:
             raise DataFileError(f"{path}: unknown model kind {kind!r}")
         model = _MODEL_CLASSES[kind].from_dict(obj)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataFileError(f"{path}: malformed model document ({exc!r})") from exc
     model.task = doc["task"]
     return model
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_csv, write_json
+from .artifacts import read_json, reading, write_csv, write_json
 from .errors import ConfigError, DataFileError, Validated
 from .taxel_grid import TactileFrame, TaxelStream, taxel_array, write_ppm
 
@@ -334,11 +334,8 @@ def load_taxel_csv(path) -> tuple[np.ndarray, np.ndarray]:
     is not a number in [0, 1] (the range of a normalized intensity; NaN is
     not in it) raises DataFileError.
     """
-    with open(Path(path), newline="", encoding="utf-8") as fh:
-        try:
-            header, *rows = list(csv.reader(fh)) or [None]  # an empty file has no header
-        except (ValueError, csv.Error) as exc:
-            raise DataFileError(f"{path}: unreadable taxel CSV ({exc})") from exc
+    with open(Path(path), newline="", encoding="utf-8") as fh, reading(path, "taxel CSV"):
+        header, *rows = list(csv.reader(fh)) or [None]  # an empty file has no header
     side = math.isqrt(len(header) - 1) if header else 0
     if not header or side < 1 or header != _taxel_header(side, side):
         raise DataFileError(f"{path}: unexpected taxel CSV header {header!r}")
@@ -346,13 +343,11 @@ def load_taxel_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise DataFileError(f"{path}: taxel CSV has no frames")
     indices, taxels = [], np.empty((len(rows), side, side))
     for line, (row, values) in enumerate(zip(rows, taxels), start=2):
-        try:  # a row of the wrong length cannot take the (side, side) shape
+        with reading(f"{path}:{line}", "taxel CSV row"):  # a wrong-length row fails the reshape
             values[...] = np.array([float(v) for v in row[1:]]).reshape(side, side)
             if not ((values >= 0.0) & (values <= 1.0)).all():
                 raise ValueError("taxel values must lie in [0, 1]")
             indices.append(int(row[0]))
-        except ValueError as exc:
-            raise DataFileError(f"{path}:{line}: bad taxel CSV row ({exc})") from exc
     return np.array(indices), taxels
 
 
@@ -381,9 +376,6 @@ def save_slide_manifest(path, texture: TextureSpec, slide: SlideConfig,
 def load_slide_manifest(path) -> tuple[TextureSpec, SlideConfig, WhiskerArraySpec]:
     """A :func:`save_slide_manifest` record; a missing, unknown or invalid field raises DataFileError."""
     doc = read_json(path)
-    try:
-        specs = (TextureSpec(**doc["texture"]), SlideConfig(**doc["slide"]),
-                 WhiskerArraySpec(**doc["array"]))
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise DataFileError(f"{path}: bad slide record ({exc!r})") from exc
-    return specs
+    with reading(path, "slide record"):
+        return (TextureSpec(**doc["texture"]), SlideConfig(**doc["slide"]),
+                WhiskerArraySpec(**doc["array"]))

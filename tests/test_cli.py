@@ -685,12 +685,18 @@ def test_direction_command_on_a_dataset_record(small_run, tmp_path, capsys):
     pytest.param(lambda run: {"slide_a.csv": first_slide(run).read_text(),
                               "slide_a.json": '{"texture": 1}'},
                  lambda run, d: ["fit-speed", "--sweep-dir", str(d)], id="sidecar-texture-int"),
+    # json.dumps cannot write these: its encoder meets the recursion limit first
+    pytest.param(lambda run: {"deep.json": "[" * 100_000 + "]" * 100_000},
+                 lambda run, d: ["init-config", "--config", str(d / "deep.json")], id="config-too-deep"),
+    pytest.param(lambda run: {"d.jsonl": "[" * 100_000 + "]" * 100_000 + "\n"},
+                 lambda run, d: ["train", "--dataset", str(d / "d.jsonl"), "--model", "linear_margin",
+                                 "--task", "patterns4"], id="sample-too-deep"),
 ])
 def test_malformed_artifacts_are_data_errors(files, argv, small_run, tmp_path, capsys):
     for name, text in files(small_run).items():
         (tmp_path / name).write_text(text)
-    rc = main([*argv(small_run, tmp_path), "--config", str(small_run / "config.json"),
-               "--out", str(tmp_path)])
+    command, *flags = argv(small_run, tmp_path)  # a --config in flags comes last, so it wins
+    rc = main([command, "--config", str(small_run / "config.json"), "--out", str(tmp_path), *flags])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "DataFileError"
 

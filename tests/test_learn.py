@@ -647,6 +647,7 @@ MALFORMED_MODELS = {
     "no_width": {k: v for k, v in FOREST.items() if k != "n_features"},
     "unknown_param": {**BOOSTER, "params": {"depth": 3}},
     "dangling_child": with_trees(FOREST, left=[5, 1, 2]),
+    "child_beyond_int64": with_trees(FOREST, left=[2**70, 1, 2]),
     "child_back_up_its_tree": with_trees(FOREST, right=[0, 1, 2]),
     "child_in_another_tree": {**FOREST, "params": {"n_trees": 2, "max_bins": 256}, "trees": {
         "feature": [0, -1, -1, 0, -1, -1], "threshold": [0.5, 0.0, 0.0, 0.2, 0.0, 0.0],
