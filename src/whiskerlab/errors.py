@@ -18,14 +18,14 @@ class ConfigError(WhiskerlabError, ValueError):
     """A configuration object or argument violates its invariants."""
 
 
-def check(name: str, value, kind, interval: Optional[str] = None):
+def check(name: str, value, kind, legal=None):
     """value if it is legal, else a ConfigError naming ``name``: the one rule
     for config fields and every scalar read back from a package file.  In
     order: the type (int: not a bool; float: an int or a float, not a bool,
     kept as given; ``tuple[float, float]``: two floats; any other class: an
-    instance), finite floats, and ``interval`` such as ``"[1, inf)"`` (for
-    each number of a pair)."""
-    return _rule(kind, interval)(name, value)
+    instance), finite floats, and ``legal``: an interval such as
+    ``"[1, inf)"`` (for each number of a pair) or a tuple of the legal values."""
+    return _rule(kind, legal)(name, value)
 
 
 def check_array(name: str, value, kind, interval: Optional[str] = None) -> np.ndarray:
@@ -60,8 +60,8 @@ def check_labels(name: str, labels: list) -> list:
 class Validated:
     """Base of the frozen config dataclasses: building one (``dataclasses.replace``
     included) passes each field to :func:`check`, with its annotated type and
-    the interval in the class's ``BOUNDS`` table, then runs ``validate()`` for
-    what relates two fields or tests set membership."""
+    the interval or set of legal values in the class's ``BOUNDS`` table, then
+    runs ``validate()`` for what relates two fields."""
 
     BOUNDS: ClassVar[dict] = {}
 
@@ -71,7 +71,7 @@ class Validated:
         self.validate()
 
     def validate(self) -> None:
-        """The checks that relate two fields or test set membership; none here."""
+        """The checks that relate two fields; none here."""
 
 
 def _interval(text: str):
@@ -83,12 +83,17 @@ def _interval(text: str):
 
 
 @cache
-def _rule(kind, interval: Optional[str]):
-    """:func:`check` for one kind and interval, as a function of (name, value)."""
+def _rule(kind, legal):
+    """:func:`check` for one kind and interval or tuple of legal values, as a
+    function of (name, value)."""
     if kind == tuple[float, float]:
-        return partial(_pair, _rule(float, interval))
+        return partial(_pair, _rule(float, legal))
     classes = (int, float) if kind is float else kind
-    number, inside = kind in (int, float), interval and _interval(interval)
+    number = kind in (int, float)
+    if isinstance(legal, tuple):
+        inside, refusal = legal.__contains__, f"must be one of {legal}"
+    else:
+        inside, refusal = legal and _interval(legal), f"must lie in {legal}"
 
     def rule(name, value):
         if not isinstance(value, classes) or number and isinstance(value, bool):
@@ -96,7 +101,7 @@ def _rule(kind, interval: Optional[str]):
         elif kind is float and not abs(value) <= sys.float_info.max:  # NaN, ±inf, huge ints
             problem = "must be finite"
         elif inside and not inside(value):
-            problem = f"must lie in {interval}"
+            problem = refusal
         else:
             return value
         raise ConfigError(f"{name} {problem}, got {value!r}")

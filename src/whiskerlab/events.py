@@ -55,7 +55,7 @@ class DetectorConfig(Validated):
 
     BOUNDS = {"window_frames": "[1, inf)", "backtrack_frames": "[0, inf)",
               "trigger_multiplier": "(0, inf)", "sample_frames": "[1, inf)",
-              "baseline_windows": "[1, inf)"}
+              "baseline_windows": "[1, inf)", "mode": MODES}
 
     def validate(self) -> None:
         if self.backtrack_frames >= self.sample_frames:
@@ -67,8 +67,6 @@ class DetectorConfig(Validated):
                 f"{self.calibration_frames}-frame calibration prefix; captures could "
                 f"reach before the start of the stream"
             )
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     @property
     def calibration_frames(self) -> int:

@@ -48,15 +48,13 @@ class SampleLabel(Validated):
     speed_mm_s: float
     direction_deg: int
 
-    BOUNDS = {"speed_mm_s": "(0, inf)"}
+    BOUNDS = {"speed_mm_s": "(0, inf)", "direction_deg": DIRECTIONS_DEG}
 
     def validate(self) -> None:
         spec = specimen_by_id(self.specimen_id)
         if spec.pattern != self.pattern or spec.depth_mm != self.depth_mm:
             raise ConfigError(f"label ({self.pattern}, {self.depth_mm}) "
                               f"does not match specimen {self.specimen_id}")
-        if self.direction_deg not in DIRECTIONS_DEG:
-            raise ConfigError(f"direction_deg {self.direction_deg} is not one of {DIRECTIONS_DEG}")
 
 
 @dataclass(frozen=True)
@@ -77,23 +75,22 @@ class CollectionPlan(Validated):
     test_fraction: float = 0.1
 
     BOUNDS = {"slides_per_specimen": "[1, inf)", "speed_range": "(0, inf)",
-              "offset_jitter_mm": "[0, inf)", "max_attempts": "[1, inf)",
-              "min_capture_rate": "(0, 1]", "test_fraction": "(0, 1)"}
+              "direction_deg": DIRECTIONS_DEG, "offset_jitter_mm": "[0, inf)",
+              "max_attempts": "[1, inf)", "min_capture_rate": "(0, 1]", "test_fraction": "(0, 1)"}
 
     def validate(self) -> None:
         lo, hi = self.speed_range
         if lo > hi:
             raise ConfigError(f"speed_range must run from low to high, got {self.speed_range}")
-        if self.direction_deg not in DIRECTIONS_DEG:
-            raise ConfigError(f"direction_deg {self.direction_deg} is not one of {DIRECTIONS_DEG}")
 
 
 @dataclass
 class LabeledDataset:
     """Flattened captures and their specimen labels.
 
-    The specimen id is the one label column; pattern and depth are read
-    from it through the specimen table, and the rest stays on the samples.
+    The specimen id is the one label column; each task reads its label
+    from it (:func:`~whiskerlab.learn.evaluate.task_labels`), and the rest
+    stays on the samples.
     The dataset holds its features as a read-only copy of the array it is
     given, which no other array views, so they cannot change while they
     live and every tree fit on them shares one binning (see
@@ -113,16 +110,6 @@ class LabeledDataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def patterns(self) -> list[str]:
-        return [specimen_by_id(sid).pattern for sid in self.specimen_ids.tolist()]
-
-    @property
-    def depths(self) -> np.ndarray:
-        """(n,) float, mm."""
-        return np.array([specimen_by_id(sid).depth_mm for sid in self.specimen_ids.tolist()],
-                        dtype=np.float64)
 
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(

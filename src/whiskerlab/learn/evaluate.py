@@ -7,7 +7,8 @@ from typing import Optional
 import numpy as np
 
 from ..artifacts import read_json, reading, write_csv, write_text
-from ..errors import ConfigError, DataFileError, check, check_array
+from ..errors import ConfigError, DataFileError, check, check_array, check_labels
+from ..sim import specimen_by_id
 from .boosting import BoostedTreesClassifier
 from .dataset import LabeledDataset
 from .forest import BaggedTreesClassifier
@@ -17,7 +18,13 @@ _MODEL_CLASSES = {
     cls.kind: cls
     for cls in (LinearMarginClassifier, BaggedTreesClassifier, BoostedTreesClassifier)
 }
-TASKS = ("specimens10", "patterns4", "depths4")
+# Each task's label of a specimen id.
+_TASK_LABELS = {
+    "specimens10": lambda sid: sid,
+    "patterns4": lambda sid: specimen_by_id(sid).pattern,
+    "depths4": lambda sid: int(specimen_by_id(sid).depth_mm),
+}
+TASKS = tuple(_TASK_LABELS)
 MODEL_KINDS = tuple(_MODEL_CLASSES)
 MODEL_FORMAT = "whiskerlab-model"
 MODEL_FORMAT_VERSION = 2
@@ -32,22 +39,15 @@ class ModelSpec:
     params: Optional[object] = None  # kind-specific params dataclass, or None for defaults
 
     def build(self):
-        if self.kind not in _MODEL_CLASSES:
-            raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        model_cls = _MODEL_CLASSES[self.kind]
+        model_cls = _MODEL_CLASSES[check("kind", self.kind, str, MODEL_KINDS)]
         if self.params is not None and not isinstance(self.params, model_cls.params_cls):
             raise ConfigError(f"{self.kind} expects {model_cls.params_cls.__name__} parameters")
         return model_cls(self.params, seed=self.train_seed)
 
 
 def task_labels(dataset: LabeledDataset, task: str) -> np.ndarray:
-    if task == "specimens10":
-        return dataset.specimen_ids.astype(object)
-    if task == "patterns4":
-        return np.array(dataset.patterns, dtype=object)
-    if task == "depths4":
-        return dataset.depths.astype(int).astype(object)
-    raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    label = _TASK_LABELS[check("task", task, str, TASKS)]
+    return np.array([label(sid) for sid in dataset.specimen_ids.tolist()], dtype=object)
 
 
 def train(spec: ModelSpec, train_set: LabeledDataset, task: str):
@@ -90,20 +90,22 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalReport":
-        """Rebuild a report; a missing key, an unknown task or model kind, a value
-        :func:`check` refuses or a confusion that is not a square matrix of
-        ints >= 0 over ``classes`` raises KeyError, TypeError or ValueError."""
-        if obj["task"] not in TASKS or obj["model_kind"] not in MODEL_KINDS:
-            raise ValueError(f"unknown task/model {obj['task']!r}/{obj['model_kind']!r}")
+        """Rebuild a report; a missing key, a value :func:`check` refuses
+        (an unknown task or model kind included), classes that are not all
+        ints or all strs, or a confusion that is not a square matrix of ints
+        >= 0 over them raises KeyError, TypeError or ValueError."""
+        task = check("task", obj["task"], str, TASKS)
+        model_kind = check("model_kind", obj["model_kind"], str, MODEL_KINDS)
+        classes = check_labels("classes", check("classes", obj["classes"], list))
         confusion = check_array("confusion", obj["confusion"], int, "[0, inf)")
-        if confusion.shape != (len(obj["classes"]),) * 2:
+        if confusion.shape != (len(classes),) * 2:
             raise ValueError("confusion must be a square matrix over the classes")
         return cls(
-            task=obj["task"],
-            model_kind=obj["model_kind"],
+            task=task,
+            model_kind=model_kind,
             accuracy=float(check("accuracy", obj["accuracy"], float, "[0, 1]")),
             confusion=confusion,
-            classes=obj["classes"],
+            classes=classes,
             n_test=check("n_test", obj["n_test"], int, "[1, inf)"),
             unknown_label_count=check("unknown_label_count", obj["unknown_label_count"], int,
                                       "[0, inf)"),
@@ -153,15 +155,11 @@ def load_model(path):
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataFileError(f"{path}: model format version {doc.get('format_version')!r} is not "
                             f"{MODEL_FORMAT_VERSION}; retrain the model with whiskerlab train")
-    if doc.get("task") not in TASKS:
-        raise DataFileError(f"{path}: model carries no valid task tag")
     with reading(path, "model document"):
+        task = check("task", doc.get("task"), str, TASKS)
         obj = doc["model"]
-        kind = obj.get("kind")
-        if kind not in _MODEL_CLASSES:
-            raise DataFileError(f"{path}: unknown model kind {kind!r}")
-        model = _MODEL_CLASSES[kind].from_dict(obj)
-    model.task = doc["task"]
+        model = _MODEL_CLASSES[check("kind", obj.get("kind"), str, MODEL_KINDS)].from_dict(obj)
+    model.task = task
     return model
 
 

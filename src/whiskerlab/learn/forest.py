@@ -66,3 +66,6 @@ class BaggedTreesClassifier(Classifier):
     def _load_state(self, obj: dict) -> None:
         self.n_features_ = check("n_features", obj["n_features"], int, "[0, inf)")
         self.router_ = PackedTrees.from_dict(obj["trees"], len(self.classes_), self.n_features_)
+        if self.router_.n_trees != self.params.n_trees:
+            raise ValueError(f"a bagged-trees model holds n_trees = {self.params.n_trees} trees, "
+                             f"not {self.router_.n_trees}")

@@ -53,9 +53,9 @@ class TextureSpec(Validated):
     pattern: str
     depth_mm: float
 
+    BOUNDS = {"pattern": PATTERNS}
+
     def validate(self) -> None:
-        if self.pattern not in PATTERNS:
-            raise ConfigError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         depths = DEPTHS_MM[:1] if self.pattern == "flat" else DEPTHS_MM[1:]  # depth 0 is flat
         if self.depth_mm not in depths:
             raise ConfigError(f"{self.pattern} depth_mm must be in {depths}, got {self.depth_mm}")
@@ -107,12 +107,9 @@ class SlideConfig(Validated):
     lead_in_frames: int = 25
     lead_out_frames: int = 60
 
-    BOUNDS = {"speed_mm_s": "(0, inf)", "path_mm": "(0, inf)", "fps": "(0, inf)",
-              "noise_amp": "[0, inf)", "lead_in_frames": "[0, inf)", "lead_out_frames": "[0, inf)"}
-
-    def validate(self) -> None:
-        if self.direction_deg not in DIRECTIONS_DEG:
-            raise ConfigError(f"direction_deg {self.direction_deg} is not one of {DIRECTIONS_DEG}")
+    BOUNDS = {"speed_mm_s": "(0, inf)", "direction_deg": DIRECTIONS_DEG, "path_mm": "(0, inf)",
+              "fps": "(0, inf)", "noise_amp": "[0, inf)", "lead_in_frames": "[0, inf)",
+              "lead_out_frames": "[0, inf)"}
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class TaxelGridConfig(Validated):
     channel: str = "green"
 
     BOUNDS = {"rows": "[1, inf)", "cols": "[1, inf)", "roi_side": "[1, inf)",
-              "image_side": "[1, inf)"}
+              "image_side": "[1, inf)", "channel": tuple(CHANNELS)}
 
     def validate(self) -> None:
         if self.roi_side > min(self.cell_height, self.cell_width):
@@ -51,8 +51,6 @@ class TaxelGridConfig(Validated):
                 f"roi_side {self.roi_side} does not fit in a "
                 f"{self.cell_height}x{self.cell_width} cell"
             )
-        if self.channel not in CHANNELS:
-            raise ConfigError(f"unknown channel {self.channel!r}")
 
     @property
     def cell_height(self) -> int:

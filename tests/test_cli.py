@@ -722,6 +722,8 @@ REPORT_EDITS = {  # case -> (field the error names, edit of the eval document)
     "confusion-bool": ("confusion", lambda d: _set_cell(d["confusion"], True)),
     "confusion-not-square": ("confusion", lambda d: d["confusion"].pop()),
     "no-unknown_label_count": ("unknown_label_count", lambda d: d.pop("unknown_label_count")),
+    "classes-string": ("classes", lambda d: d.update(classes="x" * len(d["classes"]))),
+    "classes-bool": ("classes", lambda d: d["classes"].__setitem__(0, True)),
 }
 
 

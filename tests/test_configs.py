@@ -165,9 +165,13 @@ def test_check_array_refuses_what_a_per_cell_check_refuses(seed, kind, interval)
 
 @each_class
 def test_bound_tables_name_numeric_fields(valid):
-    """Each bound names a numeric field of its class, and the valid instance lies in it."""
+    """Each bound names a field of its class, and the valid instance lies in
+    it: an interval a numeric field, a tuple of legal values an int or str one."""
     types = {f.name: f.type for f in dataclasses.fields(valid)}
     for name, text in type(valid).BOUNDS.items():
+        if isinstance(text, tuple):
+            assert types.get(name) in (int, str) and getattr(valid, name) in text, name
+            continue
         assert types.get(name) in (int, float, tuple[float, float]), name
         value = getattr(valid, name)
         assert all(map(_interval(text), value if isinstance(value, tuple) else (value,))), name
@@ -177,6 +181,11 @@ def test_bound_tables_name_numeric_fields(valid):
 def test_each_bound_refuses_the_values_just_outside_it(valid):
     types = {f.name: f.type for f in dataclasses.fields(valid)}
     for name, text in type(valid).BOUNDS.items():
+        if isinstance(text, tuple):
+            for x in _just_outside(text):
+                with pytest.raises(ConfigError, match=f"{name} must be one of"):
+                    dataclasses.replace(valid, **{name: x})
+            continue
         step = 1 if types[name] is int else 1e-9
         lo, hi = (float(end) for end in text[1:-1].split(","))
         for x in (lo if text[0] == "(" else lo - step, hi if text[-1] == ")" else hi + step):
@@ -185,6 +194,16 @@ def test_each_bound_refuses_the_values_just_outside_it(valid):
             x = int(x) if types[name] is int else x
             with pytest.raises(ConfigError, match=f"{name} must lie in"):
                 dataclasses.replace(valid, **{name: (x, x) if name == "speed_range" else x})
+
+
+def _just_outside(legal: tuple) -> set:
+    """Near misses of a set of legal ints or strs: each member off by one, or
+    cut short, upper-cased or padded."""
+    if isinstance(legal[0], int):
+        near = {m + step for m in legal for step in (-1, 1)}
+    else:
+        near = {variant for m in legal for variant in (m[:-1], m.upper(), m + " ")}
+    return near - set(legal)
 
 
 @pytest.mark.parametrize("text, inside, outside", [
@@ -252,14 +271,23 @@ def _is_number_literal(node) -> bool:
             and not isinstance(node.value, bool))
 
 
+def _tests_membership(node: ast.Compare) -> bool:
+    """``in`` or ``not in`` a tuple literal or an UPPER_CASE module constant."""
+    return any(isinstance(op, (ast.In, ast.NotIn)) and (
+                   isinstance(right, ast.Tuple) or isinstance(right, ast.Name) and right.id.isupper())
+               for op, right in zip(node.ops, node.comparators))
+
+
 def literal_bounds(source: str) -> list[int]:
-    """Line numbers of comparisons of a field with a number inside a ``validate()`` body."""
+    """Line numbers of comparisons of a field with a number, or of membership
+    tests of a field in a fixed set, inside a ``validate()`` body."""
     return [node.lineno
             for fn in ast.walk(ast.parse(source))
             if isinstance(fn, ast.FunctionDef) and fn.name == "validate"
             for node in ast.walk(fn) if isinstance(node, ast.Compare)
             if any(map(_reads_a_field, [node.left, *node.comparators]))
-            and any(map(_is_number_literal, [node.left, *node.comparators]))]
+            and (any(map(_is_number_literal, [node.left, *node.comparators]))
+                 or _tests_membership(node))]
 
 
 @pytest.mark.parametrize("source, bound", [
@@ -271,7 +299,9 @@ def literal_bounds(source: str) -> list[int]:
     ("def validate(self):\n    if getattr(self, name) > 0: pass", True),
     ("def validate(self):\n    ok = [self.a > 0 for _ in 'x']", True),
     ("def validate(self):\n    if self.lo > self.hi: pass", False),
-    ("def validate(self):\n    if self.direction not in (0, 90): pass", False),
+    ("def validate(self):\n    if self.direction not in (0, 90): pass", True),
+    ("def validate(self):\n    if self.mode in MODES: pass", True),
+    ("def validate(self):\n    if self.depth_mm not in depths: pass", False),
     ("def validate(self):\n    if self.mode == 'literal': pass", False),
     ("def validate(self):\n    if self.flag is True: pass", False),
     ("def validate(self):\n    if lo > 0: pass", False),

@@ -78,8 +78,8 @@ def blob_dataset(n_per_class, n_classes, separation, seed, n_features=700):
 
 def assert_labels_match_samples(labeled):
     """The pattern and depth read from each specimen id are the ones its sample carries."""
-    assert labeled.patterns == [s.label.pattern for s in labeled.samples]
-    assert labeled.depths.tolist() == [s.label.depth_mm for s in labeled.samples]
+    assert task_labels(labeled, "patterns4").tolist() == [s.label.pattern for s in labeled.samples]
+    assert task_labels(labeled, "depths4").tolist() == [s.label.depth_mm for s in labeled.samples]
 
 
 def test_one_slide_per_specimen_gives_one_sample_per_label():
@@ -116,8 +116,8 @@ def test_specimen_mapping_determines_pattern_and_depth(tmp_path):
     assert len(pairs) == 10  # a perfect 10-class model induces both 4-class tasks
     labeled, _ = build_dataset(plan=CollectionPlan(slides_per_specimen=1), seed=4)
     ids = labeled.specimen_ids
-    assert labeled.patterns == [SPECIMENS[i - 1].pattern for i in ids]
-    assert labeled.depths.tolist() == [float(SPECIMENS[i - 1].depth_mm) for i in ids]
+    assert task_labels(labeled, "patterns4").tolist() == [SPECIMENS[i - 1].pattern for i in ids]
+    assert task_labels(labeled, "depths4").tolist() == [float(SPECIMENS[i - 1].depth_mm) for i in ids]
     path = tmp_path / "dataset.jsonl"
     save_dataset(path, labeled.samples)
     lines = path.read_text().splitlines()
@@ -663,6 +663,8 @@ MALFORMED_MODELS = {
     "one_tree_round": with_trees(BOOSTER, feature=[-1], threshold=[0.0], left=[0], right=[0],
                                  value=[0.5], roots=[0]),  # two classes need two trees a round
     "short_second_round": {**BOOSTER, "params": {**BOOSTER["params"], "rounds": 2}},
+    "fewer_trees_than_n_trees": {**FOREST, "params": {**FOREST["params"], "n_trees": 5}},
+    "huge_n_trees": {**FOREST, "params": {**FOREST["params"], "n_trees": 10**30}},
     "string_threshold": with_trees(FOREST, threshold=["0.5", 0.0, 0.0]),
     "bool_threshold": with_trees(FOREST, threshold=[True, 0.0, 0.0]),
     "nan_threshold": with_trees(FOREST, threshold=[math.nan, 0.0, 0.0]),
